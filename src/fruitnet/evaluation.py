@@ -7,12 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augmentation import Scenario, preprocess, preprocess_batch
-from .errors import ConfigurationError, InvalidInputError
+from .errors import InvalidInputError
 from .imaging import Colorspace, RasterImage, resize_bilinear
 from .layers import softmax
 from .network import forward
 from .records import IMAGE_SIDE, ShardSet, read_examples, sequential_batches
-from .training import Checkpoint
+from .training import Checkpoint, check_channels
 
 # published benchmark test accuracies on the full fruit corpus (46371 train /
 # 15563 test images, 75000 iterations); documentation only, never asserted
@@ -75,11 +75,7 @@ def evaluate(
 ) -> EvalReport:
     """Classify every record once (sequential batches, keep_prob 1, test-mode
     preprocessing) and tally accuracy plus per-class mislabel counts."""
-    if scenario.input_channels != ckpt.config.input_channels:
-        raise ConfigurationError(
-            f"scenario {scenario.value} feeds {scenario.input_channels} channels, "
-            f"checkpoint network expects {ckpt.config.input_channels}"
-        )
+    check_channels(scenario, ckpt.config, "checkpoint network")
     total = 0
     correct = 0
     mislabeled: dict = {}
@@ -106,11 +102,7 @@ def predict_image(ckpt: Checkpoint, image: RasterImage, scenario: Scenario) -> P
     softmax probability."""
     if image.colorspace is not Colorspace.RGB:
         raise InvalidInputError(f"predict_image expects an rgb image, got {image.colorspace.value}")
-    if scenario.input_channels != ckpt.config.input_channels:
-        raise ConfigurationError(
-            f"scenario {scenario.value} feeds {scenario.input_channels} channels, "
-            f"checkpoint network expects {ckpt.config.input_channels}"
-        )
+    check_channels(scenario, ckpt.config, "checkpoint network")
     resized = resize_bilinear(image, IMAGE_SIDE, IMAGE_SIDE)
     x = preprocess(resized, scenario, "test").pixels[None].astype(np.float32)
     logits, _ = forward(ckpt.config, ckpt.params, x, keep_prob=1.0)

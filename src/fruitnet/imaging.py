@@ -282,6 +282,8 @@ def read_ppm(path) -> RasterImage:
         raise FormatError(f"malformed PPM header: {exc}", path=path, offset=pos) from exc
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}, expected 255", path=path, offset=pos)
+    if width < 1 or height < 1:
+        raise FormatError(f"image dims must be positive, got {width}x{height}", path=path, offset=pos)
     pos += 1  # single whitespace byte separates header from raster
     need = width * height * 3
     raster = data[pos : pos + need]

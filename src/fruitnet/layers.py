@@ -1,9 +1,13 @@
 """Forward and backward passes for every layer of the network.
 
 Tensors are numpy float arrays, row-major, NHWC for activations.  Convolution
-follows the flatten-the-filter formulation: image patches are gathered into a
-matrix (one row per output position, one column per filter element) and
-multiplied against the filter matrix, so each layer is a handful of GEMMs.
+gathers a width-only patch matrix from the zero-padded input: one row per
+padded image row and output column, holding the k horizontally adjacent
+pixels that column reads (k * c values).  Kernel row u then contributes one
+GEMM over the matrix shifted down by u image rows, so a k x k convolution is
+k GEMMs per image on a matrix k times the size of its input, not k * k
+times.  The input gradient is the same correlation, run on the output
+gradient with the kernel flipped.
 
 Each *_forward returns (output, cache); the matching backward consumes that
 cache and produces exact gradients of the forward map.  Functions preserve
@@ -26,19 +30,36 @@ def _same_pad(k: int) -> tuple:
     return beg, total - beg
 
 
-def _im2col(xpad: Tensor, k: int) -> Tensor:
-    """Patch matrix of all k x k windows: (n * oh * ow, k * k * c)."""
-    n = xpad.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(xpad, (k, k), axis=(1, 2))
-    # (n, oh, ow, c, k, k) -> rows ordered by (n, oh, ow), columns by (k, k, c)
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * win.shape[1] * win.shape[2], k * k * xpad.shape[3])
+def _row_patches(x: Tensor, k: int, beg: int, end: int) -> Tensor:
+    """Width-only patch matrix of x zero-padded by beg/end rows and columns:
+    (n, (h + k - 1) * w, k * c), rows ordered by (padded row, output column),
+    columns by (kernel column, channel)."""
+    n, h, wd, c = x.shape
+    xpad = np.pad(x, ((0, 0), (beg, end), (beg, end), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=2)  # (n, h + k - 1, wd, c, k)
+    return win.transpose(0, 1, 2, 4, 3).reshape(n, (h + k - 1) * wd, k * c)
+
+
+def _correlate_rows(cols: Tensor, w: Tensor, h: int, wd: int) -> Tensor:
+    """SAME correlation from a _row_patches matrix: (n, h * wd, co), the sum
+    over kernel rows u of the patch rows shifted down by u image rows times
+    w[u]."""
+    k, _, ci, co = w.shape
+    w = w.reshape(k, k * ci, co)
+    y = np.empty((cols.shape[0], h * wd, co), dtype=np.result_type(cols, w))
+    # one image at a time, so the k partial products accumulate in cache
+    for img, out in zip(cols, y):
+        np.matmul(img[: h * wd], w[0], out=out)
+        for u in range(1, k):
+            out += img[u * wd : (u + h) * wd] @ w[u]
+    return y
 
 
 def conv2d_forward(x: Tensor, w: Tensor, bias: Tensor) -> tuple:
     """2-d convolution, stride 1, SAME zero padding; spatial dims preserved.
 
-    The patch matrix is kept in the cache so the weight gradient is a single
-    GEMM later; peak memory scales with batch * h * w * k * k * c floats.
+    The width-only patch matrix is kept in the cache for the weight gradient;
+    it holds batch * (h + k - 1) * w * k * c floats, k times the input.
     """
     x, w, bias = np.asarray(x), np.asarray(w), np.asarray(bias)
     if x.ndim != 4 or w.ndim != 4 or w.shape[0] != w.shape[1]:
@@ -47,11 +68,10 @@ def conv2d_forward(x: Tensor, w: Tensor, bias: Tensor) -> tuple:
     if x.shape[3] != ci or bias.shape != (co,):
         raise ShapeError(f"channel mismatch: x {x.shape}, w {w.shape}, bias {bias.shape}")
     n, h, wd, _ = x.shape
-    beg, end = _same_pad(k)
-    xpad = np.pad(x, ((0, 0), (beg, end), (beg, end), (0, 0)))
-    cols = _im2col(xpad, k)
-    y = (cols @ w.reshape(k * k * ci, co) + bias).reshape(n, h, wd, co)
-    return y, ((n, h, wd), cols, w)
+    cols = _row_patches(x, k, *_same_pad(k))
+    y = _correlate_rows(cols, w, h, wd)
+    y += bias
+    return y.reshape(n, h, wd, co), ((n, h, wd), cols, w)
 
 
 def conv2d_backward(grad_y: Tensor, cache: tuple, input_grad: bool = True) -> tuple:
@@ -60,21 +80,21 @@ def conv2d_backward(grad_y: Tensor, cache: tuple, input_grad: bool = True) -> tu
     k, _, ci, co = w.shape
     if grad_y.shape != (n, h, wd, co):
         raise ShapeError(f"grad_y {grad_y.shape} does not match forward output {(n, h, wd, co)}")
-    gy_flat = grad_y.reshape(-1, co)
-    grad_b = gy_flat.sum(axis=0)
-    grad_w = (cols.T @ gy_flat).reshape(k, k, ci, co)
+    gy = grad_y.reshape(n, h * wd, co)
+    grad_b = gy.sum(axis=(0, 1))
+    grad_w = np.zeros((k, k * ci, co), dtype=np.result_type(cols, gy))
+    for img, g in zip(cols, gy):
+        for u in range(k):
+            grad_w[u] += img[u * wd : (u + h) * wd].T @ g
+    grad_w = grad_w.reshape(k, k, ci, co)
 
     grad_x = None
     if input_grad:
-        # scatter form of the transposed convolution: push each output
-        # position's gradient back onto the k x k input window it read from
-        beg, _ = _same_pad(k)
-        gcols = (gy_flat @ w.reshape(k * k * ci, co).T).reshape(n, h, wd, k, k, ci)
-        gxp = np.zeros((n, h + k - 1, wd + k - 1, ci), dtype=grad_y.dtype)
-        for u in range(k):
-            for v in range(k):
-                gxp[:, u : u + h, v : v + wd, :] += gcols[:, :, :, u, v, :]
-        grad_x = gxp[:, beg : beg + h, beg : beg + wd, :]
+        # the transposed convolution is the SAME correlation of grad_y with the
+        # flipped kernel, in and out channels swapped; the padding sides swap
+        beg, end = _same_pad(k)
+        w_flip = w[::-1, ::-1].transpose(0, 1, 3, 2)
+        grad_x = _correlate_rows(_row_patches(grad_y, k, end, beg), w_flip, h, wd).reshape(n, h, wd, ci)
     return grad_x, grad_w, grad_b
 
 
@@ -84,14 +104,14 @@ def maxpool_forward(x: Tensor) -> tuple:
     x = np.asarray(x)
     n, h, w, c = x.shape
     oh, ow = -(-h // 2), -(-w // 2)
-    xpad = np.pad(x, ((0, 0), (0, 2 * oh - h), (0, 2 * ow - w), (0, 0)), constant_values=-np.inf)
-    # windows flattened row-major: (0,0), (0,1), (1,0), (1,1)
-    windows = (
-        xpad.reshape(n, oh, 2, ow, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, oh, ow, 4, c)
-    )
-    idx = windows.argmax(axis=3)  # first maximum wins on ties
-    y = np.take_along_axis(windows, idx[:, :, :, None, :], axis=3).squeeze(3)
-    return y, ((n, h, w, c), idx)
+    if h % 2 or w % 2:
+        x = np.pad(x, ((0, 0), (0, 2 * oh - h), (0, 2 * ow - w), (0, 0)), constant_values=-np.inf)
+    a, b, d, e = x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
+    top, bottom = np.maximum(a, b), np.maximum(d, e)
+    # window position in row-major order (0,0), (0,1), (1,0), (1,1); the
+    # first maximum wins ties
+    idx = np.where(top >= bottom, b > a, (e > d) + np.int8(2))
+    return np.maximum(top, bottom), ((n, h, w, c), idx)
 
 
 def maxpool_backward(grad_y: Tensor, cache: tuple) -> Tensor:
@@ -100,13 +120,12 @@ def maxpool_backward(grad_y: Tensor, cache: tuple) -> Tensor:
     oh, ow = idx.shape[1], idx.shape[2]
     if grad_y.shape != (n, oh, ow, c):
         raise ShapeError(f"grad_y {grad_y.shape} does not match pooled shape {(n, oh, ow, c)}")
-    gxp = np.zeros((n, 2 * oh, 2 * ow, c), dtype=grad_y.dtype)
-    bi = np.arange(n)[:, None, None, None]
-    ii = np.arange(oh)[None, :, None, None]
-    jj = np.arange(ow)[None, None, :, None]
-    cc = np.arange(c)[None, None, None, :]
-    gxp[bi, 2 * ii + idx // 2, 2 * jj + idx % 2, cc] = grad_y
-    return gxp[:, :h, :w, :]
+    # (n, oh, 2, ow, 2, c) is the (n, 2 oh, 2 ow, c) gradient split into
+    # windows; each window position gets grad_y times its one-hot mask
+    gxp = np.empty((n, oh, 2, ow, 2, c), dtype=grad_y.dtype)
+    for pos in range(4):
+        np.multiply(grad_y, idx == pos, out=gxp[:, :, pos // 2, :, pos % 2])
+    return gxp.reshape(n, 2 * oh, 2 * ow, c)[:, :h, :w, :]
 
 
 def relu(x: Tensor) -> tuple:

@@ -11,6 +11,7 @@ A labels file is UTF-8 text, one class name per line; line order defines ids
 trained on N classes has N + 1 outputs.
 """
 
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -139,6 +140,7 @@ def iter_shard(path) -> Iterator[ExampleRecord]:
     """Yield the records of one shard file in order."""
     path = Path(path)
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         header = fh.read(_FILE_HEADER.size)
         if len(header) < _FILE_HEADER.size:
             raise FormatError("truncated shard header", path=path, offset=len(header))
@@ -154,7 +156,8 @@ def iter_shard(path) -> Iterator[ExampleRecord]:
                 raise FormatError("truncated record header", path=path, offset=offset)
             label, h, w, c = _RECORD_HEADER.unpack(head)
             need = h * w * c
-            payload = fh.read(need)
+            # a corrupt header may claim more than the file holds: read no further than its end
+            payload = fh.read(min(need, size - fh.tell()))
             if len(payload) < need:
                 raise FormatError(
                     f"truncated record payload: expected {need} bytes, got {len(payload)}",

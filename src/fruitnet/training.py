@@ -236,7 +236,10 @@ def load_checkpoint(path) -> Checkpoint:
         use_lrn=bool(use_lrn),
     )
 
+    labels_at = rd.pos
     (n_names,) = rd.unpack("<I")
+    if n_names != num_classes:
+        raise FormatError(f"{n_names} label names for {num_classes} classes", path=path, offset=labels_at)
     names = []
     for _ in range(n_names):
         (ln,) = rd.unpack("<I")
@@ -250,8 +253,7 @@ def load_checkpoint(path) -> Checkpoint:
         name = rd.take(ln).decode("utf-8")
         (rank,) = rd.unpack("<I")
         dims = rd.unpack(f"<{rank}I") if rank else ()
-        n_items = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        payload = rd.take(4 * n_items)
+        payload = rd.take(4 * math.prod(dims))  # exact int product; take() checks it against the bytes left
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     if rd.pos != len(rd.data):
         raise FormatError("trailing bytes after final tensor", path=path, offset=rd.pos)
@@ -274,6 +276,15 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         config=cfg, params=params, adam=adam, iteration=iteration, learning_rate=lr, labels=labels
     )
+
+
+def check_channels(scenario: Scenario, net: NetworkConfig, owner: str = "network") -> None:
+    """Raise ConfigurationError unless the scenario feeds the network's input depth."""
+    if scenario.input_channels != net.input_channels:
+        raise ConfigurationError(
+            f"scenario {scenario.value} feeds {scenario.input_channels} channels, "
+            f"{owner} expects {net.input_channels}"
+        )
 
 
 def _append_metrics(path, rows, fresh: bool):
@@ -301,11 +312,7 @@ def train(
     at keep_prob 1, the learning rate is re-derived from that accuracy, a
     checkpoint is persisted and a metrics row is appended.
     """
-    if cfg.scenario.input_channels != cfg.net.input_channels:
-        raise ConfigurationError(
-            f"scenario {cfg.scenario.value} feeds {cfg.scenario.input_channels} channels, "
-            f"network expects {cfg.net.input_channels}"
-        )
+    check_channels(cfg.scenario, cfg.net)
     if labels.num_classes != cfg.net.num_classes:
         raise ConfigurationError(
             f"label map has {labels.num_classes} classes, network has {cfg.net.num_classes}"

@@ -2,8 +2,8 @@
 
 These are deliberately naive, straight-line implementations written before
 and apart from the library code they check: a queue BFS for flood fill, a
-six-loop direct convolution, central finite differences, and a scalar Adam
-recurrence.
+six-loop direct convolution and its scatter-form input gradient, loop max
+pooling, central finite differences, and a scalar Adam recurrence.
 """
 
 import math
@@ -58,6 +58,46 @@ def conv2d_same_oracle(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.nda
                                     acc += x[b, rr, cc, c] * w[u, v, c, o]
                     y[b, p, q, o] = acc + bias[o]
     return y
+
+
+def conv2d_grad_x_oracle(grad_y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Input gradient of the SAME convolution by direct scatter: every output
+    position pushes its gradient, through the kernel, back onto each input
+    pixel it read."""
+    n, h, wd, _ = grad_y.shape
+    k, _, ci, _ = w.shape
+    beg = (k - 1) // 2
+    gx = np.zeros((n, h, wd, ci), dtype=np.float64)
+    for b in range(n):
+        for p in range(h):
+            for q in range(wd):
+                for u in range(k):
+                    for v in range(k):
+                        rr, cc = p + u - beg, q + v - beg
+                        if 0 <= rr < h and 0 <= cc < wd:
+                            gx[b, rr, cc] += w[u, v] @ grad_y[b, p, q]
+    return gx
+
+
+def maxpool_oracle(x: np.ndarray, grad_y: np.ndarray) -> tuple:
+    """2 x 2, stride-2, SAME max pooling by loops: the pooled values and the
+    input gradient, which goes to the first maximum of each window in
+    row-major order; window cells past the edge are skipped."""
+    n, h, w, c = x.shape
+    oh, ow = -(-h // 2), -(-w // 2)
+    y = np.zeros((n, oh, ow, c), dtype=np.float64)
+    gx = np.zeros(x.shape, dtype=np.float64)
+    for b in range(n):
+        for i in range(oh):
+            for j in range(ow):
+                for ch in range(c):
+                    best = None
+                    for r, s in ((2 * i, 2 * j), (2 * i, 2 * j + 1), (2 * i + 1, 2 * j), (2 * i + 1, 2 * j + 1)):
+                        if r < h and s < w and (best is None or x[b, r, s, ch] > x[best + (ch,)]):
+                            best = (b, r, s)
+                    y[b, i, j, ch] = x[best + (ch,)]
+                    gx[best + (ch,)] += grad_y[b, i, j, ch]
+    return y, gx
 
 
 def finite_difference(f, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:

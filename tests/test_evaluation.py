@@ -177,3 +177,13 @@ class TestPredictImage:
         hsv = RasterImage(np.zeros((10, 10, 3)), Colorspace.HSV)
         with pytest.raises(InvalidInputError):
             predict_image(zero_checkpoint(), hsv, Scenario.RGB)
+
+
+def test_scenario_channel_checks_keep_their_messages(tmp_path):
+    shards = shard_records(tmp_path, random_records(1))
+    message = "scenario hsv_gray feeds 4 channels, checkpoint network expects 3"
+    with pytest.raises(ConfigurationError, match=message):
+        evaluate(zero_checkpoint(), shards, Scenario.HSV_GRAY, log=None)
+    img = RasterImage(np.zeros((10, 10, 3)), Colorspace.RGB)
+    with pytest.raises(ConfigurationError, match=message):
+        predict_image(zero_checkpoint(), img, Scenario.HSV_GRAY)

@@ -301,3 +301,13 @@ class TestPpm:
         gray = RasterImage(np.zeros((2, 2, 1)), Colorspace.GRAY)
         with pytest.raises(InvalidInputError):
             write_ppm(gray, tmp_path / "g.ppm")
+
+
+@pytest.mark.parametrize("dims", [b"-5 -5", b"0 0", b"0 5"])
+def test_non_positive_ppm_dims_are_a_format_error(tmp_path, dims):
+    path = tmp_path / "dims.ppm"
+    path.write_bytes(b"P6\n" + dims + b"\n255\n" + bytes(75))
+    with pytest.raises(FormatError) as err:
+        read_ppm(path)
+    assert err.value.path == path
+    assert err.value.offset is not None

@@ -1,3 +1,4 @@
+import struct
 from collections import Counter
 
 import numpy as np
@@ -252,3 +253,14 @@ class TestFindShards:
     def test_missing_split_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             find_shards(tmp_path, "test")
+
+
+def test_record_dims_beyond_the_file_are_a_format_error(tmp_path):
+    # 2^31 x 2^31 x 3 bytes overflows a read size; the claim must be checked
+    # against the bytes left instead
+    path = tmp_path / "huge.rec"
+    path.write_bytes(b"FRRC" + struct.pack("<II", 1, 1) + struct.pack("<IIII", 1, 2**31, 2**31, 3) + bytes(8))
+    with pytest.raises(FormatError) as err:
+        list(iter_shard(path))
+    assert err.value.path == path
+    assert err.value.offset == 28  # payload of the first record

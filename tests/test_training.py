@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -339,3 +340,43 @@ class TestTrainConfig:
             tiny_cfg(iterations=1, batch_size=0)
         with pytest.raises(ConfigurationError):
             tiny_cfg(iterations=1, lr_initial=1e-5, lr_final=1e-3)
+
+
+def _tensor_dims_offset(raw: bytes, name: str) -> int:
+    # a tensor entry is: name length u32 | name | rank u32 | dims u32 each
+    at = raw.index(name.encode("utf-8")) + len(name)
+    assert struct.unpack_from("<I", raw, at)[0] == 4
+    return at + 4
+
+
+def test_tensor_dims_overflowing_int64_are_a_format_error(tmp_path):
+    path = tmp_path / "dims.frck"
+    save_checkpoint(make_checkpoint(), path)
+    raw = bytearray(path.read_bytes())
+    at = _tensor_dims_offset(bytes(raw), "param/conv1_w")
+    raw[at : at + 16] = struct.pack("<4I", *(2**32 - 1,) * 4)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert err.value.path == path
+    assert err.value.offset == at + 16  # the payload those dims claim
+
+
+def test_label_count_must_match_num_classes(tmp_path):
+    ckpt = make_checkpoint()
+    ckpt.labels = LabelMap(ckpt.labels.names[:2])  # 2 names for 3 classes
+    path = tmp_path / "labels.frck"
+    save_checkpoint(ckpt, path)
+    raw = path.read_bytes()
+    labels_at = raw.index(struct.pack("<I", 2) + struct.pack("<I", len("nothing")) + b"nothing")
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert "2 label names for 3 classes" in str(err.value)
+    assert err.value.path == path
+    assert err.value.offset == labels_at
+
+
+def test_scenario_channel_checks_keep_their_messages(tmp_path):
+    shards, labels = tiny_corpus(tmp_path)
+    with pytest.raises(ConfigurationError, match="scenario hsv_gray feeds 4 channels, network expects 3"):
+        train(tiny_cfg(iterations=1, scenario=Scenario.HSV_GRAY), shards, tmp_path / "x", labels, log=None)
