@@ -3,6 +3,10 @@
 A scenario fixes what the network sees: grayscale, plain RGB, HSV, HSV with a
 grayscale channel appended, or the same with hue/saturation jitter and random
 flips during training.  Test-mode preprocessing never consumes random draws.
+
+One private pipeline on plain float64 (h, w, 3) arrays serves preprocess
+(RasterImage in and out) and preprocess_batch (arrays, checked once per
+batch).  The jitter shifts hue and scales saturation in one HSV round trip.
 """
 
 from dataclasses import dataclass
@@ -12,12 +16,13 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .imaging import (
+    CHANNELS_FOR,
     Colorspace,
     RasterImage,
-    concat_hsv_gray,
-    hsv_to_rgb,
-    rgb_to_gray,
-    rgb_to_hsv,
+    check_unit_range,
+    hsv_to_rgb_pixels,
+    rgb_to_gray_pixels,
+    rgb_to_hsv_pixels,
 )
 from .seeding import RngStream
 
@@ -53,14 +58,13 @@ class Scenario(Enum):
     HSV_GRAY_AUG = "hsv_gray_aug"
 
     @property
+    def colorspace(self) -> Colorspace:
+        """What the pipeline emits; the four plain scenarios are named after it."""
+        return Colorspace.HSV_GRAY if self is Scenario.HSV_GRAY_AUG else Colorspace(self.value)
+
+    @property
     def input_channels(self) -> int:
-        return {
-            Scenario.GRAY: 1,
-            Scenario.RGB: 3,
-            Scenario.HSV: 3,
-            Scenario.HSV_GRAY: 4,
-            Scenario.HSV_GRAY_AUG: 4,
-        }[self]
+        return CHANNELS_FOR[self.colorspace]
 
     @classmethod
     def from_tag(cls, tag: str) -> "Scenario":
@@ -71,15 +75,22 @@ class Scenario(Enum):
             raise InvalidInputError(f"unknown scenario {tag!r}; expected one of: {valid}") from None
 
 
+def _jitter(px: np.ndarray, delta: float, factor: float) -> np.ndarray:
+    """Rotate hue by delta (mod 1) and scale saturation by factor, clamped to
+    [0, 1], in one HSV round trip of a float RGB array."""
+    hsv = rgb_to_hsv_pixels(px)
+    hsv[..., 0] = (hsv[..., 0] + delta) % 1.0
+    hsv[..., 1] = np.clip(hsv[..., 1] * factor, 0.0, 1.0)
+    return hsv_to_rgb_pixels(hsv)
+
+
 def adjust_hue(img: RasterImage, delta: float) -> RasterImage:
     """Rotate hue by delta (mod 1) through an HSV round trip."""
     if img.colorspace is not Colorspace.RGB:
         raise InvalidInputError(f"adjust_hue expects an rgb image, got {img.colorspace.value}")
     if abs(delta) > 0.5:
         raise InvalidInputError(f"|delta| must be <= 0.5, got {delta}")
-    hsv = rgb_to_hsv(img).pixels.copy()
-    hsv[..., 0] = (hsv[..., 0] + delta) % 1.0
-    return hsv_to_rgb(RasterImage(hsv, Colorspace.HSV))
+    return RasterImage(_jitter(img.pixels, delta, 1.0), Colorspace.RGB)
 
 
 def adjust_saturation(img: RasterImage, factor: float) -> RasterImage:
@@ -88,9 +99,7 @@ def adjust_saturation(img: RasterImage, factor: float) -> RasterImage:
         raise InvalidInputError(f"adjust_saturation expects an rgb image, got {img.colorspace.value}")
     if factor <= 0:
         raise InvalidInputError(f"factor must be > 0, got {factor}")
-    hsv = rgb_to_hsv(img).pixels.copy()
-    hsv[..., 1] = np.clip(hsv[..., 1] * factor, 0.0, 1.0)
-    return hsv_to_rgb(RasterImage(hsv, Colorspace.HSV))
+    return RasterImage(_jitter(img.pixels, 0.0, factor), Colorspace.RGB)
 
 
 def flip(img: RasterImage, axis: str) -> RasterImage:
@@ -102,8 +111,28 @@ def flip(img: RasterImage, axis: str) -> RasterImage:
     raise InvalidInputError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
 
 
-def _hsv_gray(img: RasterImage) -> RasterImage:
-    return concat_hsv_gray(rgb_to_hsv(img), rgb_to_gray(img))
+def _pipeline(px: np.ndarray, scenario: Scenario, mode: str, rng: RngStream | None, config: AugmentConfig):
+    """One scenario on a float64 RGB array (h, w, 3); returns (h, w, channels)."""
+    if mode not in ("train", "test"):
+        raise InvalidInputError(f"mode must be 'train' or 'test', got {mode!r}")
+    if scenario is Scenario.GRAY:
+        return rgb_to_gray_pixels(px)
+    if scenario is Scenario.RGB:
+        return px
+    if scenario is Scenario.HSV:
+        return rgb_to_hsv_pixels(px)
+    if scenario is Scenario.HSV_GRAY_AUG and mode == "train":
+        if rng is None:
+            raise InvalidInputError("train-mode hsv_gray_aug preprocessing needs an rng")
+        delta = rng.uniform(-config.hue_max_delta, config.hue_max_delta)
+        factor = rng.uniform(config.sat_lower, config.sat_upper)
+        # flips commute with per-pixel operations, so they can come first, as views
+        if rng.random() < config.flip_prob:
+            px = px[:, ::-1]
+        if rng.random() < config.flip_prob:
+            px = px[::-1]
+        px = _jitter(px, delta, factor)
+    return np.concatenate([rgb_to_hsv_pixels(px), rgb_to_gray_pixels(px)], axis=-1)
 
 
 def preprocess(
@@ -121,30 +150,7 @@ def preprocess(
     """
     if img.colorspace is not Colorspace.RGB:
         raise InvalidInputError(f"preprocess expects an rgb image, got {img.colorspace.value}")
-    if mode not in ("train", "test"):
-        raise InvalidInputError(f"mode must be 'train' or 'test', got {mode!r}")
-
-    if scenario is Scenario.GRAY:
-        return rgb_to_gray(img)
-    if scenario is Scenario.RGB:
-        return img
-    if scenario is Scenario.HSV:
-        return rgb_to_hsv(img)
-    if scenario is Scenario.HSV_GRAY:
-        return _hsv_gray(img)
-
-    # HSV_GRAY_AUG
-    if mode == "test":
-        return _hsv_gray(img)
-    if rng is None:
-        raise InvalidInputError("train-mode hsv_gray_aug preprocessing needs an rng")
-    img = adjust_hue(img, rng.uniform(-config.hue_max_delta, config.hue_max_delta))
-    img = adjust_saturation(img, rng.uniform(config.sat_lower, config.sat_upper))
-    if rng.random() < config.flip_prob:
-        img = flip(img, "horizontal")
-    if rng.random() < config.flip_prob:
-        img = flip(img, "vertical")
-    return _hsv_gray(img)
+    return RasterImage(_pipeline(img.pixels, scenario, mode, rng, config), scenario.colorspace)
 
 
 def preprocess_batch(
@@ -160,9 +166,11 @@ def preprocess_batch(
     deterministic function of (batch, scenario, mode, rng state).
     """
     images = np.asarray(images)
+    if images.ndim != 4 or images.shape[3] != 3 or 0 in images.shape[1:3]:
+        raise InvalidInputError(f"batch must be (b, h, w, 3) with h, w >= 1, got shape {images.shape}")
+    check_unit_range(images)
     b, h, w, _ = images.shape
     out = np.empty((b, h, w, scenario.input_channels), dtype=np.float32)
     for i in range(b):
-        img = RasterImage(images[i].astype(np.float64), Colorspace.RGB)
-        out[i] = preprocess(img, scenario, mode, rng, config).pixels
+        out[i] = _pipeline(images[i].astype(np.float64), scenario, mode, rng, config)
     return out

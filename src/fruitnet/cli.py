@@ -11,11 +11,13 @@ Subcommands:
 
 A key=value config file pointed to by the FRUITS_CONFIG environment variable
 supplies defaults; flags override it.  Exit code 0 means the operation
-completed; on failure partial outputs are removed.
+completed; on failure its partial outputs are removed, never older files.
 """
 
 import argparse
+import shutil
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .augmentation import Scenario
@@ -112,13 +114,29 @@ def _existing_file(path: Path, what: str) -> Path:
     return path
 
 
+@contextmanager
+def _removed_on_failure(out_dir: Path):
+    """Run the body; if it raises, delete what it added under out_dir, and
+    out_dir itself if it did not exist.  Nothing that existed before is removed."""
+    before = set(out_dir.rglob("*")) if out_dir.exists() else None
+    try:
+        yield
+    except BaseException:
+        added = [out_dir] if before is None else set(out_dir.rglob("*")) - before
+        for path in added:
+            if path.is_dir():
+                shutil.rmtree(path, ignore_errors=True)
+            else:
+                path.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_extract_background(args) -> int:
     in_dir = _existing_dir(Path(args.input_directory), "--input_directory")
     out_dir = Path(args.output_directory)
     params = FloodFillParams(threshold=args.threshold)
-    written = []
-    try:
-        count = 0
+    count = 0
+    with _removed_on_failure(out_dir):
         for src in sorted(in_dir.rglob("*.ppm")):
             img = read_ppm(src)
             mask = flood_fill_background(img, params)
@@ -126,12 +144,7 @@ def _cmd_extract_background(args) -> int:
             dst = out_dir / src.relative_to(in_dir)
             dst.parent.mkdir(parents=True, exist_ok=True)
             write_ppm(cleaned, dst)
-            written.append(dst)
             count += 1
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
     print(f"extracted backgrounds from {count} images into {out_dir}")
     return 0
 
@@ -189,18 +202,10 @@ def _cmd_train(args, project: ProjectConfig) -> int:
     shards = find_shards(records_dir, "train")
     resume_from = load_checkpoint(Path(args.resume)) if args.resume else None
 
-    ckpt_path = Path(out_dir) / CHECKPOINT_NAME
-    metrics_path = Path(out_dir) / METRICS_NAME
-    preexisting = {p for p in (ckpt_path, metrics_path) if p.exists()}
-    try:
+    with _removed_on_failure(out_dir):
         train(cfg, shards, out_dir, labels, resume_from=resume_from)
-    except BaseException:
-        for path in (ckpt_path, metrics_path):
-            if path not in preexisting:
-                path.unlink(missing_ok=True)
-        raise
-    print(f"checkpoint: {ckpt_path}")
-    print(f"metrics csv: {metrics_path}")
+    print(f"checkpoint: {out_dir / CHECKPOINT_NAME}")
+    print(f"metrics csv: {out_dir / METRICS_NAME}")
     return 0
 
 
@@ -259,7 +264,7 @@ def _cmd_predict(args, project: ProjectConfig) -> int:
 
 def _cmd_gen_synthetic(args) -> int:
     out_dir = Path(args.output_directory)
-    try:
+    with _removed_on_failure(out_dir):
         parts = generate_corpus(
             out_dir,
             num_classes=args.classes,
@@ -269,11 +274,6 @@ def _cmd_gen_synthetic(args) -> int:
             image_size=args.image_size,
             style=args.style,
         )
-    except BaseException:
-        import shutil
-
-        shutil.rmtree(out_dir, ignore_errors=True)
-        raise
     print(f"labels file: {parts['labels_file']}")
     print(f"train images: {parts['train_dir']}")
     print(f"test images: {parts['test_dir']}")

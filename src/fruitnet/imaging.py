@@ -1,7 +1,8 @@
 """Pixel-level primitives: background extraction, rescaling, colorspace conversion.
 
 Images are float arrays in [0, 1].  All operations here are pure functions of
-their inputs and can be called concurrently from any number of threads.
+their inputs and can be called concurrently from any number of threads.  The
+colorspace math works on plain (..., 3) float arrays (the *_pixels functions).
 
 Standalone I/O uses binary PPM (P6, 8-bit, maxval 255); byte values map to
 floats as v / 255 and back as round(v * 255) clamped to [0, 255].
@@ -34,6 +35,14 @@ CHANNELS_FOR = {
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 
 
+def check_unit_range(px: np.ndarray) -> None:
+    """Raise InvalidInputError unless every value is finite and lies in [0, 1]."""
+    if not np.isfinite(px).all():
+        raise InvalidInputError("pixel values must be finite")
+    if px.size and (px.min() < 0.0 or px.max() > 1.0):
+        raise InvalidInputError("pixel values must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class RasterImage:
     """Float image with shape (height, width, channels), values in [0, 1]."""
@@ -52,10 +61,7 @@ class RasterImage:
         expected = CHANNELS_FOR[self.colorspace]
         if c != expected:
             raise InvalidInputError(f"{self.colorspace.value} image needs {expected} channels, got {c}")
-        if not np.isfinite(px).all():
-            raise InvalidInputError("pixel values must be finite")
-        if px.min() < 0.0 or px.max() > 1.0:
-            raise InvalidInputError("pixel values must lie in [0, 1]")
+        check_unit_range(px)
 
     @property
     def height(self) -> int:
@@ -187,10 +193,8 @@ def resize_bilinear(img: RasterImage, out_h: int, out_w: int) -> RasterImage:
     return RasterImage(np.clip(out, 0.0, 1.0), img.colorspace)
 
 
-def rgb_to_hsv(img: RasterImage) -> RasterImage:
-    """Per-pixel RGB to HSV with hue, saturation and value all in [0, 1]."""
-    _require(img, Colorspace.RGB, "rgb_to_hsv")
-    px = img.pixels
+def rgb_to_hsv_pixels(px: np.ndarray) -> np.ndarray:
+    """RGB to HSV on a float array (..., 3); hue, saturation and value all in [0, 1]."""
     r, g, b = px[..., 0], px[..., 1], px[..., 2]
     maxc = px.max(axis=-1)
     minc = px.min(axis=-1)
@@ -205,13 +209,11 @@ def rgb_to_hsv(img: RasterImage) -> RasterImage:
     hue_b = (r - g) / safe + 4.0
     hue = np.select([delta == 0, maxc == r, maxc == g], [0.0, hue_r, hue_g], default=hue_b) / 6.0
     hue = hue % 1.0
-    return RasterImage(np.stack([hue, s, v], axis=-1), Colorspace.HSV)
+    return np.stack([hue, s, v], axis=-1)
 
 
-def hsv_to_rgb(img: RasterImage) -> RasterImage:
-    """Inverse of rgb_to_hsv up to floating-point rounding."""
-    _require(img, Colorspace.HSV, "hsv_to_rgb")
-    px = img.pixels
+def hsv_to_rgb_pixels(px: np.ndarray) -> np.ndarray:
+    """Inverse of rgb_to_hsv_pixels up to floating-point rounding, clipped to [0, 1]."""
     h, s, v = px[..., 0], px[..., 1], px[..., 2]
     h6 = (h % 1.0) * 6.0
     sector = np.floor(h6).astype(np.intp) % 6
@@ -223,16 +225,32 @@ def hsv_to_rgb(img: RasterImage) -> RasterImage:
     r = np.choose(sector, [v, q, p, p, t, v])
     g = np.choose(sector, [t, v, v, q, p, p])
     b = np.choose(sector, [p, p, t, v, v, q])
-    return RasterImage(np.clip(np.stack([r, g, b], axis=-1), 0.0, 1.0), Colorspace.RGB)
+    return np.clip(np.stack([r, g, b], axis=-1), 0.0, 1.0)
+
+
+def rgb_to_gray_pixels(px: np.ndarray) -> np.ndarray:
+    """Luma of a float RGB array (..., 3) as (..., 1): 0.299 R + 0.587 G + 0.114 B."""
+    wr, wg, wb = GRAY_WEIGHTS
+    gray = wr * px[..., 0] + wg * px[..., 1] + wb * px[..., 2]
+    return np.clip(gray, 0.0, 1.0)[..., None]
+
+
+def rgb_to_hsv(img: RasterImage) -> RasterImage:
+    """Per-pixel RGB to HSV with hue, saturation and value all in [0, 1]."""
+    _require(img, Colorspace.RGB, "rgb_to_hsv")
+    return RasterImage(rgb_to_hsv_pixels(img.pixels), Colorspace.HSV)
+
+
+def hsv_to_rgb(img: RasterImage) -> RasterImage:
+    """Inverse of rgb_to_hsv up to floating-point rounding."""
+    _require(img, Colorspace.HSV, "hsv_to_rgb")
+    return RasterImage(hsv_to_rgb_pixels(img.pixels), Colorspace.RGB)
 
 
 def rgb_to_gray(img: RasterImage) -> RasterImage:
     """Single-channel luma: 0.299 R + 0.587 G + 0.114 B."""
     _require(img, Colorspace.RGB, "rgb_to_gray")
-    wr, wg, wb = GRAY_WEIGHTS
-    px = img.pixels
-    gray = wr * px[..., 0] + wg * px[..., 1] + wb * px[..., 2]
-    return RasterImage(np.clip(gray, 0.0, 1.0)[..., None], Colorspace.GRAY)
+    return RasterImage(rgb_to_gray_pixels(img.pixels), Colorspace.GRAY)
 
 
 def concat_hsv_gray(hsv: RasterImage, gray: RasterImage) -> RasterImage:

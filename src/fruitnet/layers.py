@@ -201,35 +201,3 @@ def cross_entropy_loss(logits: Tensor, labels: Tensor) -> tuple:
     grad /= grad.dtype.type(b)
     return loss, grad
 
-
-def _channel_window_sum(x: Tensor, radius: int) -> Tensor:
-    # sum over channels [c - radius, c + radius], clipped to the valid range
-    c = x.shape[-1]
-    cs = np.concatenate([np.zeros(x.shape[:-1] + (1,), dtype=x.dtype), x.cumsum(axis=-1)], axis=-1)
-    hi = np.minimum(np.arange(c) + radius + 1, c)
-    lo = np.maximum(np.arange(c) - radius, 0)
-    return cs[..., hi] - cs[..., lo]
-
-
-def local_response_norm(
-    x: Tensor, radius: int = 4, bias: float = 1.0, alpha: float = 0.001 / 9.0, beta: float = 0.75
-) -> Tensor:
-    """Across-channel local response normalization."""
-    y, _ = lrn_forward(x, radius, bias, alpha, beta)
-    return y
-
-
-def lrn_forward(
-    x: Tensor, radius: int = 4, bias: float = 1.0, alpha: float = 0.001 / 9.0, beta: float = 0.75
-) -> tuple:
-    x = np.asarray(x)
-    denom = bias + alpha * _channel_window_sum(x * x, radius)
-    scale = denom ** -beta
-    return x * scale, (x, denom, scale, radius, alpha, beta)
-
-
-def lrn_backward(grad_y: Tensor, cache: tuple) -> Tensor:
-    x, denom, scale, radius, alpha, beta = cache
-    # d y_c / d x_i = scale_c [c == i] - 2 alpha beta x_c denom_c^(-beta-1) x_i for i near c
-    inner = grad_y * x * denom ** -(beta + 1)
-    return grad_y * scale - 2.0 * alpha * beta * x * _channel_window_sum(inner, radius)

@@ -23,8 +23,6 @@ from .layers import (
     dropout_backward,
     fc_backward,
     fc_forward,
-    lrn_backward,
-    lrn_forward,
     maxpool_backward,
     maxpool_forward,
     relu,
@@ -45,7 +43,6 @@ class NetworkConfig:
     kernel_size: int = 5
     input_height: int = 100
     input_width: int = 100
-    use_lrn: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "conv_maps", tuple(int(m) for m in self.conv_maps))
@@ -167,8 +164,6 @@ def forward(
         # max and relu commute, so pooling first leaves relu a quarter of the work
         h, caches[f"pool{i}"] = maxpool_forward(h)
         h, caches[f"relu_c{i}"] = relu(h)
-        if cfg.use_lrn:
-            h, caches[f"lrn{i}"] = lrn_forward(h)
     caches["flat_shape"] = h.shape
     h = h.reshape(h.shape[0], -1)
 
@@ -195,8 +190,6 @@ def backward(cfg: NetworkConfig, caches: dict, grad_logits: Tensor) -> Params:
     g = g.reshape(caches["flat_shape"])
 
     for i in (4, 3, 2, 1):
-        if cfg.use_lrn:
-            g = lrn_backward(g, caches[f"lrn{i}"])
         g = relu_backward(g, caches[f"relu_c{i}"])
         g = maxpool_backward(g, caches[f"pool{i}"])
         # the input image itself needs no gradient, so conv1 skips it

@@ -3,7 +3,7 @@
 Shard format (little-endian, bit-exact round trip):
 
     header: magic "FRRC" | version u32 = 1 | record count u32
-    record: label u32 | height u32 | width u32 | channels u32
+    record: label u32 | height u32 >= 1 | width u32 >= 1 | channels u32 = 3
             | height * width * channels raw bytes (row-major, RGB)
 
 A labels file is UTF-8 text, one class name per line; line order defines ids
@@ -136,25 +136,33 @@ def write_shard(path, records: Iterable[ExampleRecord]) -> int:
     return count
 
 
+def _read_header(fh, path: Path) -> int:
+    """Check the file header of an open shard; returns its record count."""
+    header = fh.read(_FILE_HEADER.size)
+    if len(header) < _FILE_HEADER.size:
+        raise FormatError("truncated shard header", path=path, offset=len(header))
+    magic, version, count = _FILE_HEADER.unpack(header)
+    if magic != SHARD_MAGIC:
+        raise FormatError(f"bad magic {magic!r}, expected {SHARD_MAGIC!r}", path=path, offset=0)
+    if version != SHARD_VERSION:
+        raise FormatError(f"unsupported version {version}", path=path, offset=4)
+    return count
+
+
 def iter_shard(path) -> Iterator[ExampleRecord]:
     """Yield the records of one shard file in order."""
     path = Path(path)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        header = fh.read(_FILE_HEADER.size)
-        if len(header) < _FILE_HEADER.size:
-            raise FormatError("truncated shard header", path=path, offset=len(header))
-        magic, version, count = _FILE_HEADER.unpack(header)
-        if magic != SHARD_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {SHARD_MAGIC!r}", path=path, offset=0)
-        if version != SHARD_VERSION:
-            raise FormatError(f"unsupported version {version}", path=path, offset=4)
+        count = _read_header(fh, path)
         offset = _FILE_HEADER.size
         for _ in range(count):
             head = fh.read(_RECORD_HEADER.size)
             if len(head) < _RECORD_HEADER.size:
                 raise FormatError("truncated record header", path=path, offset=offset)
             label, h, w, c = _RECORD_HEADER.unpack(head)
+            if c != 3 or h < 1 or w < 1:
+                raise FormatError(f"record dims {h}x{w}x{c} are not an RGB image", path=path, offset=offset)
             need = h * w * c
             # a corrupt header may claim more than the file holds: read no further than its end
             payload = fh.read(min(need, size - fh.tell()))
@@ -278,13 +286,7 @@ def find_shards(records_dir, split: str) -> ShardSet:
     count = 0
     for path in paths:
         with open(path, "rb") as fh:
-            header = fh.read(_FILE_HEADER.size)
-        if len(header) < _FILE_HEADER.size:
-            raise FormatError("truncated shard header", path=path, offset=len(header))
-        magic, version, n = _FILE_HEADER.unpack(header)
-        if magic != SHARD_MAGIC or version != SHARD_VERSION:
-            raise FormatError("bad magic or version", path=path, offset=0)
-        count += n
+            count += _read_header(fh, path)
     return ShardSet(paths=paths, split=split, count=count)
 
 

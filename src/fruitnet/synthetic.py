@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .imaging import Colorspace, RasterImage, hsv_to_rgb, write_ppm
+from .imaging import Colorspace, RasterImage, hsv_to_rgb_pixels, write_ppm
 from .records import LabelMap
 from .seeding import make_rng
 
@@ -44,8 +44,7 @@ def synthetic_image(rng, hue: float, size: int = 100, raw: bool = False) -> Rast
     h = (hue + rng.uniform(-0.03, 0.03)) % 1.0
     s = rng.uniform(0.8, 1.0)
     v = rng.uniform(0.7, 0.95)
-    outer = hsv_to_rgb(RasterImage(np.array([[[h, s, v]]]), Colorspace.HSV)).pixels[0, 0]
-    core = hsv_to_rgb(RasterImage(np.array([[[h, s, v * 0.7]]]), Colorspace.HSV)).pixels[0, 0]
+    outer, core = hsv_to_rgb_pixels(np.array([[h, s, v], [h, s, v * 0.7]]))
 
     yy, xx = np.mgrid[0:size, 0:size]
     dist = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)

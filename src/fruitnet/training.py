@@ -7,10 +7,11 @@ Checkpoint format (little-endian):
     iteration u64 | adam step u64 | learning rate f64
     beta1 f64 | beta2 f64 | eps f64
     network: num_classes u32 | input_channels u32 | kernel u32 | input_h u32
-             | input_w u32 | use_lrn u8 | conv_maps u32 x 4 | fc_sizes u32 x 2
+             | input_w u32 | reserved u8, must be 0 (was the LRN flag)
+             | conv_maps u32 x 4 | fc_sizes u32 x 2
     labels: count u32, then per name: byte length u32 + UTF-8 bytes
     tensors: count u32, then per tensor: name length u32 + UTF-8 name
-             | rank u32 | dims u32 each | float32 payload
+             | rank u32 (1..4) | dims u32 each (>= 1) | float32 payload
 
 Training state (parameters and optimizer moments) is float32, so a
 save/load/save cycle is byte-identical and a resumed run continues the
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .augmentation import AugmentConfig, Scenario, preprocess_batch
-from .errors import ConfigurationError, FormatError, ShapeError, TrainingDivergedError
+from .errors import ConfigurationError, FormatError, InvalidInputError, ShapeError, TrainingDivergedError
 from .layers import Tensor, cross_entropy_loss
 from .network import NetworkConfig, Params, backward, forward, init_params, param_shapes
 from .records import LabelMap, ShardSet, ShuffleParams, cycle_records, shuffle_batches
@@ -157,17 +158,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     parts.append(struct.pack("<QQd", ckpt.iteration, ckpt.adam.t, ckpt.learning_rate))
     parts.append(struct.pack("<ddd", ckpt.adam.beta1, ckpt.adam.beta2, ckpt.adam.eps))
-    parts.append(
-        struct.pack(
-            "<IIIIIB",
-            cfg.num_classes,
-            cfg.input_channels,
-            cfg.kernel_size,
-            cfg.input_height,
-            cfg.input_width,
-            1 if cfg.use_lrn else 0,
-        )
-    )
+    dims = (cfg.num_classes, cfg.input_channels, cfg.kernel_size, cfg.input_height, cfg.input_width)
+    parts.append(struct.pack("<IIIIIB", *dims, 0))  # the byte after the dims is reserved
     parts.append(struct.pack("<4I", *cfg.conv_maps))
     parts.append(struct.pack("<2I", *cfg.fc_sizes))
 
@@ -209,6 +201,15 @@ class _Reader:
         st = struct.Struct(fmt)
         return st.unpack(self.take(st.size))
 
+    def text(self) -> str:
+        """A name: byte length u32, then UTF-8 bytes."""
+        (n,) = self.unpack("<I")
+        at = self.pos
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"name is not UTF-8: {exc.reason}", path=self.path, offset=at + exc.start) from None
+
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint back to a bit-identical training state."""
@@ -222,37 +223,43 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"unsupported version {version}", path=path, offset=4)
     iteration, adam_t, lr = rd.unpack("<QQd")
     beta1, beta2, eps = rd.unpack("<ddd")
-    num_classes, input_channels, kernel, in_h, in_w, use_lrn = rd.unpack("<IIIIIB")
+    network_at = rd.pos
+    num_classes, input_channels, kernel, in_h, in_w, reserved = rd.unpack("<IIIIIB")
+    if reserved != 0:  # the flag of the removed LRN layer: such a network would load and predict wrongly
+        raise FormatError(f"reserved byte must be 0, got {reserved}", path=path, offset=rd.pos - 1)
     conv_maps = rd.unpack("<4I")
     fc_sizes = rd.unpack("<2I")
-    cfg = NetworkConfig(
-        num_classes=num_classes,
-        input_channels=input_channels,
-        conv_maps=conv_maps,
-        fc_sizes=fc_sizes,
-        kernel_size=kernel,
-        input_height=in_h,
-        input_width=in_w,
-        use_lrn=bool(use_lrn),
-    )
+    try:
+        cfg = NetworkConfig(
+            num_classes=num_classes,
+            input_channels=input_channels,
+            conv_maps=conv_maps,
+            fc_sizes=fc_sizes,
+            kernel_size=kernel,
+            input_height=in_h,
+            input_width=in_w,
+        )
+    except InvalidInputError as exc:
+        raise FormatError(f"invalid network config: {exc}", path=path, offset=network_at) from None
 
     labels_at = rd.pos
     (n_names,) = rd.unpack("<I")
     if n_names != num_classes:
         raise FormatError(f"{n_names} label names for {num_classes} classes", path=path, offset=labels_at)
-    names = []
-    for _ in range(n_names):
-        (ln,) = rd.unpack("<I")
-        names.append(rd.take(ln).decode("utf-8"))
-    labels = LabelMap(tuple(names))
+    try:
+        labels = LabelMap(tuple(rd.text() for _ in range(n_names)))
+    except InvalidInputError as exc:
+        raise FormatError(f"invalid label names: {exc}", path=path, offset=labels_at + 4) from None
 
     (n_tensors,) = rd.unpack("<I")
     tensors = {}
     for _ in range(n_tensors):
-        (ln,) = rd.unpack("<I")
-        name = rd.take(ln).decode("utf-8")
+        name = rd.text()
+        dims_at = rd.pos
         (rank,) = rd.unpack("<I")
-        dims = rd.unpack(f"<{rank}I") if rank else ()
+        dims = rd.unpack(f"<{rank}I")
+        if not 1 <= rank <= 4 or 0 in dims:  # no network tensor is empty or has more than 4 axes
+            raise FormatError(f"tensor {name!r} needs 1 to 4 non-empty axes", path=path, offset=dims_at)
         payload = rd.take(4 * math.prod(dims))  # exact int product; take() checks it against the bytes left
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     if rd.pos != len(rd.data):

@@ -3,13 +3,20 @@
 These are deliberately naive, straight-line implementations written before
 and apart from the library code they check: a queue BFS for flood fill, a
 six-loop direct convolution and its scatter-form input gradient, loop max
-pooling, central finite differences, and a scalar Adam recurrence.
+pooling, central finite differences, a scalar Adam recurrence, and the
+per-image augmentation pipeline composed from the public colorspace
+conversions.  damage() draws the damaged files that the format fuzz tests
+feed to the readers.
 """
 
 import math
 from collections import deque
 
 import numpy as np
+from hypothesis import strategies as st
+
+from fruitnet.augmentation import flip
+from fruitnet.imaging import Colorspace, RasterImage, concat_hsv_gray, hsv_to_rgb, rgb_to_gray, rgb_to_hsv
 
 
 def floodfill_bfs_oracle(pixels: np.ndarray, threshold: float) -> np.ndarray:
@@ -133,3 +140,39 @@ def adam_scalar_oracle(p0: float, grads, lr: float, beta1=0.9, beta2=0.999, eps=
         p = p - lr * m_hat / (math.sqrt(v_hat) + eps)
         history.append(p)
     return history
+
+
+def hsv_gray_aug_oracle(images: np.ndarray, rng, config) -> np.ndarray:
+    """Train-mode hsv_gray_aug, image by image, as two separate HSV round
+    trips through the RasterImage conversions (hue shift, then saturation
+    scale clamped to [0, 1]), the flips as copies, then HSV with gray
+    appended.  Draws per image, in order: hue, saturation, horizontal flip,
+    vertical flip."""
+    out = []
+    for px in images:
+        img = RasterImage(px.astype(np.float64), Colorspace.RGB)
+        hsv = rgb_to_hsv(img).pixels.copy()
+        hsv[..., 0] = (hsv[..., 0] + rng.uniform(-config.hue_max_delta, config.hue_max_delta)) % 1.0
+        img = hsv_to_rgb(RasterImage(hsv, Colorspace.HSV))
+        hsv = rgb_to_hsv(img).pixels.copy()
+        hsv[..., 1] = np.clip(hsv[..., 1] * rng.uniform(config.sat_lower, config.sat_upper), 0.0, 1.0)
+        img = hsv_to_rgb(RasterImage(hsv, Colorspace.HSV))
+        if rng.random() < config.flip_prob:
+            img = flip(img, "horizontal")
+        if rng.random() < config.flip_prob:
+            img = flip(img, "vertical")
+        out.append(concat_hsv_gray(rgb_to_hsv(img), rgb_to_gray(img)).pixels)
+    return np.stack(out)
+
+
+def damage(data, raw: bytes) -> bytes:
+    """Draw, through hypothesis' data strategy, a truncation of raw to any
+    shorter length or raw with one byte replaced.  Small replacement values
+    come often: they make the empty, one-channel and short fields that a
+    format check must catch."""
+    at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    if data.draw(st.booleans(), label="truncate"):
+        return raw[:at]
+    out = bytearray(raw)
+    out[at] = data.draw(st.one_of(st.integers(0, 4), st.integers(0, 255)), label="byte")
+    return bytes(out)

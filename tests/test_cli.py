@@ -232,3 +232,35 @@ class TestProjectConfig:
 
         with pytest.raises(ConfigurationError):
             ProjectConfig.load(cfg_file)
+
+
+class TestFailureCleanup:
+    def test_gen_synthetic_failure_keeps_a_directory_that_existed(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "mine.txt").write_text("keep me")
+        code, _, err = run(capsys, "gen-synthetic", "--output_directory", str(out), "--classes", "0")
+        assert code == 1 and "error:" in err
+        assert [p.name for p in out.iterdir()] == ["mine.txt"]
+        assert (out / "mine.txt").read_text() == "keep me"
+
+    @pytest.mark.parametrize("existed", [True, False])
+    def test_extract_background_failure_removes_only_what_it_wrote(self, tmp_path, capsys, existed):
+        generate_corpus(tmp_path / "raw", num_classes=1, train_per_class=2, test_per_class=1,
+                        seed=2, image_size=120, style="raw")
+        in_dir = tmp_path / "raw" / "Training"
+        (in_dir / "class_01" / "zzz.ppm").write_bytes(b"P6 broken")  # decoded last, after two good images
+        out = tmp_path / "clean"
+        if existed:
+            (out / "class_01").mkdir(parents=True)
+            (out / "class_01" / "mine.txt").write_text("keep me")
+        code, _, err = run(
+            capsys, "extract-background",
+            "--input_directory", str(in_dir), "--output_directory", str(out),
+        )
+        assert code == 1 and "error:" in err
+        if existed:
+            left = sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
+            assert left == ["class_01", "class_01/mine.txt"]
+        else:
+            assert not out.exists()

@@ -16,8 +16,6 @@ from fruitnet.layers import (
     dropout_backward,
     fc_backward,
     fc_forward,
-    lrn_backward,
-    lrn_forward,
     maxpool_backward,
     maxpool_forward,
     relu,
@@ -73,15 +71,13 @@ def test_conv_input_gradient_matches_scatter_oracle(k, n, h, w, ci, co, seed):
 
 
 def relu_before_pool_forward(cfg, params, x, keep_prob, rng):
-    """The network with each block ordered conv -> relu -> pool (-> lrn)."""
+    """The network with each block ordered conv -> relu -> pool."""
     caches = {}
     h = x
     for i in (1, 2, 3, 4):
         h, caches[f"conv{i}"] = conv2d_forward(h, params[f"conv{i}_w"], params[f"conv{i}_b"])
         h, caches[f"relu_c{i}"] = relu(h)
         h, caches[f"pool{i}"] = maxpool_forward(h)
-        if cfg.use_lrn:
-            h, caches[f"lrn{i}"] = lrn_forward(h)
     caches["flat_shape"] = h.shape
     h = h.reshape(h.shape[0], -1)
     h, caches["fc1"] = fc_forward(h, params["fc1_w"], params["fc1_b"])
@@ -103,8 +99,6 @@ def relu_before_pool_backward(cfg, caches, grad_logits):
     g, grads["fc1_w"], grads["fc1_b"] = fc_backward(g, caches["fc1"])
     g = g.reshape(caches["flat_shape"])
     for i in (4, 3, 2, 1):
-        if cfg.use_lrn:
-            g = lrn_backward(g, caches[f"lrn{i}"])
         g = maxpool_backward(g, caches[f"pool{i}"])
         g = relu_backward(g, caches[f"relu_c{i}"])
         g, grads[f"conv{i}_w"], grads[f"conv{i}_b"] = conv2d_backward(g, caches[f"conv{i}"], input_grad=(i > 1))
@@ -114,15 +108,14 @@ def relu_before_pool_backward(cfg, caches, grad_logits):
 @given(
     h=st.integers(5, 12),
     w=st.integers(5, 12),
-    use_lrn=st.booleans(),
     keep_prob=st.sampled_from([1.0, 0.7]),
     seed=SEEDS,
 )
 @settings(max_examples=25, deadline=None)
-def test_pool_before_relu_equals_relu_before_pool(h, w, use_lrn, keep_prob, seed):
+def test_pool_before_relu_equals_relu_before_pool(h, w, keep_prob, seed):
     cfg = NetworkConfig(
         num_classes=3, input_channels=2, conv_maps=(3, 2, 3, 2), fc_sizes=(5, 4),
-        input_height=h, input_width=w, use_lrn=use_lrn,
+        input_height=h, input_width=w,
     )
     prng = make_rng(seed)
     params = {name: prng.uniform(-0.5, 0.5, size=shape) for name, shape in param_shapes(cfg).items()}

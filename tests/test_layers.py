@@ -12,9 +12,6 @@ from fruitnet.layers import (
     dropout_backward,
     fc_backward,
     fc_forward,
-    local_response_norm,
-    lrn_backward,
-    lrn_forward,
     maxpool_backward,
     maxpool_forward,
     relu,
@@ -344,31 +341,3 @@ class TestCrossEntropy:
         with pytest.raises(InvalidInputError):
             cross_entropy_loss(np.zeros((2, 3)), np.array([0, 3]))
 
-
-class TestLocalResponseNorm:
-    def test_zero_input_gives_zero(self):
-        assert not local_response_norm(np.zeros((1, 2, 2, 8))).any()
-
-    def test_single_channel_closed_form(self):
-        x = np.random.default_rng(18).normal(size=(2, 3, 3, 1))
-        alpha, beta = 0.001 / 9.0, 0.75
-        expected = x / (1.0 + alpha * x**2) ** beta
-        assert np.abs(local_response_norm(x) - expected).max() < 1e-12
-
-    def test_never_amplifies_when_bias_at_least_one(self):
-        x = np.random.default_rng(19).normal(scale=3.0, size=(2, 4, 4, 16))
-        y = local_response_norm(x)
-        assert (np.abs(y) <= np.abs(x) + 1e-15).all()
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(20)
-        x = rng.normal(size=(1, 2, 2, 6))
-        direction = rng.normal(size=(1, 2, 2, 6))
-
-        def loss():
-            y, _ = lrn_forward(x, radius=2)
-            return float((y * direction).sum())
-
-        _, cache = lrn_forward(x, radius=2)
-        gx = lrn_backward(direction, cache)
-        assert max_rel_err(gx, finite_difference(loss, x)) < 1e-4

@@ -161,32 +161,6 @@ class TestEndToEndGradients:
             numeric = finite_difference(loss, params[name])
             assert max_rel_err(grads[name], numeric) < 1e-3, name
 
-    def test_lrn_variant_is_trainable(self):
-        cfg = NetworkConfig(
-            num_classes=2,
-            input_channels=2,
-            conv_maps=(2, 2, 2, 2),
-            fc_sizes=(4, 4),
-            input_height=8,
-            input_width=8,
-            use_lrn=True,
-        )
-        params = init_params(cfg, make_rng(22), dtype=np.float64)
-        x = np.random.default_rng(23).random((1, 8, 8, 2))
-        labels = np.array([1])
-        logits, caches = forward(cfg, params, x, 1.0)
-        _, grad_logits = cross_entropy_loss(logits, labels)
-        grads = backward(cfg, caches, grad_logits)
-
-        def loss():
-            lgts, _ = forward(cfg, params, x, 1.0)
-            value, _ = cross_entropy_loss(lgts, labels)
-            return value
-
-        for name in ("conv1_w", "conv4_w", "fc1_w", "out_b"):
-            numeric = finite_difference(loss, params[name])
-            assert max_rel_err(grads[name], numeric) < 1e-3, name
-
 
 class TestParamShapes:
     def test_canonical_order_and_completeness(self):

@@ -1,0 +1,93 @@
+"""The batched preprocessing path against the per-image public operations:
+the augmentation oracle, preprocess on each image, and the batch input check."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fruitnet.augmentation import AugmentConfig, Scenario, preprocess, preprocess_batch
+from fruitnet.errors import InvalidInputError
+from fruitnet.imaging import Colorspace, RasterImage
+from fruitnet.seeding import make_rng
+
+from helpers import hsv_gray_aug_oracle
+
+# white, mid gray and black: the achromatic pixels where hue is undefined
+ACHROMATIC = np.array([[255, 255, 255], [128, 128, 128], [0, 0, 0]])
+
+
+def u8_batch(seed: int, b: int, h: int, w: int) -> np.ndarray:
+    """A float32 batch on the 8-bit grid, as shards deliver it, with about a
+    third of the pixels achromatic and at least one of each kind."""
+    rng = np.random.default_rng(seed)
+    px = rng.integers(0, 256, (b, h, w, 3))
+    pick = rng.integers(0, 2 * len(ACHROMATIC), (b, h, w))
+    special = pick < len(ACHROMATIC)
+    px[special] = ACHROMATIC[pick[special]]
+    flat = px.reshape(-1, 3)
+    flat[: len(ACHROMATIC)] = ACHROMATIC
+    return px.astype(np.float32) / np.float32(255.0)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    b=st.integers(1, 3),
+    h=st.integers(1, 6),
+    w=st.integers(3, 6),
+    hue_max_delta=st.sampled_from([0.0, 0.02, 0.5]),
+    sat=st.sampled_from([(0.9, 1.2), (0.1, 0.5), (1.5, 3.0)]),
+    flip_prob=st.sampled_from([0.0, 0.5, 1.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_augmentation_matches_per_image_oracle(seed, b, h, w, hue_max_delta, sat, flip_prob):
+    config = AugmentConfig(hue_max_delta=hue_max_delta, sat_lower=sat[0], sat_upper=sat[1], flip_prob=flip_prob)
+    images = u8_batch(seed, b, h, w)
+    rng, oracle_rng = make_rng(seed, 2), make_rng(seed, 2)
+    got = preprocess_batch(images, Scenario.HSV_GRAY_AUG, "train", rng, config)
+    want = hsv_gray_aug_oracle(images, oracle_rng, config)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state  # same draws, same count
+    hue_gap = np.abs(got[..., 0] - want[..., 0]) % 1.0
+    assert np.minimum(hue_gap, 1.0 - hue_gap).max() < 1e-6
+    assert np.abs(got[..., 1:] - want[..., 1:]).max() < 1e-6
+
+
+@pytest.mark.parametrize("mode", ["train", "test"])
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_preprocess_and_preprocess_batch_agree(scenario, mode):
+    images = u8_batch(3, 4, 5, 7)
+    rng, single_rng = make_rng(8, 2), make_rng(8, 2)
+    batch = preprocess_batch(images, scenario, mode, rng)
+    for i, px in enumerate(images):
+        img = preprocess(RasterImage(px.astype(np.float64), Colorspace.RGB), scenario, mode, single_rng)
+        assert img.colorspace is scenario.colorspace
+        assert np.array_equal(img.pixels.astype(np.float32), batch[i])
+    assert rng.bit_generator.state == single_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "shape, value",
+    [
+        ((2, 4, 4), 0.5),  # no channel axis
+        ((2, 4, 4, 4), 0.5),  # four channels
+        ((2, 0, 4, 3), 0.5),  # empty images
+        ((2, 4, 4, 3), np.nan),
+        ((2, 4, 4, 3), 1.5),
+        ((2, 4, 4, 3), -0.25),
+    ],
+)
+def test_batch_input_is_checked_once_for_the_whole_batch(shape, value):
+    images = np.full(shape, 0.5, dtype=np.float32)
+    if images.size:
+        images.flat[-1] = value
+    for scenario in (Scenario.RGB, Scenario.HSV_GRAY_AUG):
+        with pytest.raises(InvalidInputError):
+            preprocess_batch(images, scenario, "train", make_rng(0))
+
+
+def test_batch_rejects_bad_mode_and_missing_rng():
+    images = np.full((1, 2, 2, 3), 0.5, dtype=np.float32)
+    with pytest.raises(InvalidInputError, match="mode must be"):
+        preprocess_batch(images, Scenario.GRAY, "eval")
+    with pytest.raises(InvalidInputError, match="needs an rng"):
+        preprocess_batch(images, Scenario.HSV_GRAY_AUG, "train")

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fruitnet.errors import ConfigurationError, FormatError, InvalidInputError
 from fruitnet.imaging import Colorspace, RasterImage, write_ppm
@@ -19,6 +21,8 @@ from fruitnet.records import (
     shuffle_batches,
     write_shard,
 )
+
+from helpers import damage
 
 
 def make_record(rng, label, side=100) -> ExampleRecord:
@@ -264,3 +268,58 @@ def test_record_dims_beyond_the_file_are_a_format_error(tmp_path):
         list(iter_shard(path))
     assert err.value.path == path
     assert err.value.offset == 28  # payload of the first record
+
+
+def one_record_shard(path, h, w, c) -> None:
+    path.write_bytes(b"FRRC" + struct.pack("<II", 1, 1) + struct.pack("<IIII", 1, h, w, c) + bytes(h * w * c))
+
+
+@pytest.mark.parametrize("dims", [(0, 100, 3), (100, 0, 3), (2, 2, 2), (2, 2, 4)])
+def test_record_dims_must_describe_an_rgb_image(tmp_path, dims):
+    path = tmp_path / "dims.rec"
+    one_record_shard(path, *dims)
+    with pytest.raises(FormatError) as err:
+        list(iter_shard(path))
+    assert err.value.path == path
+    assert err.value.offset == 12  # header of the first record
+
+
+@pytest.mark.parametrize("at, offset", [(0, 0), (4, 4)])
+def test_find_shards_reports_magic_and_version_where_they_are(tmp_path, at, offset):
+    path = tmp_path / "train-00000-of-00001.rec"
+    write_shard(path, make_records(1, side=2))
+    raw = bytearray(path.read_bytes())
+    raw[at] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as find_err:
+        find_shards(tmp_path, "train")
+    with pytest.raises(FormatError) as iter_err:
+        list(iter_shard(path))
+    assert find_err.value.offset == iter_err.value.offset == offset
+    assert str(find_err.value) == str(iter_err.value)
+
+
+_SHARD_RECORDS = make_records(2, seed=4, side=2) + [ExampleRecord(label=7, pixels=np.zeros((1, 3, 3), np.uint8))]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_shard_is_a_format_error_or_reads_back_exactly(tmp_path_factory, data):
+    # every byte of a shard is consumed, so whatever reads without error must write back the same bytes
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "train-00000-of-00001.rec"
+    write_shard(path, _SHARD_RECORDS)
+    damaged = damage(data, path.read_bytes())
+    path.write_bytes(damaged)
+    try:
+        records = list(iter_shard(path))
+    except FormatError as err:
+        assert err.path == path and 0 <= err.offset <= len(damaged)
+        try:
+            find_shards(tmp, "train")
+        except FormatError as find_err:
+            assert find_err.path == path
+        return
+    assert find_shards(tmp, "train").count == len(records)
+    write_shard(tmp / "again.rec", records)
+    assert (tmp / "again.rec").read_bytes() == damaged

@@ -24,7 +24,7 @@ from fruitnet.training import (
     update_learning_rate,
 )
 
-from helpers import adam_scalar_oracle
+from helpers import adam_scalar_oracle, damage
 
 TINY_NET = NetworkConfig(num_classes=3, input_channels=3, conv_maps=(2, 2, 2, 2), fc_sizes=(8, 6))
 
@@ -380,3 +380,80 @@ def test_scenario_channel_checks_keep_their_messages(tmp_path):
     shards, labels = tiny_corpus(tmp_path)
     with pytest.raises(ConfigurationError, match="scenario hsv_gray feeds 4 channels, network expects 3"):
         train(tiny_cfg(iterations=1, scenario=Scenario.HSV_GRAY), shards, tmp_path / "x", labels, log=None)
+
+
+# header: magic 4 | version 4 | iteration, adam step, rate 24 | betas, eps 24 | then the network block
+_NETWORK_AT = 56
+_RESERVED_AT = _NETWORK_AT + 5 * 4
+
+
+def _non_utf8(name: bytes):
+    def edit(raw):
+        at = raw.index(name)
+        raw[at] = 0xFF  # never valid in UTF-8
+        return at
+
+    return edit
+
+
+def _first_label_not_nothing(raw):
+    at = raw.index(b"nothing")
+    raw[at : at + 7] = b"NOTHING"
+    return at - 4  # the first name's length field
+
+
+def _zero_conv_maps(raw):
+    conv_maps_at = _RESERVED_AT + 1
+    raw[conv_maps_at : conv_maps_at + 4] = struct.pack("<I", 0)
+    return _NETWORK_AT
+
+
+def _reserved_byte_set(raw):
+    assert raw[_RESERVED_AT] == 0  # what save_checkpoint writes
+    raw[_RESERVED_AT] = 1  # the flag of the removed LRN variant
+    return _RESERVED_AT
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_non_utf8(b"nothing"), _non_utf8(b"param/conv1_w"),
+     _first_label_not_nothing, _zero_conv_maps, _reserved_byte_set],
+    ids=["non_utf8_label", "non_utf8_tensor_name", "first_label", "zero_conv_maps", "reserved_byte"],
+)
+def test_malformed_checkpoint_is_a_format_error_at_its_offset(tmp_path, edit):
+    path = tmp_path / "damaged.frck"
+    save_checkpoint(make_checkpoint(), path)
+    raw = bytearray(path.read_bytes())
+    at = edit(raw)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert err.value.path == path
+    assert err.value.offset == at
+
+
+_FUZZ_NET = NetworkConfig(
+    num_classes=2, input_channels=1, conv_maps=(1, 1, 1, 1), fc_sizes=(1, 1),
+    kernel_size=1, input_height=1, input_width=1,
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_checkpoint_is_a_format_error_or_loads_exactly(tmp_path_factory, data):
+    # a small network keeps headers, names and dims a large share of the bytes;
+    # every byte is consumed, so whatever loads must save back to the same bytes
+    params = init_params(_FUZZ_NET, make_rng(1, STREAM_INIT))
+    ckpt = Checkpoint(_FUZZ_NET, params, AdamState.zeros_like(params), 3, 0.001, LabelMap.from_names(["a"]))
+    tmp = tmp_path_factory.mktemp("fuzz")
+    save_checkpoint(ckpt, tmp / "valid.frck")
+    damaged = damage(data, (tmp / "valid.frck").read_bytes())
+    path = tmp / "damaged.frck"
+    path.write_bytes(damaged)
+    try:
+        loaded = load_checkpoint(path)
+    except FormatError as err:
+        assert err.path == path and 0 <= err.offset <= len(damaged)
+        return
+    save_checkpoint(loaded, tmp / "again.frck")
+    assert (tmp / "again.frck").read_bytes() == damaged
