@@ -12,6 +12,8 @@ Subcommands:
 A key=value config file pointed to by the FRUITS_CONFIG environment variable
 supplies defaults; flags override it.  Exit code 0 means the operation
 completed; on failure its partial outputs are removed, never older files.
+Ctrl-C during train keeps the last periodic checkpoint and metrics.csv, so
+the run can continue with --resume.
 """
 
 import argparse
@@ -115,14 +117,17 @@ def _existing_file(path: Path, what: str) -> Path:
 
 
 @contextmanager
-def _removed_on_failure(out_dir: Path):
+def _removed_on_failure(out_dir: Path, kept_on_interrupt: tuple = ()):
     """Run the body; if it raises, delete what it added under out_dir, and
-    out_dir itself if it did not exist.  Nothing that existed before is removed."""
+    out_dir itself if it did not exist.  Nothing that existed before is removed,
+    nor, on KeyboardInterrupt, the files of out_dir named in kept_on_interrupt."""
     before = set(out_dir.rglob("*")) if out_dir.exists() else None
     try:
         yield
-    except BaseException:
-        added = [out_dir] if before is None else set(out_dir.rglob("*")) - before
+    except BaseException as exc:
+        names = kept_on_interrupt if isinstance(exc, KeyboardInterrupt) else ()
+        kept = {out_dir / name for name in names if (out_dir / name).exists()}
+        added = [out_dir] if before is None and not kept else set(out_dir.rglob("*")) - (before or set()) - kept
         for path in added:
             if path.is_dir():
                 shutil.rmtree(path, ignore_errors=True)
@@ -202,7 +207,7 @@ def _cmd_train(args, project: ProjectConfig) -> int:
     shards = find_shards(records_dir, "train")
     resume_from = load_checkpoint(Path(args.resume)) if args.resume else None
 
-    with _removed_on_failure(out_dir):
+    with _removed_on_failure(out_dir, kept_on_interrupt=(CHECKPOINT_NAME, METRICS_NAME)):
         train(cfg, shards, out_dir, labels, resume_from=resume_from)
     print(f"checkpoint: {out_dir / CHECKPOINT_NAME}")
     print(f"metrics csv: {out_dir / METRICS_NAME}")

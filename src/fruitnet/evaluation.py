@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augmentation import Scenario, preprocess, preprocess_batch
-from .errors import InvalidInputError
+from .errors import ConfigurationError, InvalidInputError
 from .imaging import Colorspace, RasterImage, resize_bilinear
 from .layers import softmax
 from .network import forward
@@ -80,6 +80,9 @@ def evaluate(
     correct = 0
     mislabeled: dict = {}
     for images, labels in sequential_batches(read_examples(shards), batch_size):
+        if labels.max() >= ckpt.config.num_classes:
+            n = ckpt.config.num_classes
+            raise ConfigurationError(f"shard label {labels.max()} is out of range for a {n}-class checkpoint")
         x = preprocess_batch(images, scenario, "test")
         logits, _ = forward(ckpt.config, ckpt.params, x, keep_prob=1.0)
         picks = np.argmax(logits, axis=1)  # lowest index wins on ties

@@ -302,7 +302,7 @@ def read_ppm(path) -> RasterImage:
         raise FormatError(f"unsupported maxval {maxval}, expected 255", path=path, offset=pos)
     if width < 1 or height < 1:
         raise FormatError(f"image dims must be positive, got {width}x{height}", path=path, offset=pos)
-    pos += 1  # single whitespace byte separates header from raster
+    pos = min(pos + 1, len(data))  # single whitespace byte separates header from raster; it may be cut off
     need = width * height * 3
     raster = data[pos : pos + need]
     if len(raster) != need:

@@ -1,16 +1,24 @@
 """On-disk dataset shards, the label catalog and batch feeding.
 
-Shard format (little-endian, bit-exact round trip):
+Shard format v2 (little-endian, bit-exact round trip):
 
-    header: magic "FRRC" | version u32 = 1 | record count u32
-    record: label u32 | height u32 >= 1 | width u32 >= 1 | channels u32 = 3
-            | height * width * channels raw bytes (row-major, RGB)
+    header: magic "FRRC" | version u32 = 2 | record count u32
+            | height u32 | width u32 | channels u32 = 3
+    pixels: count * height * width * 3 bytes (row-major RGB, record after record)
+    labels: count * label u32
+
+All records of a shard share its dims (height, width >= 1; an empty shard
+has 0x0), so the header fixes the file size.  Records are views of a
+read-only map of the pixel block; write_shard renames a finished temporary
+file over the target, so a mapped shard is never truncated.  Version 1
+shards are not read: rebuild them with `fruitnet build-records`.
 
 A labels file is UTF-8 text, one class name per line; line order defines ids
 1..N and id 0 is reserved for the "nothing" background class, so a network
 trained on N classes has N + 1 outputs.
 """
 
+import itertools
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -25,9 +33,8 @@ from .imaging import read_ppm, resize_bilinear, to_u8
 from .seeding import STREAM_SHUFFLE, make_rng
 
 SHARD_MAGIC = b"FRRC"
-SHARD_VERSION = 1
-_FILE_HEADER = struct.Struct("<4sII")
-_RECORD_HEADER = struct.Struct("<IIII")
+SHARD_VERSION = 2
+_HEADER = struct.Struct("<4sIIIII")  # magic, version, count, height, width, channels
 
 IMAGE_SIDE = 100
 BACKGROUND_CLASS = 0
@@ -46,20 +53,8 @@ class ExampleRecord:
         object.__setattr__(self, "pixels", px)
         if px.ndim != 3 or px.shape[2] != 3:
             raise InvalidInputError(f"record pixels must be (h, w, 3) uint8, got shape {px.shape}")
-        if self.label < 0:
-            raise InvalidInputError(f"label must be >= 0, got {self.label}")
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[2]
+        if not 0 <= self.label < 2**32:  # stored as u32
+            raise InvalidInputError(f"label must be in [0, 2^32), got {self.label}")
 
 
 @dataclass(frozen=True)
@@ -122,86 +117,84 @@ class ShuffleParams:
 
 
 def write_shard(path, records: Iterable[ExampleRecord]) -> int:
-    """Write records to one shard file; returns the record count."""
+    """Write records of one shape to one shard file; returns the record count."""
     path = Path(path)
-    count = 0
-    with open(path, "wb") as fh:
-        fh.write(_FILE_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, 0))
-        for rec in records:
-            fh.write(_RECORD_HEADER.pack(rec.label, rec.height, rec.width, rec.channels))
-            fh.write(rec.pixels.tobytes())
-            count += 1
-        fh.seek(4 + 4)  # patch the record count
-        fh.write(struct.pack("<I", count))
-    return count
+    tmp = path.with_name(path.name + ".tmp")
+    labels, dims = [], None
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(bytes(_HEADER.size))  # patched once the count and dims are known
+            for rec in records:
+                dims = dims or rec.pixels.shape
+                if rec.pixels.shape != dims:
+                    raise InvalidInputError(f"record {len(labels)} has shape {rec.pixels.shape}, shard has {dims}")
+                fh.write(rec.pixels.tobytes())
+                labels.append(rec.label)
+            fh.write(np.array(labels, dtype="<u4").tobytes())
+            fh.seek(0)
+            fh.write(_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, len(labels), *(dims or (0, 0, 3))))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return len(labels)
 
 
-def _read_header(fh, path: Path) -> int:
-    """Check the file header of an open shard; returns its record count."""
-    header = fh.read(_FILE_HEADER.size)
-    if len(header) < _FILE_HEADER.size:
-        raise FormatError("truncated shard header", path=path, offset=len(header))
-    magic, version, count = _FILE_HEADER.unpack(header)
-    if magic != SHARD_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {SHARD_MAGIC!r}", path=path, offset=0)
-    if version != SHARD_VERSION:
-        raise FormatError(f"unsupported version {version}", path=path, offset=4)
-    return count
+def _read_shard(path: Path) -> tuple:
+    """Check a shard file; returns its u32 labels and a read-only map of its
+    pixels, shape (count, height, width, 3)."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
+        if head[:4] != SHARD_MAGIC:
+            raise FormatError(f"bad magic {head[:4]!r}, expected {SHARD_MAGIC!r}", path=path, offset=0)
+        version = int.from_bytes(head[4:8], "little")
+        if version != SHARD_VERSION:
+            msg = f"unsupported shard version {version}; rebuild the shards with `fruitnet build-records`"
+            raise FormatError(msg, path=path, offset=4)
+        if len(head) < _HEADER.size:
+            raise FormatError("truncated shard header", path=path, offset=len(head))
+        _, _, count, h, w, c = _HEADER.unpack(head)
+        if not (c == 3 and (min(h, w) >= 1 if count else h == w == 0)):
+            msg = f"dims {h}x{w}x{c} do not fit {count} records: need RGB, height and width >= 1, 0x0 if empty"
+            raise FormatError(msg, path=path, offset=12)
+        pixel_end = _HEADER.size + count * h * w * 3
+        expected = pixel_end + 4 * count
+        if size != expected:
+            what = "truncated shard" if size < expected else "trailing bytes in shard"
+            msg = f"{what}: the header describes {expected} bytes, the file holds {size}"
+            raise FormatError(msg, path=path, offset=min(size, expected))
+        fh.seek(pixel_end)
+        labels = np.frombuffer(fh.read(4 * count), dtype="<u4")
+        return labels, np.memmap(fh, dtype=np.uint8, mode="r", offset=_HEADER.size, shape=(count, h, w, 3))
+
+
+def _records(labels: np.ndarray, pixels: np.ndarray) -> Iterator[ExampleRecord]:
+    for label, px in zip(labels.tolist(), pixels):
+        yield ExampleRecord(label=label, pixels=px)
 
 
 def iter_shard(path) -> Iterator[ExampleRecord]:
-    """Yield the records of one shard file in order."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        count = _read_header(fh, path)
-        offset = _FILE_HEADER.size
-        for _ in range(count):
-            head = fh.read(_RECORD_HEADER.size)
-            if len(head) < _RECORD_HEADER.size:
-                raise FormatError("truncated record header", path=path, offset=offset)
-            label, h, w, c = _RECORD_HEADER.unpack(head)
-            if c != 3 or h < 1 or w < 1:
-                raise FormatError(f"record dims {h}x{w}x{c} are not an RGB image", path=path, offset=offset)
-            need = h * w * c
-            # a corrupt header may claim more than the file holds: read no further than its end
-            payload = fh.read(min(need, size - fh.tell()))
-            if len(payload) < need:
-                raise FormatError(
-                    f"truncated record payload: expected {need} bytes, got {len(payload)}",
-                    path=path,
-                    offset=offset + _RECORD_HEADER.size,
-                )
-            pixels = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, c)
-            yield ExampleRecord(label=label, pixels=pixels)
-            offset += _RECORD_HEADER.size + need
-        if fh.read(1):
-            raise FormatError("trailing bytes after final record", path=path, offset=offset)
+    """Yield the records of one shard file in order; their pixels are views
+    of a read-only map of the file."""
+    yield from _records(*_read_shard(Path(path)))
 
 
 def read_examples(shards: ShardSet) -> Iterator[ExampleRecord]:
-    """Stream records across shards, files in given order, records in file order.
-
-    Every decoded image is validated to be 100 x 100 x 3.
-    """
+    """Stream records across shards, files in given order, records in file order;
+    each shard is checked once to hold 100 x 100 x 3 images."""
     for path in shards.paths:
-        offset = _FILE_HEADER.size
-        for rec in iter_shard(path):
-            if rec.pixels.shape != (IMAGE_SIDE, IMAGE_SIDE, 3):
-                raise FormatError(
-                    f"record has dims {rec.height}x{rec.width}x{rec.channels}, "
-                    f"expected {IMAGE_SIDE}x{IMAGE_SIDE}x3",
-                    path=path,
-                    offset=offset,
-                )
-            yield rec
-            offset += _RECORD_HEADER.size + rec.pixels.size
+        labels, pixels = _read_shard(path)
+        if labels.size and pixels.shape[1:] != (IMAGE_SIDE, IMAGE_SIDE, 3):
+            msg = f"shard holds {pixels.shape[1]}x{pixels.shape[2]}x3 images, expected {IMAGE_SIDE}x{IMAGE_SIDE}x3"
+            raise FormatError(msg, path=path, offset=12)
+        yield from _records(labels, pixels)
 
 
 def cycle_records(shards: ShardSet) -> Iterator[ExampleRecord]:
-    """Endless stream cycling globally over the concatenated shard list."""
-    while True:
-        yield from read_examples(shards)
+    """Endless stream cycling globally over the concatenated shard list; each
+    shard is read once and later passes repeat the same record objects."""
+    return itertools.cycle(read_examples(shards))
 
 
 def _decode_for_shard(path: Path) -> np.ndarray:
@@ -235,16 +228,14 @@ def _decoded_records(examples: list, pool) -> Iterator[ExampleRecord]:
 def _build_split(split: str, split_dir: Path, labels, out_dir: Path, n_shards: int, pool) -> ShardSet:
     examples = _collect_examples(split_dir, labels)
     bounds = np.linspace(0, len(examples), n_shards + 1).astype(int)
-    paths, written = [], []
+    paths = []
     try:
         for i in range(n_shards):
             chunk = examples[bounds[i] : bounds[i + 1]]
-            path = out_dir / f"{split}-{i:05d}-of-{n_shards:05d}.rec"
-            written.append(path)
-            write_shard(path, _decoded_records(chunk, pool))
-            paths.append(path)
+            paths.append(out_dir / f"{split}-{i:05d}-of-{n_shards:05d}.rec")
+            write_shard(paths[-1], _decoded_records(chunk, pool))
     except BaseException:
-        for path in written:  # no partial outputs on failure
+        for path in paths:  # no partial outputs on failure
             path.unlink(missing_ok=True)
         raise
     return ShardSet(paths=tuple(paths), split=split, count=len(examples))
@@ -283,10 +274,7 @@ def find_shards(records_dir, split: str) -> ShardSet:
     paths = tuple(sorted(Path(records_dir).glob(f"{split}-*.rec")))
     if not paths:
         raise ConfigurationError(f"no {split!r} shards found in {records_dir}")
-    count = 0
-    for path in paths:
-        with open(path, "rb") as fh:
-            count += _read_header(fh, path)
+    count = sum(len(_read_shard(path)[0]) for path in paths)
     return ShardSet(paths=paths, split=split, count=count)
 
 

@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from fruitnet import training
 from fruitnet.cli import main
 from fruitnet.config import ProjectConfig
 from fruitnet.imaging import read_ppm
 from fruitnet.records import find_shards, read_examples
 from fruitnet.synthetic import generate_corpus
+from fruitnet.training import load_checkpoint
 
 
 @pytest.fixture()
@@ -264,3 +266,62 @@ class TestFailureCleanup:
             assert left == ["class_01", "class_01/mine.txt"]
         else:
             assert not out.exists()
+
+
+def test_ctrl_c_during_train_keeps_the_last_checkpoint_for_resume(corpus, capsys, monkeypatch):
+    tmp_path, parts = corpus
+    pipeline = TestPipeline()
+    pipeline.build(capsys, tmp_path, parts)
+    real_save, saves = training.save_checkpoint, []
+
+    def save_then_interrupt(ckpt, path):
+        saves.append(ckpt.iteration)
+        if len(saves) == 3:  # Ctrl-C in the middle of the third save
+            path.with_suffix(path.suffix + ".tmp").write_bytes(b"partial")
+            raise KeyboardInterrupt
+        real_save(ckpt, path)
+
+    monkeypatch.setattr(training, "save_checkpoint", save_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.train(capsys, tmp_path, parts, iterations=8)
+    monkeypatch.undo()
+    model = tmp_path / "model"
+    assert sorted(p.name for p in model.iterdir()) == ["checkpoint.frck", "metrics.csv"]
+    assert load_checkpoint(model / "checkpoint.frck").iteration == 4
+    assert len((model / "metrics.csv").read_text().splitlines()) == 3  # header and two rows
+
+    code, _, _ = run(
+        capsys, "train",
+        "--records-dir", str(tmp_path / "records"),
+        "--labels-file", str(parts["labels_file"]),
+        "--out", str(model),
+        "--scenario", "hsv_gray_aug",
+        "--config-nr", "1",
+        "--iterations", "6",
+        "--batch-size", "4",
+        "--display-interval", "2",
+        "--shuffle-capacity", "12",
+        "--shuffle-min-fill", "4",
+        "--seed", "3",
+        "--resume", str(model / "checkpoint.frck"),
+    )
+    assert code == 0
+    assert load_checkpoint(model / "checkpoint.frck").iteration == 6
+
+
+def test_other_train_failures_still_remove_a_fresh_run(corpus, capsys, monkeypatch):
+    tmp_path, parts = corpus
+    pipeline = TestPipeline()
+    pipeline.build(capsys, tmp_path, parts)
+    real_save, saves = training.save_checkpoint, []
+
+    def save_then_fail(ckpt, path):
+        real_save(ckpt, path)
+        saves.append(ckpt.iteration)
+        if len(saves) == 2:
+            raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(training, "save_checkpoint", save_then_fail)
+    with pytest.raises(RuntimeError):
+        pipeline.train(capsys, tmp_path, parts, iterations=6)
+    assert not (tmp_path / "model").exists()

@@ -187,3 +187,11 @@ def test_scenario_channel_checks_keep_their_messages(tmp_path):
     img = RasterImage(np.zeros((10, 10, 3)), Colorspace.RGB)
     with pytest.raises(ConfigurationError, match=message):
         predict_image(zero_checkpoint(), img, Scenario.HSV_GRAY)
+
+
+def test_label_beyond_the_checkpoint_classes_is_a_configuration_error(tmp_path):
+    records = random_records(3)
+    records[1] = ExampleRecord(label=5, pixels=records[1].pixels)
+    shards = shard_records(tmp_path, records)
+    with pytest.raises(ConfigurationError, match=r"label 5 .*3-class"):
+        evaluate(random_checkpoint(), shards, Scenario.RGB, batch_size=2, log=None)

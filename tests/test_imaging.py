@@ -21,7 +21,7 @@ from fruitnet.imaging import (
     write_ppm,
 )
 
-from helpers import floodfill_bfs_oracle
+from helpers import damage, floodfill_bfs_oracle
 
 
 def rgb(pixels) -> RasterImage:
@@ -311,3 +311,22 @@ def test_non_positive_ppm_dims_are_a_format_error(tmp_path, dims):
         read_ppm(path)
     assert err.value.path == path
     assert err.value.offset is not None
+
+
+_PPM = b"P6\n# a comment\n3 2\n255\n" + bytes(range(0, 180, 10))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_ppm_is_a_format_error_or_a_valid_image(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "img.ppm"
+    damaged = damage(data, _PPM)
+    path.write_bytes(damaged)
+    try:
+        img = read_ppm(path)
+    except FormatError as err:
+        assert err.path == path and 0 <= err.offset <= len(damaged)
+        return
+    assert img.colorspace is Colorspace.RGB
+    assert img.pixels.ndim == 3 and img.pixels.shape[2] == 3 and img.pixels.size > 0
+    assert 0.0 <= img.pixels.min() and img.pixels.max() <= 1.0

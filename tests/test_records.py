@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,6 +17,7 @@ from fruitnet.records import (
     ShardSet,
     ShuffleParams,
     build_shards,
+    cycle_records,
     find_shards,
     iter_shard,
     read_examples,
@@ -88,7 +92,8 @@ class TestShardFormat:
         with pytest.raises(FormatError) as err:
             list(iter_shard(path))
         assert "truncated" in str(err.value)
-        assert err.value.offset == 28  # payload of the first record: 12-byte file header + 16-byte record header
+        assert err.value.path == path
+        assert err.value.offset == len(raw) - 10  # the file ends before the size its header describes
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "trail.rec"
@@ -261,17 +266,17 @@ class TestFindShards:
 
 def test_record_dims_beyond_the_file_are_a_format_error(tmp_path):
     # 2^31 x 2^31 x 3 bytes overflows a read size; the claim must be checked
-    # against the bytes left instead
+    # against the file size instead
     path = tmp_path / "huge.rec"
-    path.write_bytes(b"FRRC" + struct.pack("<II", 1, 1) + struct.pack("<IIII", 1, 2**31, 2**31, 3) + bytes(8))
+    path.write_bytes(b"FRRC" + struct.pack("<IIIII", 2, 1, 2**31, 2**31, 3) + bytes(8))
     with pytest.raises(FormatError) as err:
         list(iter_shard(path))
     assert err.value.path == path
-    assert err.value.offset == 28  # payload of the first record
+    assert err.value.offset == 32  # the end of the file, far short of the pixels the header claims
 
 
 def one_record_shard(path, h, w, c) -> None:
-    path.write_bytes(b"FRRC" + struct.pack("<II", 1, 1) + struct.pack("<IIII", 1, h, w, c) + bytes(h * w * c))
+    path.write_bytes(b"FRRC" + struct.pack("<IIIII", 2, 1, h, w, c) + bytes(h * w * c) + struct.pack("<I", 1))
 
 
 @pytest.mark.parametrize("dims", [(0, 100, 3), (100, 0, 3), (2, 2, 2), (2, 2, 4)])
@@ -281,7 +286,19 @@ def test_record_dims_must_describe_an_rgb_image(tmp_path, dims):
     with pytest.raises(FormatError) as err:
         list(iter_shard(path))
     assert err.value.path == path
-    assert err.value.offset == 12  # header of the first record
+    assert err.value.offset == 12  # the dims fields of the shard header
+
+
+@pytest.mark.parametrize("dims", [(5, 7), (2**32 - 1, 2**32 - 1)])
+def test_empty_shard_must_have_zero_dims(tmp_path, dims):
+    # an empty shard's size does not depend on its dims; 2^32 - 1 squared
+    # must not reach the memory map
+    path = tmp_path / "empty.rec"
+    path.write_bytes(b"FRRC" + struct.pack("<IIIII", 2, 0, *dims, 3))
+    with pytest.raises(FormatError) as err:
+        list(iter_shard(path))
+    assert err.value.path == path
+    assert err.value.offset == 12
 
 
 @pytest.mark.parametrize("at, offset", [(0, 0), (4, 4)])
@@ -299,7 +316,7 @@ def test_find_shards_reports_magic_and_version_where_they_are(tmp_path, at, offs
     assert str(find_err.value) == str(iter_err.value)
 
 
-_SHARD_RECORDS = make_records(2, seed=4, side=2) + [ExampleRecord(label=7, pixels=np.zeros((1, 3, 3), np.uint8))]
+_SHARD_RECORDS = make_records(2, seed=4, side=2) + [ExampleRecord(label=7, pixels=np.zeros((2, 2, 3), np.uint8))]
 
 
 @given(data=st.data())
@@ -323,3 +340,76 @@ def test_damaged_shard_is_a_format_error_or_reads_back_exactly(tmp_path_factory,
     assert find_shards(tmp, "train").count == len(records)
     write_shard(tmp / "again.rec", records)
     assert (tmp / "again.rec").read_bytes() == damaged
+
+
+def test_write_shard_rejects_mixed_shapes_and_leaves_no_file(tmp_path):
+    path = tmp_path / "train-00000-of-00001.rec"
+    mixed = make_records(2, side=4) + make_records(1, side=3)
+    with pytest.raises(InvalidInputError, match="shape"):
+        write_shard(path, mixed)
+    assert list(tmp_path.iterdir()) == []  # neither the shard nor its .tmp
+
+
+def test_failed_rewrite_keeps_the_old_shard(tmp_path):
+    path = tmp_path / "train-00000-of-00001.rec"
+    write_shard(path, make_records(2, side=4))
+    before = path.read_bytes()
+    with pytest.raises(InvalidInputError):
+        write_shard(path, make_records(1, side=4) + make_records(1, side=5))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_rewriting_a_shard_leaves_records_read_from_it_intact(tmp_path):
+    path = tmp_path / "train-00000-of-00001.rec"
+    old, new = make_records(3, seed=31), make_records(5, seed=32)
+    write_shard(path, old)
+    alive = list(iter_shard(path))  # views of the mapped file
+    write_shard(path, new)
+    for rec, src in zip(alive, old):
+        assert np.array_equal(rec.pixels, src.pixels)
+    assert [r.pixels.tobytes() for r in iter_shard(path)] == [r.pixels.tobytes() for r in new]
+
+
+def test_version_1_shard_names_the_rebuild_command(tmp_path):
+    path = tmp_path / "train-00000-of-00001.rec"
+    path.write_bytes(b"FRRC" + struct.pack("<II", 1, 1) + struct.pack("<IIII", 1, 2, 2, 3) + bytes(12))
+    for read in (lambda: list(iter_shard(path)), lambda: find_shards(tmp_path, "train")):
+        with pytest.raises(FormatError, match="build-records") as err:
+            read()
+        assert err.value.path == path and err.value.offset == 4
+
+
+def test_shuffle_buffer_over_cycled_records_holds_references(tmp_path):
+    # 1,000 slots from a 10-record shard: copies would take 30 MB of pixels
+    shards = shard_of(tmp_path, make_records(10, seed=33))
+    params = ShuffleParams(capacity=1000, min_fill=1000, seed=0)
+    tracemalloc.start()
+    try:
+        next(shuffle_batches(cycle_records(shards), 1, params))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("label", [-1, 2**32])
+def test_record_label_must_fit_the_u32_field(label):
+    with pytest.raises(InvalidInputError, match="label"):
+        ExampleRecord(label=label, pixels=np.zeros((2, 2, 3), np.uint8))
+
+
+def test_train_batch_stream_matches_the_pinned_digest(tmp_path):
+    # the batches train() draws for a fixed seed, 57 records from two shards
+    # cycled; the digest was computed with shard format v1 and must not change
+    records = make_records(10, seed=21)
+    a, b = tmp_path / "train-00000-of-00002.rec", tmp_path / "train-00001-of-00002.rec"
+    write_shard(a, records[:6])
+    write_shard(b, records[6:])
+    shards = ShardSet(paths=(a, b), split="train", count=10)
+    stream = shuffle_batches(cycle_records(shards), 4, ShuffleParams(capacity=25, min_fill=5, seed=7))
+    digest = hashlib.sha256()
+    for images, labels in itertools.islice(stream, 8):
+        digest.update(images.tobytes())
+        digest.update(labels.tobytes())
+    assert digest.hexdigest() == "ad17282b18dc858baf6017a2cf8df69f31a43c6b57aa8d4201b08a6d34655157"

@@ -1,0 +1,35 @@
+"""Smoke tests: the experiment scripts run end to end as their users call them."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True, timeout=120
+    )
+
+
+def test_compare_scenarios_runs_end_to_end_at_tiny_size(tmp_path):
+    done = run_script(
+        "compare_scenarios.py", "--workdir", str(tmp_path),
+        "--classes", "2", "--train-per-class", "2", "--test-per-class", "2",
+        "--iterations", "1", "--batch-size", "2",
+    )
+    assert done.returncode == 0, done.stderr
+    assert "corpus: 4 train / 4 test images, 2 classes" in done.stdout
+    table = done.stdout.split("scenario, train_accuracy, test_accuracy\n")[1].splitlines()
+    assert [row.split(",")[0] for row in table] == ["gray", "rgb", "hsv", "hsv_gray", "hsv_gray_aug"]
+    assert sorted(p.name for p in (tmp_path / "records").iterdir()) == [
+        "test-00000-of-00001.rec",
+        "train-00000-of-00001.rec",
+    ]
+
+
+def test_run_full_corpus_prints_its_usage():
+    done = run_script("run_full_corpus.py", "--help")
+    assert done.returncode == 0, done.stderr
+    assert "--corpus-dir" in done.stdout
