@@ -3,6 +3,9 @@
 Images are float arrays in [0, 1].  All operations here are pure functions of
 their inputs and can be called concurrently from any number of threads.  The
 colorspace math works on plain (..., 3) float arrays (the *_pixels functions).
+The RGB/HSV conversions are Smith's hexcone transform pair; they are exact,
+faster rewrites of the plain formulas kept as oracles in tests/helpers.py,
+and return the same float64 bits.
 
 Standalone I/O uses binary PPM (P6, 8-bit, maxval 255); byte values map to
 floats as v / 255 and back as round(v * 255) clamped to [0, 255].
@@ -196,36 +199,49 @@ def resize_bilinear(img: RasterImage, out_h: int, out_w: int) -> RasterImage:
 def rgb_to_hsv_pixels(px: np.ndarray) -> np.ndarray:
     """RGB to HSV on a float array (..., 3); hue, saturation and value all in [0, 1]."""
     r, g, b = px[..., 0], px[..., 1], px[..., 2]
-    maxc = px.max(axis=-1)
-    minc = px.min(axis=-1)
-    delta = maxc - minc
+    maxc = np.maximum(np.maximum(r, g), b)
+    delta = maxc - np.minimum(np.minimum(r, g), b)
+    out = np.empty(maxc.shape + (3,), dtype=maxc.dtype)
+    out[..., 2] = maxc
+    # where maxc is 0, delta is 0 too, so the saturation is 0
+    np.divide(delta, np.where(maxc > 0, maxc, 1.0), out=out[..., 1])
 
-    v = maxc
-    s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
+    # the max channel picks the hue sector (r before g before b on ties); a
+    # gray pixel has delta 0 and numerator g - b = 0, so its hue is 0
+    is_r = maxc == r
+    is_g = maxc == g
+    hue = np.where(is_r, g - b, np.where(is_g, b - r, r - g))
+    hue /= np.where(delta > 0, delta, 1.0)
+    # adding 6 to a negative r-sector quotient is its % 6.0 on (-6, 6)
+    hue += np.where(is_r, np.where(hue < 0, 6.0, 0.0), np.where(is_g, 2.0, 4.0))
+    hue /= 6.0
+    hue[hue == 1.0] = 0.0  # the hue's % 1.0 on [0, 1]
+    out[..., 0] = hue
+    return out
 
-    safe = np.where(delta > 0, delta, 1.0)
-    hue_r = ((g - b) / safe) % 6.0
-    hue_g = (b - r) / safe + 2.0
-    hue_b = (r - g) / safe + 4.0
-    hue = np.select([delta == 0, maxc == r, maxc == g], [0.0, hue_r, hue_g], default=hue_b) / 6.0
-    hue = hue % 1.0
-    return np.stack([hue, s, v], axis=-1)
+
+# hsv_to_rgb_pixels: for each hue sector, the candidate (v, q, p, t) that
+# becomes r, g and b; h6 can round up to 6.0, which is sector 0 again
+_SECTOR_RGB = np.array([[0, 3, 2], [1, 0, 2], [2, 0, 3], [2, 1, 0], [3, 2, 0], [0, 2, 1], [0, 3, 2]])
 
 
 def hsv_to_rgb_pixels(px: np.ndarray) -> np.ndarray:
     """Inverse of rgb_to_hsv_pixels up to floating-point rounding, clipped to [0, 1]."""
     h, s, v = px[..., 0], px[..., 1], px[..., 2]
-    h6 = (h % 1.0) * 6.0
-    sector = np.floor(h6).astype(np.intp) % 6
-    f = h6 - np.floor(h6)
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
+    h6 = (h - np.floor(h)) * 6.0  # h - floor(h) is h % 1.0 for finite h
+    sector = np.floor(h6)
+    f = h6 - sector
+    cand = np.empty(h.shape + (4,), dtype=h6.dtype)
+    cand[..., 0] = v
+    np.multiply(v, 1.0 - s * f, out=cand[..., 1])
+    np.multiply(v, 1.0 - s, out=cand[..., 2])
+    np.multiply(v, 1.0 - s * (1.0 - f), out=cand[..., 3])
 
-    r = np.choose(sector, [v, q, p, p, t, v])
-    g = np.choose(sector, [t, v, v, q, p, p])
-    b = np.choose(sector, [p, p, t, v, v, q])
-    return np.clip(np.stack([r, g, b], axis=-1), 0.0, 1.0)
+    # gather every channel at once from the flat (pixel, candidate) array
+    idx = _SECTOR_RGB.take(sector.astype(np.intp), axis=0)
+    idx += np.arange(0, cand.size, 4).reshape(h.shape + (1,))
+    out = cand.ravel().take(idx)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def rgb_to_gray_pixels(px: np.ndarray) -> np.ndarray:

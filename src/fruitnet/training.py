@@ -171,14 +171,15 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
     tensors = list(_tensor_items(ckpt))
     parts.append(struct.pack("<I", len(tensors)))
-    for name, arr in tensors:
-        raw = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)) + raw)
-        parts.append(struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(b"".join(parts))
+    with open(tmp, "wb") as f:
+        f.write(b"".join(parts))
+        for name, arr in tensors:
+            raw = name.encode("utf-8")
+            f.write(struct.pack("<I", len(raw)) + raw + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+            # straight from the tensor's buffer: no bytes copy of the payload
+            f.write(memoryview(np.ascontiguousarray(arr, dtype="<f4")))
     os.replace(tmp, path)
 
 

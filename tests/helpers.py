@@ -3,10 +3,10 @@
 These are deliberately naive, straight-line implementations written before
 and apart from the library code they check: a queue BFS for flood fill, a
 six-loop direct convolution and its scatter-form input gradient, loop max
-pooling, central finite differences, a scalar Adam recurrence, and the
-per-image augmentation pipeline composed from the public colorspace
-conversions.  damage() draws the damaged files that the format fuzz tests
-feed to the readers.
+pooling, central finite differences, a scalar Adam recurrence, the plain
+formulas of the RGB/HSV conversions, and the per-image augmentation pipeline
+composed from the public colorspace conversions.  damage() draws the damaged
+files that the format fuzz tests feed to the readers.
 """
 
 import math
@@ -140,6 +140,44 @@ def adam_scalar_oracle(p0: float, grads, lr: float, beta1=0.9, beta2=0.999, eps=
         p = p - lr * m_hat / (math.sqrt(v_hat) + eps)
         history.append(p)
     return history
+
+
+def rgb_to_hsv_oracle(px: np.ndarray) -> np.ndarray:
+    """Smith's hexcone RGB to HSV as plain formulas: all three hue candidates,
+    picked by np.select (achromatic, then max in r, then g, else b), with
+    float % to wrap; hue, saturation and value in [0, 1]."""
+    r, g, b = px[..., 0], px[..., 1], px[..., 2]
+    maxc = px.max(axis=-1)
+    minc = px.min(axis=-1)
+    delta = maxc - minc
+
+    v = maxc
+    s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
+
+    safe = np.where(delta > 0, delta, 1.0)
+    hue_r = ((g - b) / safe) % 6.0
+    hue_g = (b - r) / safe + 2.0
+    hue_b = (r - g) / safe + 4.0
+    hue = np.select([delta == 0, maxc == r, maxc == g], [0.0, hue_r, hue_g], default=hue_b) / 6.0
+    hue = hue % 1.0
+    return np.stack([hue, s, v], axis=-1)
+
+
+def hsv_to_rgb_oracle(px: np.ndarray) -> np.ndarray:
+    """The inverse hexcone as plain formulas: the sector and fraction of the
+    hue, the candidates p, q, t, and np.choose per channel, clipped to [0, 1]."""
+    h, s, v = px[..., 0], px[..., 1], px[..., 2]
+    h6 = (h % 1.0) * 6.0
+    sector = np.floor(h6).astype(np.intp) % 6
+    f = h6 - np.floor(h6)
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+
+    r = np.choose(sector, [v, q, p, p, t, v])
+    g = np.choose(sector, [t, v, v, q, p, p])
+    b = np.choose(sector, [p, p, t, v, v, q])
+    return np.clip(np.stack([r, g, b], axis=-1), 0.0, 1.0)
 
 
 def hsv_gray_aug_oracle(images: np.ndarray, rng, config) -> np.ndarray:

@@ -1,6 +1,8 @@
 """The batched preprocessing path against the per-image public operations:
 the augmentation oracle, preprocess on each image, and the batch input check."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,3 +93,30 @@ def test_batch_rejects_bad_mode_and_missing_rng():
         preprocess_batch(images, Scenario.GRAY, "eval")
     with pytest.raises(InvalidInputError, match="needs an rng"):
         preprocess_batch(images, Scenario.HSV_GRAY_AUG, "train")
+
+
+# sha256 prefixes of the float32 outputs, computed with the plain-formula
+# colorspace conversions (the oracles in helpers.py); the kernels must keep them
+PINNED_BATCH_DIGESTS = {
+    ("gray", "train"): "0897ed343c41aaeb",
+    ("gray", "test"): "0897ed343c41aaeb",
+    ("rgb", "train"): "ac18fdc6ef1dd2fd",
+    ("rgb", "test"): "ac18fdc6ef1dd2fd",
+    ("hsv", "train"): "e67b3065bf986874",
+    ("hsv", "test"): "e67b3065bf986874",
+    ("hsv_gray", "train"): "e1b052bef1ca0647",
+    ("hsv_gray", "test"): "e1b052bef1ca0647",
+    ("hsv_gray_aug", "train"): "c56a43f24271305b",
+    ("hsv_gray_aug", "test"): "e1b052bef1ca0647",
+}
+
+
+@pytest.mark.parametrize("mode", ["train", "test"])
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_batch_outputs_match_their_pinned_digests(scenario, mode):
+    images = u8_batch(20, 4, 12, 12)
+    images[:, 0, :, 1] = images[:, 0, :, 0]  # r = g
+    images[:, 1, :, 2] = images[:, 1, :, 1]  # g = b
+    images[:, 2, :, 2] = images[:, 2, :, 0]  # r = b
+    out = preprocess_batch(images, scenario, mode, make_rng(9, 2))
+    assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == PINNED_BATCH_DIGESTS[scenario.value, mode]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,12 @@ class TestGenerateCorpus:
     def test_invalid_style_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
             generate_corpus(tmp_path, style="noisy")
+
+
+def test_corpus_bytes_match_their_pinned_digest(tmp_path):
+    # computed with the plain-formula hsv_to_rgb (the oracle in helpers.py)
+    generate_corpus(tmp_path, num_classes=2, train_per_class=2, test_per_class=2, seed=3)
+    digest = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == "3827d6db9306152d13df3c67a5eb4699a2278f6aa22a9cc7180a7f342d5d251b"

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from fruitnet.augmentation import Scenario
 from fruitnet.errors import ConfigurationError, FormatError, ShapeError, TrainingDivergedError
 from fruitnet.layers import cross_entropy_loss
-from fruitnet.network import NetworkConfig, backward, forward, init_params
+from fruitnet.network import NetworkConfig, backward, forward, init_params, preset_configuration
 from fruitnet.records import ExampleRecord, LabelMap, ShardSet, write_shard
 from fruitnet.seeding import STREAM_INIT, make_rng
 from fruitnet.training import (
@@ -457,3 +458,19 @@ def test_damaged_checkpoint_is_a_format_error_or_loads_exactly(tmp_path_factory,
         return
     save_checkpoint(loaded, tmp / "again.frck")
     assert (tmp / "again.frck").read_bytes() == damaged
+
+
+def test_saving_a_preset_1_checkpoint_copies_no_tensor(tmp_path):
+    # params plus two Adam moments are about 84 MB of float32; writing them
+    # from their own buffers keeps the traced peak to the small header parts
+    cfg = preset_configuration(1, num_classes=5)
+    params = init_params(cfg, make_rng(0, STREAM_INIT))
+    ckpt = Checkpoint(cfg, params, AdamState.zeros_like(params), 1, 0.001, LabelMap.from_names(list("abcd")))
+    tracemalloc.start()
+    try:
+        save_checkpoint(ckpt, tmp_path / "c.frck")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"save_checkpoint peaked at {peak / 1e6:.1f} MB"
+    assert load_checkpoint(tmp_path / "c.frck").params["fc1_w"].tobytes() == params["fc1_w"].tobytes()
