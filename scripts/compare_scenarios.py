@@ -62,7 +62,6 @@ def main() -> int:
             display_interval=max(1, args.iterations // 6),
             seed=args.seed,
             shuffle_capacity=4 * max(args.batch_size, train_set.count),
-            shuffle_min_fill=args.batch_size,
         )
         out = work / f"model-{scenario.value}"
         started = time.time()

@@ -6,7 +6,7 @@ accuracy-driven learning-rate rule, evaluation with per-class mislabel
 accounting, and single-image prediction.
 """
 
-from .augmentation import AugmentConfig, Scenario, adjust_hue, adjust_saturation, flip, preprocess
+from .augmentation import AugmentConfig, Scenario, preprocess
 from .errors import (
     ConfigurationError,
     FormatError,
@@ -18,17 +18,12 @@ from .errors import (
 from .evaluation import EvalReport, Prediction, evaluate, predict_image
 from .imaging import (
     BackgroundMask,
-    Colorspace,
     FloodFillParams,
     RasterImage,
-    concat_hsv_gray,
     flood_fill_background,
-    hsv_to_rgb,
     read_ppm,
     remove_background,
     resize_bilinear,
-    rgb_to_gray,
-    rgb_to_hsv,
     write_ppm,
 )
 from .network import NetworkConfig, init_params, preset_configuration

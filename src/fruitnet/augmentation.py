@@ -5,8 +5,9 @@ grayscale channel appended, or the same with hue/saturation jitter and random
 flips during training.  Test-mode preprocessing never consumes random draws.
 
 One private pipeline on plain float64 (h, w, 3) arrays serves preprocess
-(RasterImage in and out) and preprocess_batch (arrays, checked once per
-batch).  The jitter shifts hue and scales saturation in one HSV round trip.
+(one RasterImage in, its float64 (h, w, channels) array out) and
+preprocess_batch (float arrays in and out, checked once per batch).  The
+jitter shifts hue and scales saturation in one HSV round trip.
 """
 
 from dataclasses import dataclass
@@ -15,15 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError
-from .imaging import (
-    CHANNELS_FOR,
-    Colorspace,
-    RasterImage,
-    check_unit_range,
-    hsv_to_rgb_pixels,
-    rgb_to_gray_pixels,
-    rgb_to_hsv_pixels,
-)
+from .imaging import RasterImage, check_unit_range, hsv_to_rgb_pixels, rgb_to_gray_pixels, rgb_to_hsv_pixels
 from .seeding import RngStream
 
 
@@ -58,13 +51,9 @@ class Scenario(Enum):
     HSV_GRAY_AUG = "hsv_gray_aug"
 
     @property
-    def colorspace(self) -> Colorspace:
-        """What the pipeline emits; the four plain scenarios are named after it."""
-        return Colorspace.HSV_GRAY if self is Scenario.HSV_GRAY_AUG else Colorspace(self.value)
-
-    @property
     def input_channels(self) -> int:
-        return CHANNELS_FOR[self.colorspace]
+        """Depth of what the pipeline emits."""
+        return _CHANNELS[self]
 
     @classmethod
     def from_tag(cls, tag: str) -> "Scenario":
@@ -75,6 +64,9 @@ class Scenario(Enum):
             raise InvalidInputError(f"unknown scenario {tag!r}; expected one of: {valid}") from None
 
 
+_CHANNELS = {Scenario.GRAY: 1, Scenario.RGB: 3, Scenario.HSV: 3, Scenario.HSV_GRAY: 4, Scenario.HSV_GRAY_AUG: 4}
+
+
 def _jitter(px: np.ndarray, delta: float, factor: float) -> np.ndarray:
     """Rotate hue by delta (mod 1) and scale saturation by factor, clamped to
     [0, 1], in one HSV round trip of a float RGB array."""
@@ -82,33 +74,6 @@ def _jitter(px: np.ndarray, delta: float, factor: float) -> np.ndarray:
     hsv[..., 0] = (hsv[..., 0] + delta) % 1.0
     hsv[..., 1] = np.clip(hsv[..., 1] * factor, 0.0, 1.0)
     return hsv_to_rgb_pixels(hsv)
-
-
-def adjust_hue(img: RasterImage, delta: float) -> RasterImage:
-    """Rotate hue by delta (mod 1) through an HSV round trip."""
-    if img.colorspace is not Colorspace.RGB:
-        raise InvalidInputError(f"adjust_hue expects an rgb image, got {img.colorspace.value}")
-    if abs(delta) > 0.5:
-        raise InvalidInputError(f"|delta| must be <= 0.5, got {delta}")
-    return RasterImage(_jitter(img.pixels, delta, 1.0), Colorspace.RGB)
-
-
-def adjust_saturation(img: RasterImage, factor: float) -> RasterImage:
-    """Scale saturation by factor, clamped to [0, 1], through an HSV round trip."""
-    if img.colorspace is not Colorspace.RGB:
-        raise InvalidInputError(f"adjust_saturation expects an rgb image, got {img.colorspace.value}")
-    if factor <= 0:
-        raise InvalidInputError(f"factor must be > 0, got {factor}")
-    return RasterImage(_jitter(img.pixels, 0.0, factor), Colorspace.RGB)
-
-
-def flip(img: RasterImage, axis: str) -> RasterImage:
-    """Mirror the image horizontally (left-right) or vertically (top-bottom)."""
-    if axis == "horizontal":
-        return RasterImage(img.pixels[:, ::-1].copy(), img.colorspace)
-    if axis == "vertical":
-        return RasterImage(img.pixels[::-1].copy(), img.colorspace)
-    raise InvalidInputError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
 
 
 def _pipeline(px: np.ndarray, scenario: Scenario, mode: str, rng: RngStream | None, config: AugmentConfig):
@@ -141,16 +106,16 @@ def preprocess(
     mode: str,
     rng: RngStream | None = None,
     config: AugmentConfig = DEFAULT_AUGMENT,
-) -> RasterImage:
-    """Apply one scenario's pipeline to an RGB image.
+) -> np.ndarray:
+    """Apply one scenario's pipeline to an RGB image; returns the float64
+    (h, w, scenario.input_channels) array that the network sees, in [0, 1].
 
     Only HSV_GRAY_AUG in train mode is random; its draw order is fixed as
     hue, saturation, horizontal flip, vertical flip so that equal seeds give
     equal outputs.  In test mode it degenerates to the HSV_GRAY pipeline.
+    For the RGB scenario the result is img.pixels itself, not a copy.
     """
-    if img.colorspace is not Colorspace.RGB:
-        raise InvalidInputError(f"preprocess expects an rgb image, got {img.colorspace.value}")
-    return RasterImage(_pipeline(img.pixels, scenario, mode, rng, config), scenario.colorspace)
+    return _pipeline(img.pixels, scenario, mode, rng, config)
 
 
 def preprocess_batch(

@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-prob", type=float, default=0.8)
     p.add_argument("--display-interval", type=int, default=50)
     p.add_argument("--shuffle-capacity", type=int, default=None)
-    p.add_argument("--shuffle-min-fill", type=int, default=5000)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
 
     p = sub.add_parser("test", help="evaluate a checkpoint")
@@ -114,6 +113,12 @@ def _existing_file(path: Path, what: str) -> Path:
     if not path.is_file():
         raise ConfigurationError(f"{what} does not exist: {path}")
     return path
+
+
+def _checkpoint_path(args, project: ProjectConfig) -> Path:
+    """--checkpoint, else the checkpoint in the config file's models_dir."""
+    default = project.models_dir / CHECKPOINT_NAME if project.models_dir else None
+    return _existing_file(_required(args.checkpoint, "--checkpoint", default, "models_dir"), "checkpoint")
 
 
 @contextmanager
@@ -202,7 +207,6 @@ def _cmd_train(args, project: ProjectConfig) -> int:
         display_interval=args.display_interval,
         seed=args.seed,
         shuffle_capacity=args.shuffle_capacity,
-        shuffle_min_fill=args.shuffle_min_fill,
     )
     shards = find_shards(records_dir, "train")
     resume_from = load_checkpoint(Path(args.resume)) if args.resume else None
@@ -215,15 +219,7 @@ def _cmd_train(args, project: ProjectConfig) -> int:
 
 
 def _cmd_test(args, project: ProjectConfig) -> int:
-    ckpt_path = _existing_file(
-        _required(
-            args.checkpoint,
-            "--checkpoint",
-            project.models_dir / CHECKPOINT_NAME if project.models_dir else None,
-            "models_dir",
-        ),
-        "checkpoint",
-    )
+    ckpt_path = _checkpoint_path(args, project)
     records_dir = _existing_dir(
         _required(args.records_dir, "--records-dir", project.data_dir, "data_dir"), "records directory"
     )
@@ -247,15 +243,7 @@ def _cmd_test(args, project: ProjectConfig) -> int:
 
 
 def _cmd_predict(args, project: ProjectConfig) -> int:
-    ckpt_path = _existing_file(
-        _required(
-            args.checkpoint,
-            "--checkpoint",
-            project.models_dir / CHECKPOINT_NAME if project.models_dir else None,
-            "models_dir",
-        ),
-        "checkpoint",
-    )
+    ckpt_path = _checkpoint_path(args, project)
     image_path = _existing_file(Path(args.image_path), "--image_path")
     ckpt = load_checkpoint(ckpt_path)
     scenario = Scenario.from_tag(args.scenario)

@@ -1,5 +1,10 @@
 """Test-set accuracy with per-class mislabel accounting, plus single-image
-prediction."""
+prediction.
+
+evaluate reads 8-bit records from shards and preprocesses them a batch at a
+time; predict_image takes one RGB RasterImage of any size (the type has
+already checked it), resizes it to the network's input and preprocesses it
+alone.  Both use test mode, so neither draws random numbers."""
 
 import json
 from dataclasses import dataclass
@@ -7,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augmentation import Scenario, preprocess, preprocess_batch
-from .errors import ConfigurationError, InvalidInputError
-from .imaging import Colorspace, RasterImage, resize_bilinear
+from .errors import ConfigurationError
+from .imaging import RasterImage, resize_bilinear
 from .layers import softmax
 from .network import forward
 from .records import IMAGE_SIDE, ShardSet, read_examples, sequential_batches
@@ -103,11 +108,9 @@ def evaluate(
 def predict_image(ckpt: Checkpoint, image: RasterImage, scenario: Scenario) -> Prediction:
     """Classify one RGB image of any size; returns the argmax class and its
     softmax probability."""
-    if image.colorspace is not Colorspace.RGB:
-        raise InvalidInputError(f"predict_image expects an rgb image, got {image.colorspace.value}")
     check_channels(scenario, ckpt.config, "checkpoint network")
     resized = resize_bilinear(image, IMAGE_SIDE, IMAGE_SIDE)
-    x = preprocess(resized, scenario, "test").pixels[None].astype(np.float32)
+    x = preprocess(resized, scenario, "test")[None].astype(np.float32)
     logits, _ = forward(ckpt.config, ckpt.params, x, keep_prob=1.0)
     probs = softmax(logits)[0]
     class_id = int(np.argmax(probs))

@@ -1,38 +1,25 @@
 """Pixel-level primitives: background extraction, rescaling, colorspace conversion.
 
-Images are float arrays in [0, 1].  All operations here are pure functions of
-their inputs and can be called concurrently from any number of threads.  The
-colorspace math works on plain (..., 3) float arrays (the *_pixels functions).
-The RGB/HSV conversions are Smith's hexcone transform pair; they are exact,
-faster rewrites of the plain formulas kept as oracles in tests/helpers.py,
-and return the same float64 bits.
+A RasterImage is an RGB photo: float64 (height, width, 3) in [0, 1], checked
+when it is made.  Background extraction, rescaling and PPM I/O take and give
+RasterImages.  The colorspace math works on plain (..., 3) float arrays (the
+*_pixels functions), which is all that preprocessing needs.  The RGB/HSV
+conversions are Smith's hexcone transform pair; they are exact, faster
+rewrites of the plain formulas kept as oracles in tests/helpers.py, and
+return the same float64 bits.  All operations here are pure functions of
+their inputs and can be called concurrently from any number of threads.
 
 Standalone I/O uses binary PPM (P6, 8-bit, maxval 255); byte values map to
 floats as v / 255 and back as round(v * 255) clamped to [0, 255].
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, InvalidInputError
 
-
-class Colorspace(str, Enum):
-    RGB = "rgb"
-    HSV = "hsv"
-    GRAY = "gray"
-    HSV_GRAY = "hsv_gray"
-
-
-CHANNELS_FOR = {
-    Colorspace.RGB: 3,
-    Colorspace.HSV: 3,
-    Colorspace.GRAY: 1,
-    Colorspace.HSV_GRAY: 4,
-}
 
 # ITU-R BT.601 luma weights
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
@@ -48,22 +35,17 @@ def check_unit_range(px: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class RasterImage:
-    """Float image with shape (height, width, channels), values in [0, 1]."""
+    """RGB image with shape (height, width, 3), float64 values in [0, 1]."""
 
     pixels: np.ndarray
-    colorspace: Colorspace = Colorspace.RGB
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float64)
         object.__setattr__(self, "pixels", px)
-        if px.ndim != 3:
-            raise InvalidInputError(f"pixels must be (height, width, channels), got shape {px.shape}")
-        h, w, c = px.shape
-        if h < 1 or w < 1:
+        if px.ndim != 3 or px.shape[2] != 3:
+            raise InvalidInputError(f"pixels must be (height, width, 3), got shape {px.shape}")
+        if px.shape[0] < 1 or px.shape[1] < 1:
             raise InvalidInputError("empty image")
-        expected = CHANNELS_FOR[self.colorspace]
-        if c != expected:
-            raise InvalidInputError(f"{self.colorspace.value} image needs {expected} channels, got {c}")
         check_unit_range(px)
 
     @property
@@ -73,10 +55,6 @@ class RasterImage:
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[2]
 
 
 @dataclass(frozen=True)
@@ -114,11 +92,6 @@ class FloodFillParams:
             raise InvalidInputError(f"threshold must be >= 0, got {self.threshold}")
 
 
-def _require(img: RasterImage, space: Colorspace, op: str):
-    if img.colorspace is not space:
-        raise InvalidInputError(f"{op} expects a {space.value} image, got {img.colorspace.value}")
-
-
 def flood_fill_background(img: RasterImage, params: FloodFillParams) -> BackgroundMask:
     """Mark the background by growing inward from the image border.
 
@@ -128,7 +101,6 @@ def flood_fill_background(img: RasterImage, params: FloodFillParams) -> Backgrou
     The result is the unique fixed point of that expansion, so it does not
     depend on traversal order.
     """
-    _require(img, Colorspace.RGB, "flood_fill_background")
     px = img.pixels
     h, w = img.height, img.width
     t = params.threshold
@@ -156,14 +128,13 @@ def flood_fill_background(img: RasterImage, params: FloodFillParams) -> Backgrou
 
 def remove_background(img: RasterImage, mask: BackgroundMask) -> RasterImage:
     """Fill masked pixels with white; unmasked pixels pass through untouched."""
-    _require(img, Colorspace.RGB, "remove_background")
     if (mask.height, mask.width) != (img.height, img.width):
         raise InvalidInputError(
             f"mask {mask.height}x{mask.width} does not match image {img.height}x{img.width}"
         )
     out = img.pixels.copy()
     out[mask.marked] = 1.0
-    return RasterImage(out, Colorspace.RGB)
+    return RasterImage(out)
 
 
 def _axis_coords(n_in: int, n_out: int) -> np.ndarray:
@@ -193,7 +164,7 @@ def resize_bilinear(img: RasterImage, out_h: int, out_w: int) -> RasterImage:
     bot = px[r1][:, c0] * (1.0 - fc) + px[r1][:, c1] * fc
     out = top * (1.0 - fr) + bot * fr
     # interpolation is convex; clip only guards against rounding spill
-    return RasterImage(np.clip(out, 0.0, 1.0), img.colorspace)
+    return RasterImage(np.clip(out, 0.0, 1.0))
 
 
 def rgb_to_hsv_pixels(px: np.ndarray) -> np.ndarray:
@@ -251,36 +222,6 @@ def rgb_to_gray_pixels(px: np.ndarray) -> np.ndarray:
     return np.clip(gray, 0.0, 1.0)[..., None]
 
 
-def rgb_to_hsv(img: RasterImage) -> RasterImage:
-    """Per-pixel RGB to HSV with hue, saturation and value all in [0, 1]."""
-    _require(img, Colorspace.RGB, "rgb_to_hsv")
-    return RasterImage(rgb_to_hsv_pixels(img.pixels), Colorspace.HSV)
-
-
-def hsv_to_rgb(img: RasterImage) -> RasterImage:
-    """Inverse of rgb_to_hsv up to floating-point rounding."""
-    _require(img, Colorspace.HSV, "hsv_to_rgb")
-    return RasterImage(hsv_to_rgb_pixels(img.pixels), Colorspace.RGB)
-
-
-def rgb_to_gray(img: RasterImage) -> RasterImage:
-    """Single-channel luma: 0.299 R + 0.587 G + 0.114 B."""
-    _require(img, Colorspace.RGB, "rgb_to_gray")
-    return RasterImage(rgb_to_gray_pixels(img.pixels), Colorspace.GRAY)
-
-
-def concat_hsv_gray(hsv: RasterImage, gray: RasterImage) -> RasterImage:
-    """Stack a grayscale channel under an HSV image as channel 3."""
-    _require(hsv, Colorspace.HSV, "concat_hsv_gray")
-    _require(gray, Colorspace.GRAY, "concat_hsv_gray")
-    if (hsv.height, hsv.width) != (gray.height, gray.width):
-        raise InvalidInputError(
-            f"hsv {hsv.height}x{hsv.width} and gray {gray.height}x{gray.width} differ in size"
-        )
-    merged = np.concatenate([hsv.pixels, gray.pixels], axis=-1)
-    return RasterImage(merged, Colorspace.HSV_GRAY)
-
-
 def read_ppm(path) -> RasterImage:
     """Read a binary PPM (P6, maxval 255) as an RGB image."""
     path = Path(path)
@@ -326,7 +267,7 @@ def read_ppm(path) -> RasterImage:
             f"truncated raster: expected {need} bytes, got {len(raster)}", path=path, offset=pos
         )
     arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
-    return RasterImage(arr.astype(np.float64) / 255.0, Colorspace.RGB)
+    return RasterImage(arr.astype(np.float64) / 255.0)
 
 
 def to_u8(img: RasterImage) -> np.ndarray:
@@ -336,7 +277,6 @@ def to_u8(img: RasterImage) -> np.ndarray:
 
 def write_ppm(img: RasterImage, path) -> None:
     """Write an RGB image as binary PPM (P6, maxval 255)."""
-    _require(img, Colorspace.RGB, "write_ppm")
     path = Path(path)
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
     path.write_bytes(header + to_u8(img).tobytes())

@@ -177,7 +177,7 @@ def forward(
     return logits, caches
 
 
-def backward(cfg: NetworkConfig, caches: dict, grad_logits: Tensor) -> Params:
+def backward(caches: dict, grad_logits: Tensor) -> Params:
     """Gradients for every parameter, keyed like the params dict."""
     grads = {}
     g, grads["out_w"], grads["out_b"] = fc_backward(grad_logits, caches["out"])

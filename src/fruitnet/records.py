@@ -37,7 +37,6 @@ SHARD_VERSION = 2
 _HEADER = struct.Struct("<4sIIIII")  # magic, version, count, height, width, channels
 
 IMAGE_SIDE = 100
-BACKGROUND_CLASS = 0
 BACKGROUND_NAME = "nothing"
 
 
@@ -104,16 +103,11 @@ class ShuffleParams:
     """Shuffle-buffer sizing; defaults follow the reference training setup."""
 
     capacity: int = 35060
-    min_fill: int = 5000
     seed: int = 0
 
     def __post_init__(self):
         if self.capacity < 1:
             raise InvalidInputError(f"capacity must be >= 1, got {self.capacity}")
-        if not 0 <= self.min_fill <= self.capacity:
-            raise InvalidInputError(
-                f"need 0 <= min_fill <= capacity, got min_fill={self.min_fill} capacity={self.capacity}"
-            )
 
 
 def write_shard(path, records: Iterable[ExampleRecord]) -> int:
@@ -288,11 +282,10 @@ def shuffle_batches(stream: Iterable[ExampleRecord], batch_size: int, params: Sh
     """Yield batches sampled through a fixed-capacity shuffle buffer.
 
     The buffer is first filled to capacity (or stream end, whichever comes
-    first, which always satisfies the min_fill gate).  Each emission picks a
-    uniformly random buffer slot and replaces it with the next stream element;
-    once the stream is exhausted the buffer drains, swap-removing the sampled
-    slot.  A final smaller batch is allowed.  Equal seeds give bit-identical
-    batch sequences.
+    first).  Each emission picks a uniformly random buffer slot and replaces
+    it with the next stream element; once the stream is exhausted the buffer
+    drains, swap-removing the sampled slot.  A final smaller batch is
+    allowed.  Equal seeds give bit-identical batch sequences.
     """
     if batch_size < 1:
         raise InvalidInputError(f"batch_size must be >= 1, got {batch_size}")

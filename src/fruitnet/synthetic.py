@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError
-from .imaging import Colorspace, RasterImage, hsv_to_rgb_pixels, write_ppm
+from .imaging import RasterImage, hsv_to_rgb_pixels, write_ppm
 from .records import LabelMap
 from .seeding import make_rng
 
@@ -50,7 +50,7 @@ def synthetic_image(rng, hue: float, size: int = 100, raw: bool = False) -> Rast
     dist = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
     px[dist < radius] = outer
     px[dist < radius * 0.45] = core
-    return RasterImage(px, Colorspace.RGB)
+    return RasterImage(px)
 
 
 def class_hues(num_classes: int) -> list:

@@ -55,7 +55,6 @@ class TrainConfig:
     display_interval: int = 50
     seed: int = 0
     shuffle_capacity: int | None = None  # defaults to 35000 + batch_size
-    shuffle_min_fill: int = 5000
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
@@ -304,6 +303,20 @@ def _append_metrics(path, rows, fresh: bool):
         writer.writerows(rows)
 
 
+def _keep_metrics_up_to(path: Path, iteration: int):
+    """Rewrite the metrics file with its header and the complete rows (those
+    that end in a line break) of iterations <= iteration."""
+    lines = []
+    if path.exists():
+        with open(path, newline="") as fh:
+            next(fh, None)  # the header
+            lines = [ln for ln in fh if ln.endswith("\n")]
+    rows = [row for row in csv.reader(lines) if int(row[0]) <= iteration]
+    tmp = path.with_name(path.name + ".tmp")
+    _append_metrics(tmp, rows, fresh=True)
+    os.replace(tmp, path)
+
+
 def train(
     cfg: TrainConfig,
     shards: ShardSet,
@@ -318,7 +331,8 @@ def train(
     runs forward/backward at the configured keep_prob and applies one Adam
     step.  Every display_interval iterations the current batch is re-scored
     at keep_prob 1, the learning rate is re-derived from that accuracy, a
-    checkpoint is persisted and a metrics row is appended.
+    metrics row is appended and a checkpoint is persisted.  A resumed run
+    first drops the metrics rows past its checkpoint.
     """
     check_channels(cfg.scenario, cfg.net)
     if labels.num_classes != cfg.net.num_classes:
@@ -336,11 +350,7 @@ def train(
     stream = shuffle_batches(
         cycle_records(shards),
         cfg.batch_size,
-        ShuffleParams(
-            capacity=cfg.effective_shuffle_capacity,
-            min_fill=min(cfg.shuffle_min_fill, cfg.effective_shuffle_capacity),
-            seed=cfg.seed,
-        ),
+        ShuffleParams(capacity=cfg.effective_shuffle_capacity, seed=cfg.seed),
     )
 
     if resume_from is not None:
@@ -356,7 +366,7 @@ def train(
         start = resume_from.iteration
         for _ in range(start):  # replay the batch stream to the saved position
             next(stream)
-        _append_metrics(metrics_path, [], fresh=not metrics_path.exists())
+        _keep_metrics_up_to(metrics_path, start)
     else:
         params = init_params(cfg.net, make_rng(cfg.seed, STREAM_INIT))
         adam = AdamState.zeros_like(params)
@@ -374,7 +384,7 @@ def train(
         loss, grad_logits = cross_entropy_loss(logits, batch_labels)
         if not math.isfinite(loss):
             raise TrainingDivergedError(iteration=i, loss=loss)
-        grads = backward(cfg.net, caches, grad_logits)
+        grads = backward(caches, grad_logits)
         params, adam = adam_step(params, grads, adam, lr)
 
         if i % cfg.display_interval == 0:
@@ -382,9 +392,10 @@ def train(
             eval_loss, _ = cross_entropy_loss(eval_logits, batch_labels)
             acc = batch_accuracy(eval_logits, batch_labels)
             lr = update_learning_rate(acc, cfg.lr_initial, cfg.lr_final)
-            ckpt = Checkpoint(cfg.net, params, adam, i, lr, labels)
-            save_checkpoint(ckpt, ckpt_path)
+            # the row goes first: a Ctrl-C before the save completes leaves a
+            # row past the checkpoint, which a resume drops and writes again
             _append_metrics(metrics_path, [[i, f"{eval_loss:.6f}", f"{acc:.6f}", f"{lr:.8f}"]], fresh=False)
+            save_checkpoint(Checkpoint(cfg.net, params, adam, i, lr, labels), ckpt_path)
             if log is not None:
                 dt = time.time() - tick
                 log(f"iteration {i}: loss {eval_loss:.4f}, batch accuracy {acc:.4f}, lr {lr:.6f} ({dt:.1f}s)")

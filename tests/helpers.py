@@ -5,8 +5,8 @@ and apart from the library code they check: a queue BFS for flood fill, a
 six-loop direct convolution and its scatter-form input gradient, loop max
 pooling, central finite differences, a scalar Adam recurrence, the plain
 formulas of the RGB/HSV conversions, and the per-image augmentation pipeline
-composed from the public colorspace conversions.  damage() draws the damaged
-files that the format fuzz tests feed to the readers.
+composed from those formulas.  None of them calls into fruitnet.  damage()
+draws the damaged files that the format fuzz tests feed to the readers.
 """
 
 import math
@@ -14,9 +14,6 @@ from collections import deque
 
 import numpy as np
 from hypothesis import strategies as st
-
-from fruitnet.augmentation import flip
-from fruitnet.imaging import Colorspace, RasterImage, concat_hsv_gray, hsv_to_rgb, rgb_to_gray, rgb_to_hsv
 
 
 def floodfill_bfs_oracle(pixels: np.ndarray, threshold: float) -> np.ndarray:
@@ -182,24 +179,24 @@ def hsv_to_rgb_oracle(px: np.ndarray) -> np.ndarray:
 
 def hsv_gray_aug_oracle(images: np.ndarray, rng, config) -> np.ndarray:
     """Train-mode hsv_gray_aug, image by image, as two separate HSV round
-    trips through the RasterImage conversions (hue shift, then saturation
-    scale clamped to [0, 1]), the flips as copies, then HSV with gray
-    appended.  Draws per image, in order: hue, saturation, horizontal flip,
-    vertical flip."""
+    trips through the oracle conversions (hue shift, then saturation scale
+    clamped to [0, 1]), the flips as index reversals, then HSV with the
+    BT.601 luma appended.  Draws per image, in order: hue, saturation,
+    horizontal flip, vertical flip."""
     out = []
     for px in images:
-        img = RasterImage(px.astype(np.float64), Colorspace.RGB)
-        hsv = rgb_to_hsv(img).pixels.copy()
+        px = px.astype(np.float64)
+        hsv = rgb_to_hsv_oracle(px)
         hsv[..., 0] = (hsv[..., 0] + rng.uniform(-config.hue_max_delta, config.hue_max_delta)) % 1.0
-        img = hsv_to_rgb(RasterImage(hsv, Colorspace.HSV))
-        hsv = rgb_to_hsv(img).pixels.copy()
+        hsv = rgb_to_hsv_oracle(hsv_to_rgb_oracle(hsv))
         hsv[..., 1] = np.clip(hsv[..., 1] * rng.uniform(config.sat_lower, config.sat_upper), 0.0, 1.0)
-        img = hsv_to_rgb(RasterImage(hsv, Colorspace.HSV))
+        px = hsv_to_rgb_oracle(hsv)
         if rng.random() < config.flip_prob:
-            img = flip(img, "horizontal")
+            px = px[:, ::-1]
         if rng.random() < config.flip_prob:
-            img = flip(img, "vertical")
-        out.append(concat_hsv_gray(rgb_to_hsv(img), rgb_to_gray(img)).pixels)
+            px = px[::-1]
+        gray = np.clip(0.299 * px[..., 0] + 0.587 * px[..., 1] + 0.114 * px[..., 2], 0.0, 1.0)
+        out.append(np.concatenate([rgb_to_hsv_oracle(px), gray[..., None]], axis=-1))
     return np.stack(out)
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from fruitnet.augmentation import Scenario
 from fruitnet.evaluation import evaluate, predict_image
-from fruitnet.imaging import Colorspace, FloodFillParams, RasterImage, flood_fill_background
+from fruitnet.imaging import FloodFillParams, RasterImage, flood_fill_background
 from fruitnet.layers import (
     conv2d_backward,
     conv2d_forward,
@@ -168,7 +168,7 @@ def test_criterion_1_gradient_fidelity():
         for key in ("relu_c1", "relu_c2", "relu_c3", "relu_c4", "relu_f1", "relu_f2"):
             assert np.abs(caches[key]).min() > 1e-3, "sampled a near-kink activation"
         _, grad_logits = cross_entropy_loss(logits, labels)
-        grads = backward(cfg, caches, grad_logits)
+        grads = backward(caches, grad_logits)
 
         def net_loss():
             out, _ = forward(cfg, params, x, 1.0)
@@ -208,7 +208,7 @@ def test_criterion_3_flood_fill_oracle_equivalence():
         rng = np.random.default_rng(3001)
         for case in range(200):
             pixels = rng.random((16, 16, 3))
-            img = RasterImage(pixels, Colorspace.RGB)
+            img = RasterImage(pixels)
             mask = flood_fill_background(img, FloodFillParams(0.2)).marked
             assert np.array_equal(mask, floodfill_bfs_oracle(pixels, 0.2)), f"random case {case}"
         for seed in range(20):
@@ -235,7 +235,7 @@ def test_criterion_4_overfit_sanity(tmp_path):
         def config(iterations):
             return TrainConfig(
                 net=net, scenario=scenario, iterations=iterations, batch_size=60, keep_prob=0.8,
-                display_interval=10, seed=11, shuffle_capacity=240, shuffle_min_fill=60,
+                display_interval=10, seed=11, shuffle_capacity=240,
             )
 
         def best_accuracy(out_dir):
@@ -316,7 +316,7 @@ def test_criterion_6_serialization(tmp_path):
         def config(iterations):
             return TrainConfig(
                 net=tiny, scenario=Scenario.RGB, iterations=iterations, batch_size=4,
-                keep_prob=0.8, display_interval=2, seed=17, shuffle_capacity=8, shuffle_min_fill=2,
+                keep_prob=0.8, display_interval=2, seed=17, shuffle_capacity=8,
             )
 
         train(config(4), shards, tmp_path / "full", labels, log=None)
@@ -374,7 +374,7 @@ def test_criterion_8_evaluation_reconciliation(tmp_path):
         correct = 0
         mislabeled = {}
         for rec in records:
-            img = RasterImage(rec.pixels.astype(np.float64) / 255.0, Colorspace.RGB)
+            img = RasterImage(rec.pixels.astype(np.float64) / 255.0)
             x = img.pixels[None].astype(np.float32)
             logits, _ = forward(net, params, x, 1.0)
             top2 = np.sort(logits[0])[-2:]

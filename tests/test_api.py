@@ -1,0 +1,38 @@
+"""The public surface: the names the package exports.  A name added here is a
+decision, not a side effect of an import."""
+
+import types
+
+import fruitnet
+
+PUBLIC_NAMES = {
+    # preprocessing scenarios
+    "AugmentConfig", "Scenario", "preprocess",
+    # errors
+    "ConfigurationError", "FormatError", "FruitnetError", "InvalidInputError", "ShapeError",
+    "TrainingDivergedError",
+    # evaluation and prediction
+    "EvalReport", "Prediction", "evaluate", "predict_image",
+    # images: background extraction, rescaling, PPM I/O
+    "BackgroundMask", "FloodFillParams", "RasterImage", "flood_fill_background", "read_ppm",
+    "remove_background", "resize_bilinear", "write_ppm",
+    # the network
+    "NetworkConfig", "init_params", "preset_configuration",
+    # shards and batches
+    "ExampleRecord", "LabelMap", "ShardSet", "ShuffleParams", "build_shards", "find_shards",
+    "read_examples", "sequential_batches", "shuffle_batches",
+    # synthetic corpus
+    "generate_corpus",
+    # training and checkpoints
+    "AdamState", "Checkpoint", "TrainConfig", "adam_step", "batch_accuracy", "load_checkpoint",
+    "save_checkpoint", "train", "update_learning_rate",
+}
+
+
+def test_exported_names_are_exactly_the_public_api():
+    exported = {
+        name
+        for name, value in vars(fruitnet).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC_NAMES

@@ -3,101 +3,100 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fruitnet.augmentation import (
-    AugmentConfig,
-    Scenario,
-    adjust_hue,
-    adjust_saturation,
-    flip,
-    preprocess,
-    preprocess_batch,
-)
+from fruitnet.augmentation import AugmentConfig, Scenario, preprocess, preprocess_batch
 from fruitnet.errors import InvalidInputError
-from fruitnet.imaging import Colorspace, RasterImage, hsv_to_rgb, rgb_to_hsv
+from fruitnet.imaging import RasterImage, hsv_to_rgb_pixels, rgb_to_hsv_pixels
 from fruitnet.seeding import make_rng
+
+# train-mode hsv_gray_aug with one knob left free: the others are pinned to
+# no hue shift, no saturation change and no flips
+STILL = dict(hue_max_delta=0.0, sat_lower=1.0, sat_upper=1.0, flip_prob=0.0)
 
 
 def rgb(pixels) -> RasterImage:
-    return RasterImage(np.asarray(pixels, dtype=np.float64), Colorspace.RGB)
+    return RasterImage(np.asarray(pixels, dtype=np.float64))
 
 
 def random_rgb(seed, h=6, w=5) -> RasterImage:
     return rgb(np.random.default_rng(seed).random((h, w, 3)))
 
 
+def augmented(img: RasterImage, seed: int = 0, **knobs) -> np.ndarray:
+    """Train-mode hsv_gray_aug of img with the STILL config overridden by knobs."""
+    config = AugmentConfig(**{**STILL, **knobs})
+    return preprocess(img, Scenario.HSV_GRAY_AUG, "train", make_rng(seed, 2), config)
+
+
+def draws(seed: int, config: AugmentConfig) -> tuple:
+    """The hue shift, saturation factor and flips that augmented(..., seed) draws."""
+    rng = make_rng(seed, 2)
+    delta = rng.uniform(-config.hue_max_delta, config.hue_max_delta)
+    factor = rng.uniform(config.sat_lower, config.sat_upper)
+    return delta, factor, rng.random() < config.flip_prob, rng.random() < config.flip_prob
+
+
 class TestAdjustHue:
     def test_zero_delta_is_identity(self):
         img = random_rgb(0)
-        out = adjust_hue(img, 0.0)
-        assert np.abs(out.pixels - img.pixels).max() < 1e-6
+        out = augmented(img, sat_lower=1.0, sat_upper=1.0, flip_prob=0.0)
+        assert np.abs(out - preprocess(img, Scenario.HSV_GRAY, "test")).max() < 1e-6
 
     def test_red_plus_half_turn_is_cyan(self):
-        out = adjust_hue(rgb([[[1.0, 0.0, 0.0]]]), 0.5)
-        assert np.allclose(out.pixels[0, 0], [0.0, 1.0, 1.0], atol=1e-12)
+        hsv = rgb_to_hsv_pixels(np.array([[[1.0, 0.0, 0.0]]]))
+        hsv[..., 0] = (hsv[..., 0] + 0.5) % 1.0
+        assert np.allclose(hsv_to_rgb_pixels(hsv)[0, 0], [0.0, 1.0, 1.0], atol=1e-12)
 
     def test_hue_wraps_around(self):
-        start = hsv_to_rgb(RasterImage(np.array([[[0.99, 1.0, 1.0]]]), Colorspace.HSV))
-        shifted = adjust_hue(start, 0.02)
-        hue = rgb_to_hsv(shifted).pixels[0, 0, 0]
-        assert hue == pytest.approx(0.01, abs=1e-9)
-
-    def test_large_delta_rejected(self):
-        with pytest.raises(InvalidInputError):
-            adjust_hue(random_rgb(1), 0.6)
-
-    def test_wrong_colorspace_rejected(self):
-        hsv = RasterImage(np.zeros((1, 1, 3)), Colorspace.HSV)
-        with pytest.raises(InvalidInputError):
-            adjust_hue(hsv, 0.1)
+        # the first seed whose draw carries hue 0.99 past 1.0
+        config = AugmentConfig(**{**STILL, "hue_max_delta": 0.02})
+        seed = next(s for s in range(100) if draws(s, config)[0] > 0.011)
+        start = rgb(hsv_to_rgb_pixels(np.array([[[0.99, 1.0, 1.0]]])))
+        hue = augmented(start, seed, hue_max_delta=0.02)[0, 0, 0]
+        assert hue == pytest.approx(0.99 + draws(seed, config)[0] - 1.0, abs=1e-9)
 
 
 class TestAdjustSaturation:
     def test_factor_one_is_identity(self):
         img = random_rgb(2)
-        out = adjust_saturation(img, 1.0)
-        assert np.abs(out.pixels - img.pixels).max() < 1e-6
+        out = augmented(img, hue_max_delta=0.0, sat_lower=1.0, sat_upper=1.0)
+        assert np.abs(out - preprocess(img, Scenario.HSV_GRAY, "test")).max() < 1e-6
 
     def test_gray_pixel_is_fixed_point(self):
         img = rgb([[[0.4, 0.4, 0.4]]])
-        out = adjust_saturation(img, 1.2)
-        assert np.allclose(out.pixels, img.pixels, atol=1e-12)
+        out = augmented(img, sat_lower=1.2, sat_upper=1.2)
+        assert np.allclose(out, preprocess(img, Scenario.HSV_GRAY, "test"), atol=1e-12)
 
     def test_saturation_clamps_at_one(self):
-        img = rgb([[[1.0, 0.0, 0.0]]])
-        out = adjust_saturation(img, 1.2)
-        assert rgb_to_hsv(out).pixels[0, 0, 1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_nonpositive_factor_rejected(self):
-        with pytest.raises(InvalidInputError):
-            adjust_saturation(random_rgb(3), 0.0)
+        out = augmented(rgb([[[1.0, 0.0, 0.0]]]), sat_lower=1.2, sat_upper=1.2)
+        assert out[0, 0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFlip:
     def test_double_flip_is_identity(self):
         img = random_rgb(4)
-        for axis in ("horizontal", "vertical"):
-            out = flip(flip(img, axis), axis)
-            assert np.array_equal(out.pixels, img.pixels)
+        flipped = rgb(img.pixels[::-1, ::-1])
+        assert np.array_equal(augmented(flipped, flip_prob=1.0), augmented(img))
+        assert not np.array_equal(augmented(img, flip_prob=1.0), augmented(img))
 
     def test_one_by_two_horizontal(self):
         img = rgb([[[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]]])
-        out = flip(img, "horizontal")
-        assert np.allclose(out.pixels[0, 0], 0.9) and np.allclose(out.pixels[0, 1], 0.1)
+        out = augmented(img, flip_prob=1.0)
+        assert np.allclose(out[0, 0, 2:], 0.9) and np.allclose(out[0, 1, 2:], 0.1)
 
     def test_matches_index_reversal_oracle(self):
+        # flip_prob 0.5 over eight seeds draws all four flip combinations
         img = random_rgb(5, h=4, w=7)
-        out = flip(img, "horizontal")
-        for r in range(4):
-            for c in range(7):
-                assert np.array_equal(out.pixels[r, c], img.pixels[r, 7 - 1 - c])
-        out = flip(img, "vertical")
-        for r in range(4):
-            for c in range(7):
-                assert np.array_equal(out.pixels[r, c], img.pixels[4 - 1 - r, c])
-
-    def test_unknown_axis_rejected(self):
-        with pytest.raises(InvalidInputError):
-            flip(random_rgb(6), "diagonal")
+        config = AugmentConfig(**{**STILL, "flip_prob": 0.5})
+        seen = set()
+        for seed in range(8):
+            _, _, horizontal, vertical = draws(seed, config)
+            seen.add((horizontal, vertical))
+            want = np.empty_like(img.pixels)
+            for r in range(4):
+                for c in range(7):
+                    want[r, c] = img.pixels[4 - 1 - r if vertical else r, 7 - 1 - c if horizontal else c]
+            assert np.array_equal(augmented(img, seed, flip_prob=0.5), augmented(rgb(want), seed))
+        assert len(seen) == 4
 
 
 class TestPreprocess:
@@ -105,23 +104,23 @@ class TestPreprocess:
         img = random_rgb(7)
         for mode in ("train", "test"):
             out = preprocess(img, Scenario.RGB, mode)
-            assert np.array_equal(out.pixels, img.pixels)
+            assert np.array_equal(out, img.pixels)
 
     def test_hsv_gray_on_pure_red(self):
         out = preprocess(rgb([[[1.0, 0.0, 0.0]]]), Scenario.HSV_GRAY, "test")
-        assert np.allclose(out.pixels[0, 0], [0.0, 1.0, 1.0, 0.299])
+        assert np.allclose(out[0, 0], [0.0, 1.0, 1.0, 0.299])
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_channel_counts_match_scenario(self, scenario):
         img = random_rgb(8)
         out = preprocess(img, scenario, "test")
-        assert out.channels == scenario.input_channels
+        assert out.shape == (6, 5, scenario.input_channels) and out.dtype == np.float64
 
     def test_augmented_is_deterministic_under_seed(self):
         img = random_rgb(9)
         a = preprocess(img, Scenario.HSV_GRAY_AUG, "train", make_rng(123, 2))
         b = preprocess(img, Scenario.HSV_GRAY_AUG, "train", make_rng(123, 2))
-        assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_test_mode_consumes_zero_draws(self, scenario):
@@ -134,32 +133,31 @@ class TestPreprocess:
         img = random_rgb(11)
         a = preprocess(img, Scenario.HSV_GRAY_AUG, "test")
         b = preprocess(img, Scenario.HSV_GRAY, "test")
-        assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(a, b)
 
     def test_train_aug_without_rng_rejected(self):
         with pytest.raises(InvalidInputError):
             preprocess(random_rgb(12), Scenario.HSV_GRAY_AUG, "train")
 
     def test_non_rgb_input_rejected(self):
-        gray = RasterImage(np.zeros((2, 2, 1)), Colorspace.GRAY)
+        # the image type refuses one channel, so preprocess never sees it
         with pytest.raises(InvalidInputError):
-            preprocess(gray, Scenario.GRAY, "test")
+            preprocess(RasterImage(np.zeros((2, 2, 1))), Scenario.GRAY, "test")
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_augmented_output_stays_in_unit_range(self, seed):
         img = random_rgb(13)
         out = preprocess(img, Scenario.HSV_GRAY_AUG, "train", make_rng(seed, 2))
-        assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
-        assert out.channels == 4
+        assert out.min() >= 0.0 and out.max() <= 1.0
+        assert out.shape[2] == 4
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_flip_commutes_with_colorspace_conversion(self, seed):
-        img = rgb(np.random.default_rng(seed).random((4, 5, 3)))
-        a = rgb_to_hsv(flip(img, "horizontal"))
-        b = flip(rgb_to_hsv(img), "horizontal")
-        assert np.array_equal(a.pixels, b.pixels)
+        px = np.random.default_rng(seed).random((4, 5, 3))
+        for flip in (np.s_[:, ::-1], np.s_[::-1]):
+            assert np.array_equal(rgb_to_hsv_pixels(px[flip]), rgb_to_hsv_pixels(px)[flip])
 
     def test_batch_preprocess_shapes_and_determinism(self):
         images = np.random.default_rng(14).random((3, 8, 8, 3)).astype(np.float32)

@@ -88,20 +88,21 @@ class TestPipeline:
             "--labels_file", str(parts["labels_file"]),
         )
 
-    def train(self, capsys, tmp_path, parts, iterations=2):
+    def train(self, capsys, tmp_path, parts, iterations=2, out="model", resume=False):
+        resume_argv = ["--resume", str(tmp_path / out / "checkpoint.frck")] if resume else []
         return run(
             capsys, "train",
             "--records-dir", str(tmp_path / "records"),
             "--labels-file", str(parts["labels_file"]),
-            "--out", str(tmp_path / "model"),
+            "--out", str(tmp_path / out),
             "--scenario", "hsv_gray_aug",
             "--config-nr", "1",
             "--iterations", str(iterations),
             "--batch-size", "4",
             "--display-interval", "2",
             "--shuffle-capacity", "12",
-            "--shuffle-min-fill", "4",
             "--seed", "3",
+            *resume_argv,
         )
 
     def test_full_pipeline(self, corpus, capsys):
@@ -183,7 +184,6 @@ class TestPipeline:
             "--batch-size", "4",
             "--display-interval", "2",
             "--shuffle-capacity", "12",
-            "--shuffle-min-fill", "4",
             "--seed", "3",
             "--resume", str(tmp_path / "model" / "checkpoint.frck"),
         )
@@ -288,25 +288,48 @@ def test_ctrl_c_during_train_keeps_the_last_checkpoint_for_resume(corpus, capsys
     model = tmp_path / "model"
     assert sorted(p.name for p in model.iterdir()) == ["checkpoint.frck", "metrics.csv"]
     assert load_checkpoint(model / "checkpoint.frck").iteration == 4
-    assert len((model / "metrics.csv").read_text().splitlines()) == 3  # header and two rows
+    assert len((model / "metrics.csv").read_text().splitlines()) == 4  # header and three rows
 
-    code, _, _ = run(
-        capsys, "train",
-        "--records-dir", str(tmp_path / "records"),
-        "--labels-file", str(parts["labels_file"]),
-        "--out", str(model),
-        "--scenario", "hsv_gray_aug",
-        "--config-nr", "1",
-        "--iterations", "6",
-        "--batch-size", "4",
-        "--display-interval", "2",
-        "--shuffle-capacity", "12",
-        "--shuffle-min-fill", "4",
-        "--seed", "3",
-        "--resume", str(model / "checkpoint.frck"),
-    )
+    code, _, _ = pipeline.train(capsys, tmp_path, parts, iterations=6, resume=True)
     assert code == 0
     assert load_checkpoint(model / "checkpoint.frck").iteration == 6
+    # the row of iteration 6 that outran the interrupted save is written once
+    assert [ln.split(",")[0] for ln in (model / "metrics.csv").read_text().splitlines()[1:]] == ["2", "4", "6"]
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["after_the_row", "inside_the_row"])
+def test_ctrl_c_around_a_metrics_row_leaves_each_row_once_after_resume(corpus, capsys, monkeypatch, torn):
+    """A Ctrl-C after the row of iteration 10 is appended (before its save),
+    or after the first byte of that row: the resumed run's metrics.csv equals
+    an uninterrupted run's, byte for byte.  The torn row reads as iteration
+    1, which is not past the checkpoint: only its missing line break marks it."""
+    tmp_path, parts = corpus
+    pipeline = TestPipeline()
+    pipeline.build(capsys, tmp_path, parts)
+    assert pipeline.train(capsys, tmp_path, parts, iterations=10, out="whole")[0] == 0
+    real_append, rows = training._append_metrics, []
+
+    def append_then_interrupt(path, new_rows, fresh):
+        rows.extend(new_rows)
+        if len(rows) < 5:
+            return real_append(path, new_rows, fresh)
+        if torn:
+            with open(path, "a", newline="") as fh:
+                fh.write(str(new_rows[0][0])[:1])
+        else:
+            real_append(path, new_rows, fresh)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(training, "_append_metrics", append_then_interrupt)
+    model = tmp_path / "model"
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.train(capsys, tmp_path, parts, iterations=12)
+    monkeypatch.undo()
+    assert load_checkpoint(model / "checkpoint.frck").iteration == 8
+    assert (model / "metrics.csv").read_text().splitlines()[-1].startswith("1")
+
+    assert pipeline.train(capsys, tmp_path, parts, iterations=10, resume=True)[0] == 0
+    assert (model / "metrics.csv").read_bytes() == (tmp_path / "whole" / "metrics.csv").read_bytes()
 
 
 def test_other_train_failures_still_remove_a_fresh_run(corpus, capsys, monkeypatch):

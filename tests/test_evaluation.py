@@ -6,7 +6,7 @@ import pytest
 from fruitnet.augmentation import Scenario, preprocess
 from fruitnet.errors import ConfigurationError, InvalidInputError
 from fruitnet.evaluation import REFERENCE_TEST_ACCURACY, EvalReport, evaluate, predict_image
-from fruitnet.imaging import Colorspace, RasterImage, resize_bilinear
+from fruitnet.imaging import RasterImage, resize_bilinear
 from fruitnet.layers import softmax
 from fruitnet.network import NetworkConfig, forward, param_shapes
 from fruitnet.records import ExampleRecord, LabelMap, ShardSet, write_shard
@@ -84,8 +84,8 @@ class TestEvaluate:
         correct = 0
         mislabeled = {}
         for rec in records:
-            img = RasterImage(rec.pixels.astype(np.float64) / 255.0, Colorspace.RGB)
-            x = preprocess(img, Scenario.RGB, "test").pixels[None].astype(np.float32)
+            img = RasterImage(rec.pixels.astype(np.float64) / 255.0)
+            x = preprocess(img, Scenario.RGB, "test")[None].astype(np.float32)
             logits, _ = forward(ckpt.config, ckpt.params, x, 1.0)
             pick = int(np.argmax(logits[0]))
             if pick == rec.label:
@@ -137,29 +137,29 @@ class TestEvalReport:
 class TestPredictImage:
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(5)
-        img = RasterImage(rng.random((100, 100, 3)), Colorspace.RGB)
+        img = RasterImage(rng.random((100, 100, 3)))
         ckpt = random_checkpoint(9)
         prediction = predict_image(ckpt, img, Scenario.RGB)
-        x = preprocess(resize_bilinear(img, 100, 100), Scenario.RGB, "test").pixels[None].astype(np.float32)
+        x = preprocess(resize_bilinear(img, 100, 100), Scenario.RGB, "test")[None].astype(np.float32)
         logits, _ = forward(ckpt.config, ckpt.params, x, 1.0)
         probs = softmax(logits)[0]
         assert abs(probs.sum() - 1.0) < 1e-6
         assert prediction.probability == pytest.approx(float(probs.max()), abs=1e-9)
 
     def test_zero_weight_model_gives_uniform_probability(self):
-        img = RasterImage(np.random.default_rng(6).random((100, 100, 3)), Colorspace.RGB)
+        img = RasterImage(np.random.default_rng(6).random((100, 100, 3)))
         prediction = predict_image(zero_checkpoint(), img, Scenario.RGB)
         assert prediction.class_id == 0
         assert prediction.class_name == "nothing"
         assert prediction.probability == pytest.approx(1.0 / 3.0, abs=1e-7)
 
     def test_odd_sizes_are_resized(self):
-        img = RasterImage(np.random.default_rng(7).random((37, 160, 3)), Colorspace.RGB)
+        img = RasterImage(np.random.default_rng(7).random((37, 160, 3)))
         prediction = predict_image(random_checkpoint(10), img, Scenario.RGB)
         assert prediction.class_id in (0, 1, 2)
 
     def test_invariant_to_noop_resize(self):
-        img = RasterImage(np.random.default_rng(8).random((100, 100, 3)), Colorspace.RGB)
+        img = RasterImage(np.random.default_rng(8).random((100, 100, 3)))
         ckpt = random_checkpoint(11)
         a = predict_image(ckpt, img, Scenario.RGB)
         b = predict_image(ckpt, resize_bilinear(img, 100, 100), Scenario.RGB)
@@ -168,15 +168,15 @@ class TestPredictImage:
     def test_agrees_with_evaluate_on_same_record(self, tmp_path):
         rec = random_records(1, seed=9)[0]
         ckpt = random_checkpoint(12)
-        img = RasterImage(rec.pixels.astype(np.float64) / 255.0, Colorspace.RGB)
+        img = RasterImage(rec.pixels.astype(np.float64) / 255.0)
         prediction = predict_image(ckpt, img, Scenario.RGB)
         report = evaluate(ckpt, shard_records(tmp_path, [rec]), Scenario.RGB, log=None)
         assert (report.correct == 1) == (prediction.class_id == rec.label)
 
     def test_non_rgb_rejected(self):
-        hsv = RasterImage(np.zeros((10, 10, 3)), Colorspace.HSV)
+        # the image type refuses one channel, so predict_image never sees it
         with pytest.raises(InvalidInputError):
-            predict_image(zero_checkpoint(), hsv, Scenario.RGB)
+            predict_image(zero_checkpoint(), RasterImage(np.zeros((10, 10, 1))), Scenario.GRAY)
 
 
 def test_scenario_channel_checks_keep_their_messages(tmp_path):
@@ -184,7 +184,7 @@ def test_scenario_channel_checks_keep_their_messages(tmp_path):
     message = "scenario hsv_gray feeds 4 channels, checkpoint network expects 3"
     with pytest.raises(ConfigurationError, match=message):
         evaluate(zero_checkpoint(), shards, Scenario.HSV_GRAY, log=None)
-    img = RasterImage(np.zeros((10, 10, 3)), Colorspace.RGB)
+    img = RasterImage(np.zeros((10, 10, 3)))
     with pytest.raises(ConfigurationError, match=message):
         predict_image(zero_checkpoint(), img, Scenario.HSV_GRAY)
 

@@ -4,19 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fruitnet.errors import FormatError, InvalidInputError
+from fruitnet.augmentation import Scenario, preprocess
 from fruitnet.imaging import (
     BackgroundMask,
-    Colorspace,
     FloodFillParams,
     RasterImage,
-    concat_hsv_gray,
     flood_fill_background,
-    hsv_to_rgb,
+    hsv_to_rgb_pixels,
     read_ppm,
     remove_background,
     resize_bilinear,
-    rgb_to_gray,
-    rgb_to_hsv,
+    rgb_to_gray_pixels,
+    rgb_to_hsv_pixels,
     to_u8,
     write_ppm,
 )
@@ -25,7 +24,7 @@ from helpers import damage, floodfill_bfs_oracle
 
 
 def rgb(pixels) -> RasterImage:
-    return RasterImage(np.asarray(pixels, dtype=np.float64), Colorspace.RGB)
+    return RasterImage(np.asarray(pixels, dtype=np.float64))
 
 
 def random_rgb(rng, h, w) -> RasterImage:
@@ -35,15 +34,17 @@ def random_rgb(rng, h, w) -> RasterImage:
 class TestRasterImage:
     def test_empty_image_rejected(self):
         with pytest.raises(InvalidInputError):
-            RasterImage(np.zeros((0, 5, 3)), Colorspace.RGB)
+            RasterImage(np.zeros((0, 5, 3)))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError):
             rgb(np.full((2, 2, 3), 1.5))
 
     def test_channel_count_must_match_colorspace(self):
-        with pytest.raises(InvalidInputError):
-            RasterImage(np.zeros((2, 2, 3)), Colorspace.GRAY)
+        # the colorspace is RGB: three channels, no more, no fewer
+        for shape in ((2, 2, 1), (2, 2, 4), (2, 2)):
+            with pytest.raises(InvalidInputError):
+                RasterImage(np.zeros(shape))
 
 
 class TestFloodFill:
@@ -103,9 +104,9 @@ class TestFloodFill:
         assert (small <= large).all()
 
     def test_wrong_colorspace_rejected(self):
-        gray = RasterImage(np.zeros((2, 2, 1)), Colorspace.GRAY)
+        # the image type refuses one channel, so flood fill never sees it
         with pytest.raises(InvalidInputError):
-            flood_fill_background(gray, FloodFillParams(0.1))
+            flood_fill_background(RasterImage(np.zeros((2, 2, 1))), FloodFillParams(0.1))
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -155,17 +156,18 @@ class TestResize:
     def test_downscale_ramp_hits_corners(self):
         # corner alignment: a 4x4 -> 2x2 resize samples exactly the corners
         ramp = np.arange(16, dtype=np.float64).reshape(4, 4) / 15.0
-        img = RasterImage(ramp[..., None], Colorspace.GRAY)
+        img = rgb(np.repeat(ramp[..., None], 3, axis=2))
         out = resize_bilinear(img, 2, 2)
         expected = np.array([[ramp[0, 0], ramp[0, 3]], [ramp[3, 0], ramp[3, 3]]])
-        assert np.allclose(out.pixels[..., 0], expected, atol=1e-15)
+        for c in range(3):
+            assert np.allclose(out.pixels[..., c], expected, atol=1e-15)
 
     def test_midpoint_interpolation_matches_hand_formula(self):
         # 4x4 -> 3x3 puts the middle sample at source coordinate 1.5 on both
         # axes: the hand-evaluated bilinear value is the mean of the 4 center
         # pixels; edge-midpoints average 2 pixels
         ramp = (np.arange(4)[:, None] * 0.11 + np.arange(4)[None, :] * 0.023)
-        img = RasterImage(ramp[..., None], Colorspace.GRAY)
+        img = rgb(np.stack([ramp, 1.0 - ramp, ramp], axis=-1))
         out = resize_bilinear(img, 3, 3).pixels[..., 0]
         assert out[1, 1] == pytest.approx(ramp[1:3, 1:3].mean(), abs=1e-15)
         assert out[0, 1] == pytest.approx(ramp[0, 1:3].mean(), abs=1e-15)
@@ -182,87 +184,65 @@ class TestResize:
         rng = np.random.default_rng(seed)
         out = resize_bilinear(random_rgb(rng, 5, 6), oh, ow)
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
-        assert (out.height, out.width, out.channels) == (oh, ow, 3)
+        assert out.pixels.shape == (oh, ow, 3)
 
 
 class TestColorspaces:
     def test_pure_red_to_hsv(self):
-        out = rgb_to_hsv(rgb([[[1.0, 0.0, 0.0]]]))
-        assert np.allclose(out.pixels[0, 0], [0.0, 1.0, 1.0])
+        assert np.allclose(rgb_to_hsv_pixels(np.array([1.0, 0.0, 0.0])), [0.0, 1.0, 1.0])
 
     def test_achromatic_pixel(self):
-        out = rgb_to_hsv(rgb([[[0.5, 0.5, 0.5]]]))
-        assert np.allclose(out.pixels[0, 0], [0.0, 0.0, 0.5])
+        assert np.allclose(rgb_to_hsv_pixels(np.array([0.5, 0.5, 0.5])), [0.0, 0.0, 0.5])
 
     def test_hsv_red_back_to_rgb(self):
-        hsv = RasterImage(np.array([[[0.0, 1.0, 1.0]]]), Colorspace.HSV)
-        assert np.allclose(hsv_to_rgb(hsv).pixels[0, 0], [1.0, 0.0, 0.0])
+        assert np.allclose(hsv_to_rgb_pixels(np.array([0.0, 1.0, 1.0])), [1.0, 0.0, 0.0])
 
     def test_zero_saturation_ignores_hue(self):
-        hsv = RasterImage(np.array([[[0.73, 0.0, 0.4]]]), Colorspace.HSV)
-        assert np.allclose(hsv_to_rgb(hsv).pixels[0, 0], [0.4, 0.4, 0.4])
+        assert np.allclose(hsv_to_rgb_pixels(np.array([0.73, 0.0, 0.4])), [0.4, 0.4, 0.4])
 
     def test_round_trip_on_random_pixels(self):
-        rng = np.random.default_rng(11)
-        img = rgb(rng.random((10, 100, 3)))
-        back = hsv_to_rgb(rgb_to_hsv(img))
-        assert np.abs(back.pixels - img.pixels).max() < 1e-6
+        px = np.random.default_rng(11).random((10, 100, 3))
+        back = hsv_to_rgb_pixels(rgb_to_hsv_pixels(px))
+        assert np.abs(back - px).max() < 1e-6
 
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=200)
     def test_round_trip_per_pixel(self, r, g, b):
-        img = rgb([[[r, g, b]]])
-        back = hsv_to_rgb(rgb_to_hsv(img))
-        assert np.abs(back.pixels - img.pixels).max() < 1e-6
+        px = np.array([r, g, b])
+        assert np.abs(hsv_to_rgb_pixels(rgb_to_hsv_pixels(px)) - px).max() < 1e-6
 
     def test_gray_weights(self):
-        assert rgb_to_gray(rgb([[[1.0, 1.0, 1.0]]])).pixels[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert rgb_to_gray(rgb([[[1.0, 0.0, 0.0]]])).pixels[0, 0, 0] == 0.299
-        assert rgb_to_gray(rgb([[[0.0, 1.0, 0.0]]])).pixels[0, 0, 0] == 0.587
-
-    def test_conversions_reject_wrong_colorspace(self):
-        hsv = RasterImage(np.zeros((2, 2, 3)), Colorspace.HSV)
-        gray = RasterImage(np.zeros((2, 2, 1)), Colorspace.GRAY)
-        for fn, bad in ((rgb_to_hsv, hsv), (rgb_to_gray, hsv), (hsv_to_rgb, gray)):
-            with pytest.raises(InvalidInputError):
-                fn(bad)
+        assert rgb_to_gray_pixels(np.array([1.0, 1.0, 1.0]))[0] == pytest.approx(1.0, abs=1e-12)
+        assert rgb_to_gray_pixels(np.array([1.0, 0.0, 0.0]))[0] == 0.299
+        assert rgb_to_gray_pixels(np.array([0.0, 1.0, 0.0]))[0] == 0.587
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_conversions_preserve_size_and_range(self, seed):
-        rng = np.random.default_rng(seed)
-        img = random_rgb(rng, 5, 4)
-        for out in (rgb_to_hsv(img), rgb_to_gray(img)):
-            assert (out.height, out.width) == (5, 4)
-            assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+        px = np.random.default_rng(seed).random((5, 4, 3))
+        for out, depth in ((rgb_to_hsv_pixels(px), 3), (rgb_to_gray_pixels(px), 1)):
+            assert out.shape == (5, 4, depth)
+            assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 class TestConcat:
+    """The hsv_gray scenario: HSV with the luma appended as channel 3."""
+
     def test_red_pixel_composition(self):
-        red = rgb([[[1.0, 0.0, 0.0]]])
-        merged = concat_hsv_gray(rgb_to_hsv(red), rgb_to_gray(red))
-        assert np.allclose(merged.pixels[0, 0], [0.0, 1.0, 1.0, 0.299])
+        merged = preprocess(rgb([[[1.0, 0.0, 0.0]]]), Scenario.HSV_GRAY, "test")
+        assert np.allclose(merged[0, 0], [0.0, 1.0, 1.0, 0.299])
 
     def test_shapes_propagate(self):
         rng = np.random.default_rng(5)
-        img = random_rgb(rng, 100, 100)
-        merged = concat_hsv_gray(rgb_to_hsv(img), rgb_to_gray(img))
-        assert merged.pixels.shape == (100, 100, 4)
-        assert merged.colorspace is Colorspace.HSV_GRAY
+        merged = preprocess(random_rgb(rng, 100, 100), Scenario.HSV_GRAY, "test")
+        assert merged.shape == (100, 100, 4)
 
     def test_channel_projections_reproduce_inputs(self):
         rng = np.random.default_rng(6)
         img = random_rgb(rng, 7, 3)
-        hsv, gray = rgb_to_hsv(img), rgb_to_gray(img)
-        merged = concat_hsv_gray(hsv, gray)
-        assert np.array_equal(merged.pixels[..., :3], hsv.pixels)
-        assert np.array_equal(merged.pixels[..., 3:], gray.pixels)
-
-    def test_size_mismatch_rejected(self):
-        hsv = RasterImage(np.zeros((2, 2, 3)), Colorspace.HSV)
-        gray = RasterImage(np.zeros((3, 2, 1)), Colorspace.GRAY)
-        with pytest.raises(InvalidInputError):
-            concat_hsv_gray(hsv, gray)
+        merged = preprocess(img, Scenario.HSV_GRAY, "test")
+        assert np.array_equal(merged[..., :3], preprocess(img, Scenario.HSV, "test"))
+        assert np.array_equal(merged[..., 3:], preprocess(img, Scenario.GRAY, "test"))
 
 
 class TestPpm:
@@ -298,9 +278,10 @@ class TestPpm:
         assert "truncated" in str(err.value)
 
     def test_write_requires_rgb(self, tmp_path):
-        gray = RasterImage(np.zeros((2, 2, 1)), Colorspace.GRAY)
+        # the image type refuses one channel, so no PPM is written
         with pytest.raises(InvalidInputError):
-            write_ppm(gray, tmp_path / "g.ppm")
+            write_ppm(RasterImage(np.zeros((2, 2, 1))), tmp_path / "g.ppm")
+        assert not (tmp_path / "g.ppm").exists()
 
 
 @pytest.mark.parametrize("dims", [b"-5 -5", b"0 0", b"0 5"])
@@ -327,6 +308,5 @@ def test_damaged_ppm_is_a_format_error_or_a_valid_image(tmp_path_factory, data):
     except FormatError as err:
         assert err.path == path and 0 <= err.offset <= len(damaged)
         return
-    assert img.colorspace is Colorspace.RGB
     assert img.pixels.ndim == 3 and img.pixels.shape[2] == 3 and img.pixels.size > 0
     assert 0.0 <= img.pixels.min() and img.pixels.max() <= 1.0

@@ -90,7 +90,7 @@ def relu_before_pool_forward(cfg, params, x, keep_prob, rng):
     return logits, caches
 
 
-def relu_before_pool_backward(cfg, caches, grad_logits):
+def relu_before_pool_backward(caches, grad_logits):
     grads = {}
     g, grads["out_w"], grads["out_b"] = fc_backward(grad_logits, caches["out"])
     g = relu_backward(dropout_backward(g, caches["drop2"]), caches["relu_f2"])
@@ -126,8 +126,8 @@ def test_pool_before_relu_equals_relu_before_pool(h, w, keep_prob, seed):
     ref_logits, ref_caches = relu_before_pool_forward(cfg, params, x, keep_prob, make_rng(seed, 1))
     assert np.array_equal(logits, ref_logits)
     _, grad_logits = cross_entropy_loss(logits, labels)
-    grads = backward(cfg, caches, grad_logits)
-    ref_grads = relu_before_pool_backward(cfg, ref_caches, grad_logits)
+    grads = backward(caches, grad_logits)
+    ref_grads = relu_before_pool_backward(ref_caches, grad_logits)
     assert grads.keys() == ref_grads.keys()
     for name in grads:
         assert np.array_equal(grads[name], ref_grads[name]), name
@@ -145,7 +145,7 @@ def test_preset_one_memory_ceiling():
         logits, caches = forward(cfg, params, x)
         _, forward_peak = tracemalloc.get_traced_memory()
         _, grad_logits = cross_entropy_loss(logits, labels)
-        backward(cfg, caches, grad_logits)
+        backward(caches, grad_logits)
         _, total_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

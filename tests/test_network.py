@@ -149,7 +149,7 @@ class TestEndToEndGradients:
         for key in ("relu_c1", "relu_c2", "relu_c3", "relu_c4", "relu_f1", "relu_f2"):
             assert np.abs(caches[key]).min() > 1e-3, f"{key} too close to its kink"
         _, grad_logits = cross_entropy_loss(logits, labels)
-        grads = backward(cfg, caches, grad_logits)
+        grads = backward(caches, grad_logits)
 
         def loss():
             lgts, _ = forward(cfg, params, x, 1.0)

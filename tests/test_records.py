@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fruitnet.errors import ConfigurationError, FormatError, InvalidInputError
-from fruitnet.imaging import Colorspace, RasterImage, write_ppm
+from fruitnet.imaging import RasterImage, write_ppm
 from fruitnet.records import (
     ExampleRecord,
     LabelMap,
@@ -132,7 +132,7 @@ class TestBuildShards:
                 d = tmp_path / split / cname
                 d.mkdir(parents=True)
                 for k in range(per_class):
-                    img = RasterImage(rng.random((side, side, 3)), Colorspace.RGB)
+                    img = RasterImage(rng.random((side, side, 3)))
                     write_ppm(img, d / f"{k}.ppm")
         return tmp_path / "Training", tmp_path / "Test", labels_file
 
@@ -154,7 +154,7 @@ class TestBuildShards:
 
     def test_non_square_images_are_resized(self, tmp_path):
         train_dir, test_dir, labels_file = self.corpus(tmp_path, per_class=1)
-        odd = RasterImage(np.random.default_rng(1).random((40, 60, 3)), Colorspace.RGB)
+        odd = RasterImage(np.random.default_rng(1).random((40, 60, 3)))
         write_ppm(odd, train_dir / "alpha" / "odd.ppm")
         train_set, _ = build_shards(train_dir, test_dir, labels_file, tmp_path / "out")
         for rec in read_examples(train_set):
@@ -164,7 +164,7 @@ class TestBuildShards:
         train_dir, test_dir, labels_file = self.corpus(tmp_path)
         (train_dir / "mystery").mkdir()
         write_ppm(
-            RasterImage(np.zeros((100, 100, 3)), Colorspace.RGB), train_dir / "mystery" / "0.ppm"
+            RasterImage(np.zeros((100, 100, 3))), train_dir / "mystery" / "0.ppm"
         )
         with pytest.raises(InvalidInputError, match="mystery"):
             build_shards(train_dir, test_dir, labels_file, tmp_path / "out")
@@ -198,7 +198,7 @@ class TestShuffleBatches:
         records = make_records(9, seed=11)
         shards = shard_of(tmp_path, records)
         out = []
-        for _, labels in shuffle_batches(read_examples(shards), 2, ShuffleParams(capacity=1, min_fill=0, seed=0)):
+        for _, labels in shuffle_batches(read_examples(shards), 2, ShuffleParams(capacity=1, seed=0)):
             out.extend(labels.tolist())
         assert out == [r.label for r in records]
 
@@ -206,13 +206,13 @@ class TestShuffleBatches:
         records = make_records(57, seed=12)
         shards = shard_of(tmp_path, records)
         seen = []
-        for _, labels in shuffle_batches(read_examples(shards), 10, ShuffleParams(capacity=20, min_fill=5, seed=3)):
+        for _, labels in shuffle_batches(read_examples(shards), 10, ShuffleParams(capacity=20, seed=3)):
             seen.extend(labels.tolist())
         assert Counter(seen) == Counter(r.label for r in records)
 
     def test_equal_seeds_reproduce_batches(self, tmp_path):
         shards = shard_of(tmp_path, make_records(40, seed=13))
-        params = ShuffleParams(capacity=16, min_fill=4, seed=77)
+        params = ShuffleParams(capacity=16, seed=77)
         a = [lbl.tolist() for _, lbl in shuffle_batches(read_examples(shards), 8, params)]
         b = [lbl.tolist() for _, lbl in shuffle_batches(read_examples(shards), 8, params)]
         assert a == b
@@ -223,20 +223,18 @@ class TestShuffleBatches:
         shards = shard_of(tmp_path, records)
         seq = {}
         for seed in (0, 1):
-            params = ShuffleParams(capacity=50, min_fill=10, seed=seed)
+            params = ShuffleParams(capacity=50, seed=seed)
             seq[seed] = [l for _, lbl in shuffle_batches(read_examples(shards), 12, params) for l in lbl]
         assert seq[0] != seq[1]
 
     def test_final_partial_batch_allowed(self, tmp_path):
         shards = shard_of(tmp_path, make_records(7, seed=15))
-        sizes = [len(lbl) for _, lbl in shuffle_batches(read_examples(shards), 3, ShuffleParams(capacity=4, seed=0, min_fill=2))]
+        sizes = [len(lbl) for _, lbl in shuffle_batches(read_examples(shards), 3, ShuffleParams(capacity=4, seed=0))]
         assert sizes == [3, 3, 1]
 
     def test_invalid_params_rejected(self):
         with pytest.raises(InvalidInputError):
             ShuffleParams(capacity=0)
-        with pytest.raises(InvalidInputError):
-            ShuffleParams(capacity=5, min_fill=9)
         with pytest.raises(InvalidInputError):
             next(shuffle_batches(iter(()), 0, ShuffleParams()))
 
@@ -383,7 +381,7 @@ def test_version_1_shard_names_the_rebuild_command(tmp_path):
 def test_shuffle_buffer_over_cycled_records_holds_references(tmp_path):
     # 1,000 slots from a 10-record shard: copies would take 30 MB of pixels
     shards = shard_of(tmp_path, make_records(10, seed=33))
-    params = ShuffleParams(capacity=1000, min_fill=1000, seed=0)
+    params = ShuffleParams(capacity=1000, seed=0)
     tracemalloc.start()
     try:
         next(shuffle_batches(cycle_records(shards), 1, params))
@@ -407,7 +405,7 @@ def test_train_batch_stream_matches_the_pinned_digest(tmp_path):
     write_shard(a, records[:6])
     write_shard(b, records[6:])
     shards = ShardSet(paths=(a, b), split="train", count=10)
-    stream = shuffle_batches(cycle_records(shards), 4, ShuffleParams(capacity=25, min_fill=5, seed=7))
+    stream = shuffle_batches(cycle_records(shards), 4, ShuffleParams(capacity=25, seed=7))
     digest = hashlib.sha256()
     for images, labels in itertools.islice(stream, 8):
         digest.update(images.tobytes())

@@ -55,7 +55,6 @@ def tiny_cfg(iterations, seed=5, **kw) -> TrainConfig:
         display_interval=2,
         seed=seed,
         shuffle_capacity=8,
-        shuffle_min_fill=2,
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -324,7 +323,7 @@ class TestLossDescent:
                 logits, caches = forward(cfg, params, x, 1.0)
                 loss, grad = cross_entropy_loss(logits, labels)
                 losses.append(loss)
-                params, state = adam_step(params, backward(cfg, caches, grad), state, lr=0.001)
+                params, state = adam_step(params, backward(caches, grad), state, lr=0.001)
             if (np.diff(losses) <= 1e-12).all():
                 monotone += 1
             assert losses[-1] < losses[0], f"seed {seed} did not descend at all"
