@@ -76,25 +76,47 @@ def _jitter(px: np.ndarray, delta: float, factor: float) -> np.ndarray:
     return hsv_to_rgb_pixels(hsv)
 
 
-def _pipeline(px: np.ndarray, scenario: Scenario, mode: str, rng: RngStream | None, config: AugmentConfig):
-    """One scenario on a float64 RGB array (h, w, 3); returns (h, w, channels)."""
+def augment_draws(scenario: Scenario, mode: str, rng: RngStream | np.ndarray | None, n: int) -> np.ndarray | None:
+    """The random draws that preprocessing n images takes: one (n, 4) block
+    of uniforms in [0, 1), per image hue, saturation, horizontal flip,
+    vertical flip.  None, drawing nothing, when the pipeline is not random.
+    A block drawn before may stand in for rng; it is checked and returned.
+
+    Row i holds what the per-image sequence uniform, uniform, random, random
+    would draw for image i, and rng ends in the same state.
+    """
     if mode not in ("train", "test"):
         raise InvalidInputError(f"mode must be 'train' or 'test', got {mode!r}")
+    if scenario is not Scenario.HSV_GRAY_AUG or mode == "test":
+        return None
+    if rng is None:
+        raise InvalidInputError("train-mode hsv_gray_aug preprocessing needs an rng")
+    if not isinstance(rng, np.ndarray):
+        return rng.random((n, 4))
+    if rng.shape != (n, 4):
+        raise InvalidInputError(f"need ({n}, 4) augment draws, got shape {rng.shape}")
+    return rng
+
+
+def _pipeline(px: np.ndarray, scenario: Scenario, draws: np.ndarray | None, config: AugmentConfig):
+    """One scenario on a float64 RGB array (h, w, 3); returns (h, w, channels).
+    draws is the image's row of augment_draws, None in test mode."""
     if scenario is Scenario.GRAY:
         return rgb_to_gray_pixels(px)
     if scenario is Scenario.RGB:
         return px
     if scenario is Scenario.HSV:
         return rgb_to_hsv_pixels(px)
-    if scenario is Scenario.HSV_GRAY_AUG and mode == "train":
-        if rng is None:
-            raise InvalidInputError("train-mode hsv_gray_aug preprocessing needs an rng")
-        delta = rng.uniform(-config.hue_max_delta, config.hue_max_delta)
-        factor = rng.uniform(config.sat_lower, config.sat_upper)
+    if draws is not None:
+        u_hue, u_sat, u_hflip, u_vflip = draws
+        # low + (high - low) * u, as Generator.uniform computes it
+        low, high = -config.hue_max_delta, config.hue_max_delta
+        delta = low + (high - low) * u_hue
+        factor = config.sat_lower + (config.sat_upper - config.sat_lower) * u_sat
         # flips commute with per-pixel operations, so they can come first, as views
-        if rng.random() < config.flip_prob:
+        if u_hflip < config.flip_prob:
             px = px[:, ::-1]
-        if rng.random() < config.flip_prob:
+        if u_vflip < config.flip_prob:
             px = px[::-1]
         px = _jitter(px, delta, factor)
     return np.concatenate([rgb_to_hsv_pixels(px), rgb_to_gray_pixels(px)], axis=-1)
@@ -113,29 +135,33 @@ def preprocess(
     Only HSV_GRAY_AUG in train mode is random; its draw order is fixed as
     hue, saturation, horizontal flip, vertical flip so that equal seeds give
     equal outputs.  In test mode it degenerates to the HSV_GRAY pipeline.
-    For the RGB scenario the result is img.pixels itself, not a copy.
+    For the RGB scenario the result is img.pixels itself, which is read-only.
     """
-    return _pipeline(img.pixels, scenario, mode, rng, config)
+    draws = augment_draws(scenario, mode, rng, 1)
+    return _pipeline(img.pixels, scenario, None if draws is None else draws[0], config)
 
 
 def preprocess_batch(
     images: np.ndarray,
     scenario: Scenario,
     mode: str,
-    rng: RngStream | None = None,
+    rng: RngStream | np.ndarray | None = None,
     config: AugmentConfig = DEFAULT_AUGMENT,
 ) -> np.ndarray:
     """Preprocess a float RGB batch (b, h, w, 3) into (b, h, w, scenario channels).
 
-    Images are processed in batch order with a single rng, so the result is a
-    deterministic function of (batch, scenario, mode, rng state).
+    rng draws the batch's augment_draws block, so the result is a
+    deterministic function of (batch, scenario, mode, rng state).  In its
+    place the (b, 4) block may be given, which is how a batch slice runs
+    with its rows of the whole batch's draws.
     """
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[3] != 3 or 0 in images.shape[1:3]:
         raise InvalidInputError(f"batch must be (b, h, w, 3) with h, w >= 1, got shape {images.shape}")
     check_unit_range(images)
     b, h, w, _ = images.shape
+    draws = augment_draws(scenario, mode, rng, b)
     out = np.empty((b, h, w, scenario.input_channels), dtype=np.float32)
     for i in range(b):
-        out[i] = _pipeline(images[i].astype(np.float64), scenario, mode, rng, config)
+        out[i] = _pipeline(images[i].astype(np.float64), scenario, None if draws is None else draws[i], config)
     return out

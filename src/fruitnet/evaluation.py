@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import batch_slices, slice_workers
 from .augmentation import Scenario, preprocess, preprocess_batch
 from .errors import ConfigurationError
 from .imaging import RasterImage, resize_bilinear
@@ -79,28 +80,35 @@ def evaluate(
     log=print,
 ) -> EvalReport:
     """Classify every record once (sequential batches, keep_prob 1, test-mode
-    preprocessing) and tally accuracy plus per-class mislabel counts."""
+    preprocessing) and tally accuracy plus per-class mislabel counts.  Each
+    batch runs as two slices on the worker threads, with BLAS at one thread
+    until evaluate returns."""
     check_channels(scenario, ckpt.config, "checkpoint network")
     total = 0
     correct = 0
     mislabeled: dict = {}
-    for images, labels in sequential_batches(read_examples(shards), batch_size):
-        if labels.max() >= ckpt.config.num_classes:
-            n = ckpt.config.num_classes
-            raise ConfigurationError(f"shard label {labels.max()} is out of range for a {n}-class checkpoint")
+
+    def logits_of(images):
         x = preprocess_batch(images, scenario, "test")
-        logits, _ = forward(ckpt.config, ckpt.params, x, keep_prob=1.0)
-        picks = np.argmax(logits, axis=1)  # lowest index wins on ties
-        for pick, truth in zip(picks, labels):
-            total += 1
-            if pick == truth:
-                correct += 1
-            else:
-                name = ckpt.labels.name_of(int(truth))
-                mislabeled[name] = mislabeled.get(name, 0) + 1
-        if log is not None:
-            running = correct / total
-            log(f"evaluated {total} images, running accuracy {running:.4f}")
+        return forward(ckpt.config, ckpt.params, x, keep_prob=1.0)[0]
+
+    with slice_workers() as run:
+        for images, labels in sequential_batches(read_examples(shards), batch_size):
+            if labels.max() >= ckpt.config.num_classes:
+                n = ckpt.config.num_classes
+                raise ConfigurationError(f"shard label {labels.max()} is out of range for a {n}-class checkpoint")
+            logits = np.concatenate(run(logits_of, [images[rows] for rows in batch_slices(len(images))]))
+            picks = np.argmax(logits, axis=1)  # lowest index wins on ties
+            for pick, truth in zip(picks, labels):
+                total += 1
+                if pick == truth:
+                    correct += 1
+                else:
+                    name = ckpt.labels.name_of(int(truth))
+                    mislabeled[name] = mislabeled.get(name, 0) + 1
+            if log is not None:
+                running = correct / total
+                log(f"evaluated {total} images, running accuracy {running:.4f}")
     accuracy = correct / total if total else 0.0
     return EvalReport(total_images=total, correct=correct, accuracy=accuracy, mislabeled=mislabeled)
 

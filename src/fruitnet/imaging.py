@@ -35,12 +35,16 @@ def check_unit_range(px: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class RasterImage:
-    """RGB image with shape (height, width, 3), float64 values in [0, 1]."""
+    """RGB image with shape (height, width, 3), float64 values in [0, 1].
+
+    The pixels are a read-only copy of what the image was made from, so no
+    later write can break the range checked here."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
+        px = np.array(self.pixels, dtype=np.float64)
+        px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
         if px.ndim != 3 or px.shape[2] != 3:
             raise InvalidInputError(f"pixels must be (height, width, 3), got shape {px.shape}")

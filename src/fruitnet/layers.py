@@ -139,17 +139,36 @@ def relu_backward(grad_y: Tensor, cache: Tensor) -> Tensor:
     return grad_y * (cache > 0)
 
 
-def dropout(x: Tensor, keep_prob: float, rng: RngStream | None = None) -> tuple:
-    """Zero each element with probability 1 - keep_prob, scale survivors by
-    1 / keep_prob.  keep_prob = 1 is an exact identity and draws nothing."""
+def _check_keep_prob(keep_prob: float) -> None:
     if not 0.0 < keep_prob <= 1.0:
         raise InvalidInputError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    x = np.asarray(x)
+
+
+def dropout_mask(shape: tuple, keep_prob: float, rng: RngStream | None) -> Tensor | None:
+    """Keep mask of the given shape: each element True with probability
+    keep_prob.  keep_prob = 1 gives None and draws nothing."""
+    _check_keep_prob(keep_prob)
     if keep_prob == 1.0:
-        return x, (None, 1.0)
+        return None
     if rng is None:
         raise InvalidInputError("dropout with keep_prob < 1 needs an rng")
-    mask = rng.random(x.shape) < keep_prob
+    return rng.random(shape) < keep_prob
+
+
+def dropout(x: Tensor, keep_prob: float, rng: RngStream | None = None, mask: Tensor | None = None) -> tuple:
+    """Zero each element with probability 1 - keep_prob, scale survivors by
+    1 / keep_prob.  keep_prob = 1 is an exact identity and draws nothing.
+
+    The keep mask is drawn from rng (see dropout_mask) unless it is given.
+    """
+    _check_keep_prob(keep_prob)
+    x = np.asarray(x)
+    if mask is None:
+        mask = dropout_mask(x.shape, keep_prob, rng)
+    elif mask.shape != x.shape:
+        raise ShapeError(f"dropout mask {mask.shape} does not match x {x.shape}")
+    if mask is None:
+        return x, (None, 1.0)
     y = (x * mask) / x.dtype.type(keep_prob)
     return y, (mask, keep_prob)
 

@@ -21,6 +21,7 @@ from .layers import (
     conv2d_forward,
     dropout,
     dropout_backward,
+    dropout_mask,
     fc_backward,
     fc_forward,
     maxpool_backward,
@@ -140,22 +141,36 @@ def init_params(cfg: NetworkConfig, rng: RngStream, dtype=np.float32) -> Params:
     return params
 
 
+def dropout_masks(cfg: NetworkConfig, batch: int, keep_prob: float, rng: RngStream | None) -> tuple:
+    """Keep masks of both dropout layers for a batch, drawn from rng in the
+    order forward applies them: drop1, then drop2.  At keep_prob 1 both are
+    None and nothing is drawn."""
+    return (
+        dropout_mask((batch, cfg.fc_sizes[0]), keep_prob, rng),
+        dropout_mask((batch, cfg.fc_sizes[1]), keep_prob, rng),
+    )
+
+
 def forward(
     cfg: NetworkConfig,
     params: Params,
     x: Tensor,
     keep_prob: float = 1.0,
-    rng: RngStream | None = None,
+    rng: RngStream | tuple | None = None,
 ) -> tuple:
     """Run the network; returns (logits, caches) for a later backward pass.
 
     Dropout is applied after each dense layer only; the class head emits raw
-    logits (softmax happens in the loss or in prediction).
+    logits (softmax happens in the loss or in prediction).  rng draws both
+    dropout masks for the batch (see dropout_masks); in its place a pair of
+    masks may be given, which is how a batch slice runs with its rows of the
+    whole batch's masks.
     """
     x = np.asarray(x)
     expected = (cfg.input_height, cfg.input_width, cfg.input_channels)
     if x.ndim != 4 or x.shape[1:] != expected:
         raise ShapeError(f"input {x.shape} does not match (batch, {expected[0]}, {expected[1]}, {expected[2]})")
+    mask1, mask2 = rng if isinstance(rng, tuple) else dropout_masks(cfg, x.shape[0], keep_prob, rng)
 
     caches = {}
     h = x
@@ -169,10 +184,10 @@ def forward(
 
     h, caches["fc1"] = fc_forward(h, params["fc1_w"], params["fc1_b"])
     h, caches["relu_f1"] = relu(h)
-    h, caches["drop1"] = dropout(h, keep_prob, rng)
+    h, caches["drop1"] = dropout(h, keep_prob, mask=mask1)
     h, caches["fc2"] = fc_forward(h, params["fc2_w"], params["fc2_b"])
     h, caches["relu_f2"] = relu(h)
-    h, caches["drop2"] = dropout(h, keep_prob, rng)
+    h, caches["drop2"] = dropout(h, keep_prob, mask=mask2)
     logits, caches["out"] = fc_forward(h, params["out_w"], params["out_b"])
     return logits, caches
 

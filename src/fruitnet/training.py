@@ -20,6 +20,7 @@ from (seed, iteration) and the shuffled batch stream is replayed up to the
 checkpoint's iteration counter.
 """
 
+import copy
 import csv
 import math
 import os
@@ -30,10 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .augmentation import AugmentConfig, Scenario, preprocess_batch
+from ._parallel import batch_slices, slice_workers
+from .augmentation import AugmentConfig, Scenario, augment_draws, preprocess_batch
 from .errors import ConfigurationError, FormatError, InvalidInputError, ShapeError, TrainingDivergedError
 from .layers import Tensor, cross_entropy_loss
-from .network import NetworkConfig, Params, backward, forward, init_params, param_shapes
+from .network import NetworkConfig, Params, backward, dropout_masks, forward, init_params, param_shapes
 from .records import LabelMap, ShardSet, ShuffleParams, cycle_records, shuffle_batches
 from .seeding import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_INIT, make_rng
 
@@ -41,6 +43,7 @@ CHECKPOINT_MAGIC = b"FRCK"
 CHECKPOINT_VERSION = 1
 CHECKPOINT_NAME = "checkpoint.frck"
 METRICS_NAME = "metrics.csv"
+_ADAM_BLOCK = 1 << 15  # elements per block of the in-place Adam update
 
 
 @dataclass(frozen=True)
@@ -114,26 +117,43 @@ def update_learning_rate(acc: float, lr_initial: float = 0.001, lr_final: float 
 
 
 def adam_step(params: Params, grads: Params, state: AdamState, lr: float) -> tuple:
-    """One bias-corrected Adam update; returns new params and state."""
+    """One bias-corrected Adam update, made in place: the params and the
+    state's moments are overwritten and returned (params, state).  Every
+    shape is checked before anything is written."""
     if params.keys() != grads.keys():
         raise ShapeError(f"param/grad keys differ: {sorted(params)} vs {sorted(grads)}")
-    t = state.t + 1
-    corr1 = 1.0 - state.beta1**t
-    corr2 = 1.0 - state.beta2**t
-    new_p, new_m, new_v = {}, {}, {}
     for key, p in params.items():
-        g = grads[key]
-        if g.shape != p.shape:
-            raise ShapeError(f"grad {key} has shape {g.shape}, param has {p.shape}")
-        dt = p.dtype.type
-        m = dt(state.beta1) * state.m[key] + dt(1.0 - state.beta1) * g
-        v = dt(state.beta2) * state.v[key] + dt(1.0 - state.beta2) * (g * g)
-        m_hat = m / dt(corr1)
-        v_hat = v / dt(corr2)
-        new_p[key] = p - dt(lr) * m_hat / (np.sqrt(v_hat) + dt(state.eps))
-        new_m[key] = m
-        new_v[key] = v
-    return new_p, AdamState(m=new_m, v=new_v, t=t, beta1=state.beta1, beta2=state.beta2, eps=state.eps)
+        if grads[key].shape != p.shape:
+            raise ShapeError(f"grad {key} has shape {grads[key].shape}, param has {p.shape}")
+    state.t += 1
+    corr1 = 1.0 - state.beta1**state.t
+    corr2 = 1.0 - state.beta2**state.t
+    for key, param in params.items():
+        dt = param.dtype.type
+        b1, b2, c1, c2 = dt(state.beta1), dt(state.beta2), dt(1.0 - state.beta1), dt(1.0 - state.beta2)
+        # blocks of leading-axis rows, so the temporaries stay in cache
+        rows = max(1, _ADAM_BLOCK * len(param) // max(1, param.size))
+        for at in range(0, len(param), rows):
+            block = slice(at, at + rows)
+            p, g, m, v = param[block], grads[key][block], state.m[key][block], state.v[key][block]
+            # the operations, in the order, of
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            # p = p - lr (m / corr1) / (sqrt(v / corr2) + eps)
+            step = np.multiply(g, c1)
+            m *= b1
+            m += step
+            np.multiply(g, g, out=step)
+            step *= c2
+            v *= b2
+            v += step
+            denom = np.divide(v, dt(corr2))
+            np.sqrt(denom, out=denom)
+            denom += dt(state.eps)
+            np.divide(m, dt(corr1), out=step)
+            step *= dt(lr)
+            step /= denom
+            p -= step
+    return params, state
 
 
 def batch_accuracy(logits: Tensor, labels: Tensor) -> float:
@@ -317,6 +337,14 @@ def _keep_metrics_up_to(path: Path, iteration: int):
     os.replace(tmp, path)
 
 
+def _rows(draws, rows):
+    """Rows of a batch's random draws for one slice: of an array, of each
+    array in a tuple, or None."""
+    if isinstance(draws, tuple):
+        return tuple(_rows(d, rows) for d in draws)
+    return None if draws is None else draws[rows]
+
+
 def train(
     cfg: TrainConfig,
     shards: ShardSet,
@@ -329,7 +357,9 @@ def train(
 
     Each iteration draws a shuffled batch, preprocesses it in train mode,
     runs forward/backward at the configured keep_prob and applies one Adam
-    step.  Every display_interval iterations the current batch is re-scored
+    step.  The batch runs as two fixed slices on the worker threads, with
+    BLAS at one thread until train returns: one loss over the joined
+    logits, one backward pass per slice, gradients summed in slice order.  Every display_interval iterations the current batch is re-scored
     at keep_prob 1, the learning rate is re-derived from that accuracy, a
     metrics row is appended and a checkpoint is persisted.  A resumed run
     first drops the metrics rows past its checkpoint.
@@ -360,8 +390,9 @@ def train(
             raise ConfigurationError(
                 f"checkpoint is at iteration {resume_from.iteration}, past the configured {cfg.iterations}"
             )
-        params = resume_from.params
-        adam = resume_from.adam
+        # adam_step works in place; the caller's checkpoint stays as it was
+        params = copy.deepcopy(resume_from.params)
+        adam = copy.deepcopy(resume_from.adam)
         lr = resume_from.learning_rate
         start = resume_from.iteration
         for _ in range(start):  # replay the batch stream to the saved position
@@ -374,32 +405,43 @@ def train(
         start = 0
         _append_metrics(metrics_path, [], fresh=True)
 
-    tick = time.time()
-    for i in range(start + 1, cfg.iterations + 1):
-        images, batch_labels = next(stream)
-        x = preprocess_batch(
-            images, cfg.scenario, "train", make_rng(cfg.seed, STREAM_AUGMENT, i), cfg.augment
-        )
-        logits, caches = forward(cfg.net, params, x, cfg.keep_prob, make_rng(cfg.seed, STREAM_DROPOUT, i))
-        loss, grad_logits = cross_entropy_loss(logits, batch_labels)
-        if not math.isfinite(loss):
-            raise TrainingDivergedError(iteration=i, loss=loss)
-        grads = backward(caches, grad_logits)
-        params, adam = adam_step(params, grads, adam, lr)
+    tick = time.perf_counter()
+    with slice_workers() as run:
+        for i in range(start + 1, cfg.iterations + 1):
+            images, batch_labels = next(stream)
+            n = len(images)
+            draws = augment_draws(cfg.scenario, "train", make_rng(cfg.seed, STREAM_AUGMENT, i), n)
+            masks = dropout_masks(cfg.net, n, cfg.keep_prob, make_rng(cfg.seed, STREAM_DROPOUT, i))
 
-        if i % cfg.display_interval == 0:
-            eval_logits, _ = forward(cfg.net, params, x, keep_prob=1.0)
-            eval_loss, _ = cross_entropy_loss(eval_logits, batch_labels)
-            acc = batch_accuracy(eval_logits, batch_labels)
-            lr = update_learning_rate(acc, cfg.lr_initial, cfg.lr_final)
-            # the row goes first: a Ctrl-C before the save completes leaves a
-            # row past the checkpoint, which a resume drops and writes again
-            _append_metrics(metrics_path, [[i, f"{eval_loss:.6f}", f"{acc:.6f}", f"{lr:.8f}"]], fresh=False)
-            save_checkpoint(Checkpoint(cfg.net, params, adam, i, lr, labels), ckpt_path)
-            if log is not None:
-                dt = time.time() - tick
-                log(f"iteration {i}: loss {eval_loss:.4f}, batch accuracy {acc:.4f}, lr {lr:.6f} ({dt:.1f}s)")
-                tick = time.time()
+            def forward_slice(rows):
+                x = preprocess_batch(images[rows], cfg.scenario, "train", _rows(draws, rows), cfg.augment)
+                logits, caches = forward(cfg.net, params, x, cfg.keep_prob, _rows(masks, rows))
+                return x, logits, caches
+
+            slices = batch_slices(n)
+            xs, logits, caches = zip(*run(forward_slice, slices))
+            loss, grad_logits = cross_entropy_loss(np.concatenate(logits), batch_labels)
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(iteration=i, loss=loss)
+            grads, *rest = run(lambda rows, cache: backward(cache, grad_logits[rows]), slices, caches)
+            for more in rest:  # in slice order, so the sum does not depend on the workers
+                for key in grads:
+                    grads[key] += more[key]
+            params, adam = adam_step(params, grads, adam, lr)
+
+            if i % cfg.display_interval == 0:
+                eval_logits = np.concatenate(run(lambda x: forward(cfg.net, params, x, keep_prob=1.0)[0], xs))
+                eval_loss, _ = cross_entropy_loss(eval_logits, batch_labels)
+                acc = batch_accuracy(eval_logits, batch_labels)
+                lr = update_learning_rate(acc, cfg.lr_initial, cfg.lr_final)
+                # the row goes first: a Ctrl-C before the save completes leaves a
+                # row past the checkpoint, which a resume drops and writes again
+                _append_metrics(metrics_path, [[i, f"{eval_loss:.6f}", f"{acc:.6f}", f"{lr:.8f}"]], fresh=False)
+                save_checkpoint(Checkpoint(cfg.net, params, adam, i, lr, labels), ckpt_path)
+                if log is not None:
+                    dt = time.perf_counter() - tick
+                    log(f"iteration {i}: loss {eval_loss:.4f}, batch accuracy {acc:.4f}, lr {lr:.6f} ({dt:.1f}s)")
+                    tick = time.perf_counter()
 
     final = Checkpoint(cfg.net, params, adam, cfg.iterations, lr, labels)
     save_checkpoint(final, ckpt_path)

@@ -46,6 +46,18 @@ class TestRasterImage:
             with pytest.raises(InvalidInputError):
                 RasterImage(np.zeros(shape))
 
+    def test_pixels_are_a_read_only_copy(self):
+        source = np.full((2, 3, 3), 0.5)
+        img = RasterImage(source)
+        source[0, 0, 0] = 2.0  # the caller's array stays the caller's
+        assert not np.shares_memory(img.pixels, source)
+        out = preprocess(img, Scenario.RGB, "test")  # the RGB scenario hands out img.pixels
+        with pytest.raises(ValueError):
+            out[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            img.pixels[0, 0, 0] = 2.0
+        assert (img.pixels == 0.5).all()
+
 
 class TestFloodFill:
     def test_uniform_image_fully_marked(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fruitnet.augmentation import AugmentConfig, Scenario, preprocess, preprocess_batch
+from fruitnet.augmentation import AugmentConfig, Scenario, augment_draws, preprocess, preprocess_batch
 from fruitnet.errors import InvalidInputError
 from fruitnet.imaging import RasterImage
 from fruitnet.seeding import make_rng
@@ -52,6 +52,41 @@ def test_batched_augmentation_matches_per_image_oracle(seed, b, h, w, hue_max_de
     hue_gap = np.abs(got[..., 0] - want[..., 0]) % 1.0
     assert np.minimum(hue_gap, 1.0 - hue_gap).max() < 1e-6
     assert np.abs(got[..., 1:] - want[..., 1:]).max() < 1e-6
+
+
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    n=st.integers(1, 64),
+    hue_max_delta=st.floats(0.0, 0.5),
+    sat=st.tuples(st.floats(1e-3, 10.0), st.floats(0.0, 10.0)),
+    flip_prob=st.floats(0.0, 1.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_block_draw_equals_the_per_image_draw_sequence(seed, n, hue_max_delta, sat, flip_prob):
+    config = AugmentConfig(hue_max_delta, sat[0], sat[0] + sat[1], flip_prob)
+    rng, per_image = make_rng(seed, 2), make_rng(seed, 2)
+    block = augment_draws(Scenario.HSV_GRAY_AUG, "train", rng, n)
+    assert block.shape == (n, 4)
+    low, high = -config.hue_max_delta, config.hue_max_delta
+    for u_hue, u_sat, u_hflip, u_vflip in block:
+        # the mapping the pipeline applies to each row
+        assert low + (high - low) * u_hue == per_image.uniform(low, high)
+        sat_low, sat_high = config.sat_lower, config.sat_upper
+        assert sat_low + (sat_high - sat_low) * u_sat == per_image.uniform(sat_low, sat_high)
+        assert (u_hflip < flip_prob) == (per_image.random() < flip_prob)
+        assert (u_vflip < flip_prob) == (per_image.random() < flip_prob)
+    assert rng.bit_generator.state == per_image.bit_generator.state
+
+
+def test_slices_with_their_rows_of_the_block_equal_the_whole_batch():
+    images = u8_batch(4, 5, 6, 7)
+    whole = preprocess_batch(images, Scenario.HSV_GRAY_AUG, "train", make_rng(4, 2))
+    block = augment_draws(Scenario.HSV_GRAY_AUG, "train", make_rng(4, 2), len(images))
+    for rows in (slice(0, 3), slice(3, 5)):
+        got = preprocess_batch(images[rows], Scenario.HSV_GRAY_AUG, "train", block[rows])
+        assert np.array_equal(got, whole[rows])
+    with pytest.raises(InvalidInputError, match="augment draws"):
+        preprocess_batch(images, Scenario.HSV_GRAY_AUG, "train", block[:3])
 
 
 @pytest.mark.parametrize("mode", ["train", "test"])
