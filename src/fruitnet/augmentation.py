@@ -7,7 +7,10 @@ flips during training.  Test-mode preprocessing never consumes random draws.
 One private pipeline on plain float64 (h, w, 3) arrays serves preprocess
 (one RasterImage in, its float64 (h, w, channels) array out) and
 preprocess_batch (float arrays in and out, checked once per batch).  The
-jitter shifts hue and scales saturation in one HSV round trip.
+jitter shifts hue and scales saturation in one HSV round trip.  Only
+augment_draws draws: preprocess calls it for its one image, and
+preprocess_batch takes the batch's block as an array, never a generator, so
+a batch slice runs with its rows of the whole batch's draws.
 """
 
 from dataclasses import dataclass
@@ -76,11 +79,10 @@ def _jitter(px: np.ndarray, delta: float, factor: float) -> np.ndarray:
     return hsv_to_rgb_pixels(hsv)
 
 
-def augment_draws(scenario: Scenario, mode: str, rng: RngStream | np.ndarray | None, n: int) -> np.ndarray | None:
+def augment_draws(scenario: Scenario, mode: str, rng: RngStream | None, n: int) -> np.ndarray | None:
     """The random draws that preprocessing n images takes: one (n, 4) block
     of uniforms in [0, 1), per image hue, saturation, horizontal flip,
     vertical flip.  None, drawing nothing, when the pipeline is not random.
-    A block drawn before may stand in for rng; it is checked and returned.
 
     Row i holds what the per-image sequence uniform, uniform, random, random
     would draw for image i, and rng ends in the same state.
@@ -91,11 +93,7 @@ def augment_draws(scenario: Scenario, mode: str, rng: RngStream | np.ndarray | N
         return None
     if rng is None:
         raise InvalidInputError("train-mode hsv_gray_aug preprocessing needs an rng")
-    if not isinstance(rng, np.ndarray):
-        return rng.random((n, 4))
-    if rng.shape != (n, 4):
-        raise InvalidInputError(f"need ({n}, 4) augment draws, got shape {rng.shape}")
-    return rng
+    return rng.random((n, 4))
 
 
 def _pipeline(px: np.ndarray, scenario: Scenario, draws: np.ndarray | None, config: AugmentConfig):
@@ -144,23 +142,22 @@ def preprocess(
 def preprocess_batch(
     images: np.ndarray,
     scenario: Scenario,
-    mode: str,
-    rng: RngStream | np.ndarray | None = None,
+    draws: np.ndarray | None = None,
     config: AugmentConfig = DEFAULT_AUGMENT,
 ) -> np.ndarray:
     """Preprocess a float RGB batch (b, h, w, 3) into (b, h, w, scenario channels).
 
-    rng draws the batch's augment_draws block, so the result is a
-    deterministic function of (batch, scenario, mode, rng state).  In its
-    place the (b, 4) block may be given, which is how a batch slice runs
-    with its rows of the whole batch's draws.
+    draws is the batch's (b, 4) augment_draws block in train mode, None in
+    test mode; only HSV_GRAY_AUG takes one.  The result is a deterministic
+    function of (batch, scenario, draws).
     """
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[3] != 3 or 0 in images.shape[1:3]:
         raise InvalidInputError(f"batch must be (b, h, w, 3) with h, w >= 1, got shape {images.shape}")
     check_unit_range(images)
     b, h, w, _ = images.shape
-    draws = augment_draws(scenario, mode, rng, b)
+    if draws is not None and (scenario, draws.shape) != (Scenario.HSV_GRAY_AUG, (b, 4)):
+        raise InvalidInputError(f"hsv_gray_aug takes ({b}, 4) augment draws; got {draws.shape} for {scenario.value}")
     out = np.empty((b, h, w, scenario.input_channels), dtype=np.float32)
     for i in range(b):
         out[i] = _pipeline(images[i].astype(np.float64), scenario, None if draws is None else draws[i], config)

@@ -89,7 +89,7 @@ def evaluate(
     mislabeled: dict = {}
 
     def logits_of(images):
-        x = preprocess_batch(images, scenario, "test")
+        x = preprocess_batch(images, scenario)
         return forward(ckpt.config, ckpt.params, x, keep_prob=1.0)[0]
 
     with slice_workers() as run:

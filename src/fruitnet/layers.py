@@ -155,20 +155,18 @@ def dropout_mask(shape: tuple, keep_prob: float, rng: RngStream | None) -> Tenso
     return rng.random(shape) < keep_prob
 
 
-def dropout(x: Tensor, keep_prob: float, rng: RngStream | None = None, mask: Tensor | None = None) -> tuple:
-    """Zero each element with probability 1 - keep_prob, scale survivors by
-    1 / keep_prob.  keep_prob = 1 is an exact identity and draws nothing.
-
-    The keep mask is drawn from rng (see dropout_mask) unless it is given.
-    """
+def dropout(x: Tensor, keep_prob: float, mask: Tensor | None = None) -> tuple:
+    """Zero the elements where the keep mask (see dropout_mask) is False and
+    scale the rest by 1 / keep_prob.  Without a mask keep_prob must be 1, and
+    the result is x itself."""
     _check_keep_prob(keep_prob)
     x = np.asarray(x)
     if mask is None:
-        mask = dropout_mask(x.shape, keep_prob, rng)
-    elif mask.shape != x.shape:
-        raise ShapeError(f"dropout mask {mask.shape} does not match x {x.shape}")
-    if mask is None:
+        if keep_prob < 1.0:
+            raise InvalidInputError("dropout with keep_prob < 1 needs a mask")
         return x, (None, 1.0)
+    if mask.shape != x.shape:
+        raise ShapeError(f"dropout mask {mask.shape} does not match x {x.shape}")
     y = (x * mask) / x.dtype.type(keep_prob)
     return y, (mask, keep_prob)
 

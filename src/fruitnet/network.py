@@ -7,6 +7,10 @@ benchmark width presets are provided; preset 1 is the reference network
 
 Parameters and gradients travel as plain dicts keyed by layer name, which
 keeps the optimizer and the checkpoint format trivial.
+
+Only dropout_masks draws: it takes a batch's two keep masks from a generator,
+and forward takes them as arrays, so a batch slice runs with its rows of the
+whole batch's masks.
 """
 
 import math
@@ -156,21 +160,18 @@ def forward(
     params: Params,
     x: Tensor,
     keep_prob: float = 1.0,
-    rng: RngStream | tuple | None = None,
+    masks: tuple = (None, None),
 ) -> tuple:
     """Run the network; returns (logits, caches) for a later backward pass.
 
-    Dropout is applied after each dense layer only; the class head emits raw
-    logits (softmax happens in the loss or in prediction).  rng draws both
-    dropout masks for the batch (see dropout_masks); in its place a pair of
-    masks may be given, which is how a batch slice runs with its rows of the
-    whole batch's masks.
+    Dropout is applied after each dense layer only, with the keep masks of
+    drop1 and drop2 (see dropout_masks; both None at keep_prob 1); the class
+    head emits raw logits (softmax happens in the loss or in prediction).
     """
     x = np.asarray(x)
     expected = (cfg.input_height, cfg.input_width, cfg.input_channels)
     if x.ndim != 4 or x.shape[1:] != expected:
         raise ShapeError(f"input {x.shape} does not match (batch, {expected[0]}, {expected[1]}, {expected[2]})")
-    mask1, mask2 = rng if isinstance(rng, tuple) else dropout_masks(cfg, x.shape[0], keep_prob, rng)
 
     caches = {}
     h = x
@@ -184,10 +185,10 @@ def forward(
 
     h, caches["fc1"] = fc_forward(h, params["fc1_w"], params["fc1_b"])
     h, caches["relu_f1"] = relu(h)
-    h, caches["drop1"] = dropout(h, keep_prob, mask=mask1)
+    h, caches["drop1"] = dropout(h, keep_prob, masks[0])
     h, caches["fc2"] = fc_forward(h, params["fc2_w"], params["fc2_b"])
     h, caches["relu_f2"] = relu(h)
-    h, caches["drop2"] = dropout(h, keep_prob, mask=mask2)
+    h, caches["drop2"] = dropout(h, keep_prob, masks[1])
     logits, caches["out"] = fc_forward(h, params["out_w"], params["out_b"])
     return logits, caches
 

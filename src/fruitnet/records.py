@@ -22,6 +22,7 @@ import itertools
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -110,27 +111,33 @@ class ShuffleParams:
             raise InvalidInputError(f"capacity must be >= 1, got {self.capacity}")
 
 
-def write_shard(path, records: Iterable[ExampleRecord]) -> int:
-    """Write records of one shape to one shard file; returns the record count."""
-    path = Path(path)
+@contextmanager
+def _replaced_on_success(path: Path):
+    """Yield path's ".tmp" sibling to write: renamed over path when the block
+    completes, deleted when it raises (Ctrl-C too), so path keeps its bytes."""
     tmp = path.with_name(path.name + ".tmp")
-    labels, dims = [], None
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(bytes(_HEADER.size))  # patched once the count and dims are known
-            for rec in records:
-                dims = dims or rec.pixels.shape
-                if rec.pixels.shape != dims:
-                    raise InvalidInputError(f"record {len(labels)} has shape {rec.pixels.shape}, shard has {dims}")
-                fh.write(rec.pixels.tobytes())
-                labels.append(rec.label)
-            fh.write(np.array(labels, dtype="<u4").tobytes())
-            fh.seek(0)
-            fh.write(_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, len(labels), *(dims or (0, 0, 3))))
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_shard(path, records: Iterable[ExampleRecord]) -> int:
+    """Write records of one shape to one shard file; returns the record count."""
+    labels, dims = [], None
+    with _replaced_on_success(Path(path)) as tmp, open(tmp, "wb") as fh:
+        fh.write(bytes(_HEADER.size))  # patched once the count and dims are known
+        for rec in records:
+            dims = dims or rec.pixels.shape
+            if rec.pixels.shape != dims:
+                raise InvalidInputError(f"record {len(labels)} has shape {rec.pixels.shape}, shard has {dims}")
+            fh.write(rec.pixels.tobytes())
+            labels.append(rec.label)
+        fh.write(np.array(labels, dtype="<u4").tobytes())
+        fh.seek(0)
+        fh.write(_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, len(labels), *(dims or (0, 0, 3))))
     return len(labels)
 
 

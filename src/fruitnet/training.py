@@ -23,7 +23,6 @@ checkpoint's iteration counter.
 import copy
 import csv
 import math
-import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ from .augmentation import AugmentConfig, Scenario, augment_draws, preprocess_bat
 from .errors import ConfigurationError, FormatError, InvalidInputError, ShapeError, TrainingDivergedError
 from .layers import Tensor, cross_entropy_loss
 from .network import NetworkConfig, Params, backward, dropout_masks, forward, init_params, param_shapes
-from .records import LabelMap, ShardSet, ShuffleParams, cycle_records, shuffle_batches
+from .records import LabelMap, ShardSet, ShuffleParams, cycle_records, _replaced_on_success, shuffle_batches
 from .seeding import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_INIT, make_rng
 
 CHECKPOINT_MAGIC = b"FRCK"
@@ -67,8 +66,11 @@ class TrainConfig:
             raise ConfigurationError(
                 f"need 0 < lr_final <= lr_initial, got {self.lr_final}, {self.lr_initial}"
             )
-        if self.iterations < 0 or self.display_interval < 1 or self.seed < 0:
-            raise ConfigurationError("iterations, display_interval and seed must be sensible")
+        for name, low in (("iterations", 0), ("display_interval", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 < self.keep_prob <= 1.0:
+            raise ConfigurationError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
 
     @property
     def effective_shuffle_capacity(self) -> int:
@@ -191,15 +193,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     tensors = list(_tensor_items(ckpt))
     parts.append(struct.pack("<I", len(tensors)))
 
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as f:
+    with _replaced_on_success(path) as tmp, open(tmp, "wb") as f:
         f.write(b"".join(parts))
         for name, arr in tensors:
             raw = name.encode("utf-8")
             f.write(struct.pack("<I", len(raw)) + raw + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
             # straight from the tensor's buffer: no bytes copy of the payload
             f.write(memoryview(np.ascontiguousarray(arr, dtype="<f4")))
-    os.replace(tmp, path)
 
 
 class _Reader:
@@ -332,17 +332,8 @@ def _keep_metrics_up_to(path: Path, iteration: int):
             next(fh, None)  # the header
             lines = [ln for ln in fh if ln.endswith("\n")]
     rows = [row for row in csv.reader(lines) if int(row[0]) <= iteration]
-    tmp = path.with_name(path.name + ".tmp")
-    _append_metrics(tmp, rows, fresh=True)
-    os.replace(tmp, path)
-
-
-def _rows(draws, rows):
-    """Rows of a batch's random draws for one slice: of an array, of each
-    array in a tuple, or None."""
-    if isinstance(draws, tuple):
-        return tuple(_rows(d, rows) for d in draws)
-    return None if draws is None else draws[rows]
+    with _replaced_on_success(path) as tmp:
+        _append_metrics(tmp, rows, fresh=True)
 
 
 def train(
@@ -414,8 +405,9 @@ def train(
             masks = dropout_masks(cfg.net, n, cfg.keep_prob, make_rng(cfg.seed, STREAM_DROPOUT, i))
 
             def forward_slice(rows):
-                x = preprocess_batch(images[rows], cfg.scenario, "train", _rows(draws, rows), cfg.augment)
-                logits, caches = forward(cfg.net, params, x, cfg.keep_prob, _rows(masks, rows))
+                x = preprocess_batch(images[rows], cfg.scenario, None if draws is None else draws[rows], cfg.augment)
+                slice_masks = tuple(None if m is None else m[rows] for m in masks)
+                logits, caches = forward(cfg.net, params, x, cfg.keep_prob, slice_masks)
                 return x, logits, caches
 
             slices = batch_slices(n)
@@ -424,10 +416,12 @@ def train(
             if not math.isfinite(loss):
                 raise TrainingDivergedError(iteration=i, loss=loss)
             grads, *rest = run(lambda rows, cache: backward(cache, grad_logits[rows]), slices, caches)
+            del logits, caches  # freed before the next step's forward, not kept alive through it
             for more in rest:  # in slice order, so the sum does not depend on the workers
                 for key in grads:
                     grads[key] += more[key]
             params, adam = adam_step(params, grads, adam, lr)
+            del grads, rest
 
             if i % cfg.display_interval == 0:
                 eval_logits = np.concatenate(run(lambda x: forward(cfg.net, params, x, keep_prob=1.0)[0], xs))

@@ -23,6 +23,7 @@ from fruitnet.layers import (
     conv2d_forward,
     cross_entropy_loss,
     dropout,
+    dropout_mask,
     fc_backward,
     fc_forward,
     maxpool_backward,
@@ -336,7 +337,7 @@ def test_criterion_6_serialization(tmp_path):
 def test_criterion_7_dropout_statistics():
     with criterion(7, "dropout statistics"):
         x = np.ones(100_000)
-        y, _ = dropout(x, 0.8, make_rng(7001))
+        y, _ = dropout(x, 0.8, dropout_mask(x.shape, 0.8, make_rng(7001)))
         assert abs(y.mean() / x.mean() - 1.0) < 0.01
         scaled = x / x.dtype.type(0.8)
         assert ((y == 0.0) | (y == scaled)).all()

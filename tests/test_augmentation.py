@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fruitnet.augmentation import AugmentConfig, Scenario, preprocess, preprocess_batch
+from fruitnet.augmentation import AugmentConfig, Scenario, augment_draws, preprocess, preprocess_batch
 from fruitnet.errors import InvalidInputError
 from fruitnet.imaging import RasterImage, hsv_to_rgb_pixels, rgb_to_hsv_pixels
 from fruitnet.seeding import make_rng
@@ -161,8 +161,9 @@ class TestPreprocess:
 
     def test_batch_preprocess_shapes_and_determinism(self):
         images = np.random.default_rng(14).random((3, 8, 8, 3)).astype(np.float32)
-        a = preprocess_batch(images, Scenario.HSV_GRAY_AUG, "train", make_rng(5, 2, 1))
-        b = preprocess_batch(images, Scenario.HSV_GRAY_AUG, "train", make_rng(5, 2, 1))
+        aug = Scenario.HSV_GRAY_AUG
+        a = preprocess_batch(images, aug, augment_draws(aug, "train", make_rng(5, 2, 1), 3))
+        b = preprocess_batch(images, aug, augment_draws(aug, "train", make_rng(5, 2, 1), 3))
         assert a.shape == (3, 8, 8, 4) and a.dtype == np.float32
         assert np.array_equal(a, b)
 

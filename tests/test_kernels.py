@@ -21,7 +21,15 @@ from fruitnet.layers import (
     relu,
     relu_backward,
 )
-from fruitnet.network import NetworkConfig, backward, forward, init_params, param_shapes, preset_configuration
+from fruitnet.network import (
+    NetworkConfig,
+    backward,
+    dropout_masks,
+    forward,
+    init_params,
+    param_shapes,
+    preset_configuration,
+)
 from fruitnet.seeding import make_rng
 
 from helpers import conv2d_grad_x_oracle, max_rel_err, maxpool_oracle
@@ -70,7 +78,7 @@ def test_conv_input_gradient_matches_scatter_oracle(k, n, h, w, ci, co, seed):
     assert max_rel_err(grad_x, conv2d_grad_x_oracle(grad_y, wt)) < 1e-9
 
 
-def relu_before_pool_forward(cfg, params, x, keep_prob, rng):
+def relu_before_pool_forward(cfg, params, x, keep_prob, masks):
     """The network with each block ordered conv -> relu -> pool."""
     caches = {}
     h = x
@@ -82,10 +90,10 @@ def relu_before_pool_forward(cfg, params, x, keep_prob, rng):
     h = h.reshape(h.shape[0], -1)
     h, caches["fc1"] = fc_forward(h, params["fc1_w"], params["fc1_b"])
     h, caches["relu_f1"] = relu(h)
-    h, caches["drop1"] = dropout(h, keep_prob, rng)
+    h, caches["drop1"] = dropout(h, keep_prob, masks[0])
     h, caches["fc2"] = fc_forward(h, params["fc2_w"], params["fc2_b"])
     h, caches["relu_f2"] = relu(h)
-    h, caches["drop2"] = dropout(h, keep_prob, rng)
+    h, caches["drop2"] = dropout(h, keep_prob, masks[1])
     logits, caches["out"] = fc_forward(h, params["out_w"], params["out_b"])
     return logits, caches
 
@@ -122,8 +130,10 @@ def test_pool_before_relu_equals_relu_before_pool(h, w, keep_prob, seed):
     x = np.random.default_rng(seed).random((2, h, w, 2))
     labels = np.array([0, 2])
 
-    logits, caches = forward(cfg, params, x, keep_prob, make_rng(seed, 1))
-    ref_logits, ref_caches = relu_before_pool_forward(cfg, params, x, keep_prob, make_rng(seed, 1))
+    masks = dropout_masks(cfg, len(x), keep_prob, make_rng(seed, 1))
+    logits, caches = forward(cfg, params, x, keep_prob, masks)
+    ref_masks = dropout_masks(cfg, len(x), keep_prob, make_rng(seed, 1))
+    ref_logits, ref_caches = relu_before_pool_forward(cfg, params, x, keep_prob, ref_masks)
     assert np.array_equal(logits, ref_logits)
     _, grad_logits = cross_entropy_loss(logits, labels)
     grads = backward(caches, grad_logits)

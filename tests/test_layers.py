@@ -10,6 +10,7 @@ from fruitnet.layers import (
     cross_entropy_loss,
     dropout,
     dropout_backward,
+    dropout_mask,
     fc_backward,
     fc_forward,
     maxpool_backward,
@@ -203,7 +204,7 @@ class TestDropout:
     def test_keep_prob_one_is_exact_identity_and_draws_nothing(self):
         x = np.random.default_rng(10).random((7, 9))
         rng = make_rng(55)
-        y, cache = dropout(x, 1.0, rng)
+        y, cache = dropout(x, 1.0, dropout_mask(x.shape, 1.0, rng))
         assert y is x
         assert rng.bit_generator.state == make_rng(55).bit_generator.state
         assert dropout_backward(x, cache) is x
@@ -211,19 +212,19 @@ class TestDropout:
     def test_elements_are_zero_or_exactly_scaled(self):
         keep = 0.8
         x = np.random.default_rng(11).random((100, 100)) + 0.5
-        y, _ = dropout(x, keep, make_rng(1))
+        y, _ = dropout(x, keep, dropout_mask(x.shape, keep, make_rng(1)))
         scaled = x / x.dtype.type(keep)
         assert ((y == 0.0) | (y == scaled)).all()
         assert (y == 0.0).any() and (y == scaled).any()
 
     def test_mean_is_preserved_within_one_percent(self):
         x = np.ones(100_000)
-        y, _ = dropout(x, 0.8, make_rng(2))
+        y, _ = dropout(x, 0.8, dropout_mask(x.shape, 0.8, make_rng(2)))
         assert abs(y.mean() / x.mean() - 1.0) < 0.01
 
     def test_backward_uses_the_same_mask(self):
         x = np.random.default_rng(12).random((50, 50))
-        y, cache = dropout(x, 0.5, make_rng(3))
+        y, cache = dropout(x, 0.5, dropout_mask(x.shape, 0.5, make_rng(3)))
         gy = np.ones_like(x)
         gx = dropout_backward(gy, cache)
         assert np.array_equal(gx == 0.0, y == 0.0)
@@ -232,7 +233,7 @@ class TestDropout:
     def test_invalid_keep_prob_rejected(self):
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(InvalidInputError):
-                dropout(np.ones(3), bad, make_rng(0))
+                dropout(np.ones(3), bad)
 
     def test_missing_rng_rejected(self):
         with pytest.raises(InvalidInputError):

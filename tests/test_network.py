@@ -6,6 +6,7 @@ from fruitnet.layers import cross_entropy_loss
 from fruitnet.network import (
     NetworkConfig,
     backward,
+    dropout_masks,
     forward,
     init_params,
     param_shapes,
@@ -124,11 +125,14 @@ class TestForward:
     def test_dropout_reproducible_given_rng(self):
         params = init_params(TINY, make_rng(9))
         x = np.random.default_rng(10).random((2, 12, 12, 2)).astype(np.float32)
-        a, _ = forward(TINY, params, x, 0.5, make_rng(11))
-        b, _ = forward(TINY, params, x, 0.5, make_rng(11))
-        c, _ = forward(TINY, params, x, 0.5, make_rng(12))
+        masks = dropout_masks(TINY, len(x), 0.5, make_rng(11))
+        a, caches = forward(TINY, params, x, 0.5, masks)
+        b, _ = forward(TINY, params, x, 0.5, dropout_masks(TINY, len(x), 0.5, make_rng(11)))
+        c, _ = forward(TINY, params, x, 0.5, dropout_masks(TINY, len(x), 0.5, make_rng(12)))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+        assert caches["drop1"][0] is masks[0] and caches["drop2"][0] is masks[1]
+        assert dropout_masks(TINY, 2, 1.0, None) == (None, None)
 
 
 class TestEndToEndGradients:

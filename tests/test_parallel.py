@@ -1,7 +1,7 @@
 """Batch slices on worker threads: results depend on the fixed slicing, not
 on the worker count; BLAS goes back to its thread count however train and
-evaluate end; the in-place Adam step and the up-front dropout draws give
-the same bits as the formulas they replace."""
+evaluate end; the in-place Adam step gives the same bits as the formulas it
+replaces."""
 
 import threading
 
@@ -12,7 +12,7 @@ from fruitnet import _parallel, training
 from fruitnet.augmentation import Scenario
 from fruitnet.errors import ShapeError
 from fruitnet.evaluation import evaluate
-from fruitnet.network import NetworkConfig, dropout_masks, forward, init_params
+from fruitnet.network import NetworkConfig, init_params
 from fruitnet.seeding import make_rng
 from fruitnet.training import AdamState, adam_step, load_checkpoint, train
 
@@ -193,16 +193,3 @@ def test_a_resumed_run_leaves_the_callers_checkpoint_as_it_was(tmp_path):
     train(aug_cfg(4), shards, tmp_path / "run", labels, resume_from=mid, log=None)
     assert all(np.array_equal(mid.params[k], before[k]) for k in before)
     assert mid.adam.t == 2
-
-
-def test_forward_with_masks_drawn_up_front_equals_forward_with_the_rng():
-    params = init_params(AUG_NET, make_rng(2))
-    x = np.random.default_rng(2).random((6, 100, 100, 4)).astype(np.float32)
-    want, want_caches = forward(AUG_NET, params, x, 0.6, make_rng(9))
-    masks = dropout_masks(AUG_NET, len(x), 0.6, make_rng(9))
-    got, caches = forward(AUG_NET, params, x, 0.6, masks)
-    assert np.array_equal(got, want)
-    for name, mask in zip(("drop1", "drop2"), masks):
-        assert np.array_equal(caches[name][0], want_caches[name][0]) and caches[name][0] is mask
-    assert dropout_masks(AUG_NET, 6, 1.0, None) == (None, None)
-

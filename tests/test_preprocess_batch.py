@@ -46,7 +46,8 @@ def test_batched_augmentation_matches_per_image_oracle(seed, b, h, w, hue_max_de
     config = AugmentConfig(hue_max_delta=hue_max_delta, sat_lower=sat[0], sat_upper=sat[1], flip_prob=flip_prob)
     images = u8_batch(seed, b, h, w)
     rng, oracle_rng = make_rng(seed, 2), make_rng(seed, 2)
-    got = preprocess_batch(images, Scenario.HSV_GRAY_AUG, "train", rng, config)
+    draws = augment_draws(Scenario.HSV_GRAY_AUG, "train", rng, b)
+    got = preprocess_batch(images, Scenario.HSV_GRAY_AUG, draws, config)
     want = hsv_gray_aug_oracle(images, oracle_rng, config)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state  # same draws, same count
     hue_gap = np.abs(got[..., 0] - want[..., 0]) % 1.0
@@ -80,13 +81,13 @@ def test_block_draw_equals_the_per_image_draw_sequence(seed, n, hue_max_delta, s
 
 def test_slices_with_their_rows_of_the_block_equal_the_whole_batch():
     images = u8_batch(4, 5, 6, 7)
-    whole = preprocess_batch(images, Scenario.HSV_GRAY_AUG, "train", make_rng(4, 2))
     block = augment_draws(Scenario.HSV_GRAY_AUG, "train", make_rng(4, 2), len(images))
+    whole = preprocess_batch(images, Scenario.HSV_GRAY_AUG, block)
     for rows in (slice(0, 3), slice(3, 5)):
-        got = preprocess_batch(images[rows], Scenario.HSV_GRAY_AUG, "train", block[rows])
+        got = preprocess_batch(images[rows], Scenario.HSV_GRAY_AUG, block[rows])
         assert np.array_equal(got, whole[rows])
     with pytest.raises(InvalidInputError, match="augment draws"):
-        preprocess_batch(images, Scenario.HSV_GRAY_AUG, "train", block[:3])
+        preprocess_batch(images, Scenario.HSV_GRAY_AUG, block[:3])
 
 
 @pytest.mark.parametrize("mode", ["train", "test"])
@@ -94,7 +95,7 @@ def test_slices_with_their_rows_of_the_block_equal_the_whole_batch():
 def test_preprocess_and_preprocess_batch_agree(scenario, mode):
     images = u8_batch(3, 4, 5, 7)
     rng, single_rng = make_rng(8, 2), make_rng(8, 2)
-    batch = preprocess_batch(images, scenario, mode, rng)
+    batch = preprocess_batch(images, scenario, augment_draws(scenario, mode, rng, len(images)))
     for i, px in enumerate(images):
         out = preprocess(RasterImage(px.astype(np.float64)), scenario, mode, single_rng)
         assert out.dtype == np.float64
@@ -119,15 +120,23 @@ def test_batch_input_is_checked_once_for_the_whole_batch(shape, value):
         images.flat[-1] = value
     for scenario in (Scenario.RGB, Scenario.HSV_GRAY_AUG):
         with pytest.raises(InvalidInputError):
-            preprocess_batch(images, scenario, "train", make_rng(0))
+            preprocess_batch(images, scenario, augment_draws(scenario, "train", make_rng(0), len(images)))
 
 
 def test_batch_rejects_bad_mode_and_missing_rng():
     images = np.full((1, 2, 2, 3), 0.5, dtype=np.float32)
     with pytest.raises(InvalidInputError, match="mode must be"):
-        preprocess_batch(images, Scenario.GRAY, "eval")
+        preprocess_batch(images, Scenario.GRAY, augment_draws(Scenario.GRAY, "eval", None, 1))
     with pytest.raises(InvalidInputError, match="needs an rng"):
-        preprocess_batch(images, Scenario.HSV_GRAY_AUG, "train")
+        preprocess_batch(images, Scenario.HSV_GRAY_AUG, augment_draws(Scenario.HSV_GRAY_AUG, "train", None, 1))
+
+
+def test_a_pipeline_that_is_not_random_refuses_augment_draws():
+    images = u8_batch(5, 2, 3, 3)
+    draws = augment_draws(Scenario.HSV_GRAY_AUG, "train", make_rng(5, 2), len(images))
+    for scenario in (Scenario.GRAY, Scenario.RGB, Scenario.HSV, Scenario.HSV_GRAY):
+        with pytest.raises(InvalidInputError, match="hsv_gray_aug takes"):
+            preprocess_batch(images, scenario, draws)
 
 
 # sha256 prefixes of the float32 outputs, computed with the plain-formula
@@ -153,5 +162,5 @@ def test_batch_outputs_match_their_pinned_digests(scenario, mode):
     images[:, 0, :, 1] = images[:, 0, :, 0]  # r = g
     images[:, 1, :, 2] = images[:, 1, :, 1]  # g = b
     images[:, 2, :, 2] = images[:, 2, :, 0]  # r = b
-    out = preprocess_batch(images, scenario, mode, make_rng(9, 2))
+    out = preprocess_batch(images, scenario, augment_draws(scenario, mode, make_rng(9, 2), len(images)))
     assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == PINNED_BATCH_DIGESTS[scenario.value, mode]

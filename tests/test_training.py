@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fruitnet import training
 from fruitnet.augmentation import Scenario
 from fruitnet.errors import ConfigurationError, FormatError, ShapeError, TrainingDivergedError
 from fruitnet.layers import cross_entropy_loss
@@ -340,6 +342,64 @@ class TestTrainConfig:
             tiny_cfg(iterations=1, batch_size=0)
         with pytest.raises(ConfigurationError):
             tiny_cfg(iterations=1, lr_initial=1e-5, lr_final=1e-3)
+
+    @pytest.mark.parametrize(
+        "field, value, bound",
+        [
+            ("keep_prob", 0.0, "in (0, 1]"),
+            ("keep_prob", 1.5, "in (0, 1]"),
+            ("iterations", -1, ">= 0"),
+            ("display_interval", 0, ">= 1"),
+            ("seed", -3, ">= 0"),
+        ],
+        ids=["keep_prob=0", "keep_prob=1.5", "iterations=-1", "display_interval=0", "seed=-3"],
+    )
+    def test_a_bad_field_is_refused_at_construction_by_name_and_value(self, field, value, bound):
+        with pytest.raises(ConfigurationError, match=re.escape(f"{field} must be {bound}, got {value}")):
+            tiny_cfg(**{"iterations": 1, field: value})
+
+
+class _FailingWrites:
+    """A file opened for writing whose write raises exc once more than limit
+    bytes have been asked for."""
+
+    def __init__(self, path, mode, exc, limit):
+        self.fh, self.exc, self.limit, self.asked = open(path, mode), exc, limit, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+        return False
+
+    def write(self, data):
+        self.asked += len(memoryview(data).cast("B"))
+        if self.asked > self.limit:
+            raise self.exc
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize(
+    "exc", [OSError(28, "No space left on device"), KeyboardInterrupt()], ids=["oserror", "ctrl_c"]
+)
+def test_a_failed_checkpoint_save_leaves_no_tmp_and_the_old_checkpoint(tmp_path, monkeypatch, exc):
+    path = tmp_path / "checkpoint.frck"
+    save_checkpoint(make_checkpoint(0), path)
+    before = path.read_bytes()
+    opened = []
+
+    def failing_open(file, mode="r"):
+        opened.append(_FailingWrites(file, mode, exc, limit=len(before) // 2))
+        return opened[-1]
+
+    monkeypatch.setattr(training, "open", failing_open, raising=False)
+    with pytest.raises(type(exc)):
+        save_checkpoint(make_checkpoint(1), path)
+    monkeypatch.undo()
+    assert opened and opened[0].asked > len(before) // 2  # it failed partway through the tensors
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.frck"]
+    assert path.read_bytes() == before
 
 
 def _tensor_dims_offset(raw: bytes, name: str) -> int:
