@@ -13,6 +13,7 @@ Standalone I/O uses binary PPM (P6, 8-bit, maxval 255); byte values map to
 floats as v / 255 and back as round(v * 255) clamped to [0, 255].
 """
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,12 +39,23 @@ class RasterImage:
     """RGB image with shape (height, width, 3), float64 values in [0, 1].
 
     The pixels are a read-only copy of what the image was made from, so no
-    later write can break the range checked here."""
+    later write can break the range checked here.  The functions of this
+    module adopt the arrays they make themselves instead of copying them."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.array(self.pixels, dtype=np.float64)
+        self._own(np.array(self.pixels, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, px: np.ndarray) -> "RasterImage":
+        """Wrap a float64 array that nothing else holds, checked and made
+        read-only but not copied."""
+        img = object.__new__(cls)
+        img._own(px)
+        return img
+
+    def _own(self, px: np.ndarray) -> None:
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
         if px.ndim != 3 or px.shape[2] != 3:
@@ -92,8 +104,18 @@ class FloodFillParams:
     threshold: float
 
     def __post_init__(self):
-        if self.threshold < 0:
+        if not self.threshold >= 0:  # also refuses NaN, which no distance is below
             raise InvalidInputError(f"threshold must be >= 0, got {self.threshold}")
+
+
+def _close_to_neighbour(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """Whether the Euclidean RGB distance between matching pixels of a and b
+    is below t; the squares are summed r, g, b in that order."""
+    d2 = a - b
+    d2 *= d2
+    d = d2[..., 0] + d2[..., 1]
+    d += d2[..., 2]
+    return np.sqrt(d, out=d) < t
 
 
 def flood_fill_background(img: RasterImage, params: FloodFillParams) -> BackgroundMask:
@@ -104,30 +126,49 @@ def flood_fill_background(img: RasterImage, params: FloodFillParams) -> Backgrou
     over RGB in [0, 1], strict inequality), repeated until nothing changes.
     The result is the unique fixed point of that expansion, so it does not
     depend on traversal order.
+
+    The fill works on runs: maximal horizontal or vertical stretches of
+    pixels, each close to the next.  A marked pixel pulls its whole run into
+    the fixed point, and no run holds pixels both inside and outside it.  So
+    a row sweep, which marks every horizontal run that holds a marked pixel,
+    and a column sweep, which does the same for vertical runs, never leave
+    the fixed point.  They alternate until one adds nothing to what the other
+    left; the mask is then closed under both, so under every single step,
+    and it is the fixed point.  Each sweep is a few passes over the image;
+    the number of sweeps grows with the number of turns on the longest path
+    from the border into the background (two for a blob on a smooth
+    backdrop, about one per turn of a 1-pixel staircase or spiral corridor).
     """
     px = img.pixels
     h, w = img.height, img.width
     t = params.threshold
 
-    # pairwise color distances between vertical / horizontal neighbors
-    close_v = np.sqrt(((px[1:, :] - px[:-1, :]) ** 2).sum(axis=-1)) < t  # (h-1, w)
-    close_h = np.sqrt(((px[:, 1:] - px[:, :-1]) ** 2).sum(axis=-1)) < t  # (h, w-1)
+    # a run starts at every pixel that is not close to its left (upper) neighbour;
+    # run ids count the starts, row by row for horizontal runs and down each
+    # column for vertical ones, where k * w + column keeps the columns apart
+    starts = np.ones((h, w), dtype=bool)
+    np.logical_not(_close_to_neighbour(px[:, 1:], px[:, :-1], t), out=starts[:, 1:])
+    ids_h = np.cumsum(starts, axis=None)
+    starts[0, :] = True
+    np.logical_not(_close_to_neighbour(px[1:, :], px[:-1, :], t), out=starts[1:, :])
+    ids_v = np.cumsum(starts, axis=0)
+    ids_v *= w
+    ids_v += np.arange(w)
 
     marked = np.zeros((h, w), dtype=bool)
     marked[0, :] = marked[-1, :] = True
     marked[:, 0] = marked[:, -1] = True
-
-    frontier = marked.copy()
-    while frontier.any():
-        new = np.zeros_like(marked)
-        new[1:, :] |= frontier[:-1, :] & close_v
-        new[:-1, :] |= frontier[1:, :] & close_v
-        new[:, 1:] |= frontier[:, :-1] & close_h
-        new[:, :-1] |= frontier[:, 1:] & close_h
-        new &= ~marked
-        marked |= new
-        frontier = new
-    return BackgroundMask(marked)
+    marked = marked.ravel()
+    count = -1
+    for ids in itertools.cycle((ids_h, ids_v.ravel())):
+        hit = np.zeros((h + 1) * w, dtype=bool)  # every run id is below (h + 1) * w
+        hit[ids[marked]] = True
+        marked = hit[ids]
+        grown = np.count_nonzero(marked)
+        if grown == count:
+            break
+        count = grown
+    return BackgroundMask(marked.reshape(h, w))
 
 
 def remove_background(img: RasterImage, mask: BackgroundMask) -> RasterImage:
@@ -136,9 +177,7 @@ def remove_background(img: RasterImage, mask: BackgroundMask) -> RasterImage:
         raise InvalidInputError(
             f"mask {mask.height}x{mask.width} does not match image {img.height}x{img.width}"
         )
-    out = img.pixels.copy()
-    out[mask.marked] = 1.0
-    return RasterImage(out)
+    return RasterImage._adopt(np.where(mask.marked[..., None], 1.0, img.pixels))
 
 
 def _axis_coords(n_in: int, n_out: int) -> np.ndarray:
@@ -146,6 +185,14 @@ def _axis_coords(n_in: int, n_out: int) -> np.ndarray:
     if n_out == 1:
         return np.zeros(1)
     return np.arange(n_out) * ((n_in - 1) / (n_out - 1))
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """a * (1 - f) + b * f, computed in a and b."""
+    a *= 1.0 - f
+    b *= f
+    a += b
+    return a
 
 
 def resize_bilinear(img: RasterImage, out_h: int, out_w: int) -> RasterImage:
@@ -162,13 +209,15 @@ def resize_bilinear(img: RasterImage, out_h: int, out_w: int) -> RasterImage:
     r1 = np.minimum(r0 + 1, h - 1)
     c1 = np.minimum(c0 + 1, w - 1)
     fr = (rows - r0)[:, None, None]
-    fc = (cols - c0)[None, :, None]
+    # one weight per channel, so the column products run over whole rows
+    fc = np.repeat((cols - c0)[:, None], 3, axis=1)
 
-    top = px[r0][:, c0] * (1.0 - fc) + px[r0][:, c1] * fc
-    bot = px[r1][:, c0] * (1.0 - fc) + px[r1][:, c1] * fc
-    out = top * (1.0 - fr) + bot * fr
+    top, bot = px.take(r0, axis=0), px.take(r1, axis=0)
+    top = _lerp(top.take(c0, axis=1), top.take(c1, axis=1), fc)
+    bot = _lerp(bot.take(c0, axis=1), bot.take(c1, axis=1), fc)
+    out = _lerp(top, bot, fr)
     # interpolation is convex; clip only guards against rounding spill
-    return RasterImage(np.clip(out, 0.0, 1.0))
+    return RasterImage._adopt(np.clip(out, 0.0, 1.0, out=out))
 
 
 def rgb_to_hsv_pixels(px: np.ndarray) -> np.ndarray:
@@ -271,12 +320,16 @@ def read_ppm(path) -> RasterImage:
             f"truncated raster: expected {need} bytes, got {len(raster)}", path=path, offset=pos
         )
     arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
-    return RasterImage(arr.astype(np.float64) / 255.0)
+    px = arr.astype(np.float64)
+    px /= 255.0
+    return RasterImage._adopt(px)
 
 
 def to_u8(img: RasterImage) -> np.ndarray:
     """Quantize to uint8 via round(v * 255), clamped."""
-    return np.clip(np.rint(img.pixels * 255.0), 0, 255).astype(np.uint8)
+    q = img.pixels * 255.0
+    np.rint(q, out=q)
+    return np.clip(q, 0, 255, out=q).astype(np.uint8)
 
 
 def write_ppm(img: RasterImage, path) -> None:

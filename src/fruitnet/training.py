@@ -436,6 +436,7 @@ def train(
                     dt = time.perf_counter() - tick
                     log(f"iteration {i}: loss {eval_loss:.4f}, batch accuracy {acc:.4f}, lr {lr:.6f} ({dt:.1f}s)")
                     tick = time.perf_counter()
+            del xs  # only the re-score reads the step's inputs
 
     final = Checkpoint(cfg.net, params, adam, cfg.iterations, lr, labels)
     save_checkpoint(final, ckpt_path)
