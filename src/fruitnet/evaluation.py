@@ -117,8 +117,9 @@ def predict_image(ckpt: Checkpoint, image: RasterImage, scenario: Scenario) -> P
     """Classify one RGB image of any size; returns the argmax class and its
     softmax probability."""
     check_channels(scenario, ckpt.config, "checkpoint network")
-    resized = resize_bilinear(image, IMAGE_SIDE, IMAGE_SIDE)
-    x = preprocess(resized, scenario, "test")[None].astype(np.float32)
+    if (image.height, image.width) != (IMAGE_SIDE, IMAGE_SIDE):
+        image = resize_bilinear(image, IMAGE_SIDE, IMAGE_SIDE)
+    x = preprocess(image, scenario, "test")[None].astype(np.float32)
     logits, _ = forward(ckpt.config, ckpt.params, x, keep_prob=1.0)
     probs = softmax(logits)[0]
     class_id = int(np.argmax(probs))

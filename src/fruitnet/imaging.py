@@ -28,10 +28,15 @@ GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 
 def check_unit_range(px: np.ndarray) -> None:
     """Raise InvalidInputError unless every value is finite and lies in [0, 1]."""
-    if not np.isfinite(px).all():
+    if not px.size:
+        return
+    # NaN propagates through min and max and fails both comparisons; an
+    # infinity lands in one of them
+    lo, hi = px.min(), px.max()
+    if not (0.0 <= lo and hi <= 1.0):
+        if np.isfinite(lo) and np.isfinite(hi):
+            raise InvalidInputError("pixel values must lie in [0, 1]")
         raise InvalidInputError("pixel values must be finite")
-    if px.size and (px.min() < 0.0 or px.max() > 1.0):
-        raise InvalidInputError("pixel values must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

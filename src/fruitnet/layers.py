@@ -1,13 +1,16 @@
 """Forward and backward passes for every layer of the network.
 
 Tensors are numpy float arrays, row-major, NHWC for activations.  Convolution
-gathers a width-only patch matrix from the zero-padded input: one row per
-padded image row and output column, holding the k horizontally adjacent
-pixels that column reads (k * c values).  Kernel row u then contributes one
-GEMM over the matrix shifted down by u image rows, so a k x k convolution is
-k GEMMs per image on a matrix k times the size of its input, not k * k
-times.  The input gradient is the same correlation, run on the output
-gradient with the kernel flipped.
+works one image at a time.  It gathers the image's width-only patch matrix
+from the zero-padded image: one row per padded image row and output column,
+holding the k horizontally adjacent pixels that column reads (k * c values).
+Kernel row u then contributes one GEMM over the matrix shifted down by u
+image rows, so a k x k convolution is k GEMMs per image on a matrix k times
+the size of the image, not k * k times.  Every image of a call reuses the
+same patch buffer, small enough to stay in cache; the forward cache holds the
+layer input, and the weight gradient gathers each image's patches again.
+The input gradient is the same correlation, run on the output gradient with
+the kernel flipped.
 
 Each *_forward returns (output, cache); the matching backward consumes that
 cache and produces exact gradients of the forward map.  Functions preserve
@@ -30,36 +33,46 @@ def _same_pad(k: int) -> tuple:
     return beg, total - beg
 
 
-def _row_patches(x: Tensor, k: int, beg: int, end: int) -> Tensor:
-    """Width-only patch matrix of x zero-padded by beg/end rows and columns:
-    (n, (h + k - 1) * w, k * c), rows ordered by (padded row, output column),
-    columns by (kernel column, channel)."""
-    n, h, wd, c = x.shape
-    xpad = np.pad(x, ((0, 0), (beg, end), (beg, end), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=2)  # (n, h + k - 1, wd, c, k)
-    return win.transpose(0, 1, 2, 4, 3).reshape(n, (h + k - 1) * wd, k * c)
+def _image_patches(x: Tensor, k: int, beg: int):
+    """Yield, image by image, the width-only patch matrix of x zero-padded by
+    beg rows and columns before and k - 1 - beg after: ((h + k - 1) * w, k * c),
+    rows ordered by (padded row, output column), columns by (kernel column,
+    channel).  Every image overwrites the same buffer, so a yielded matrix
+    holds only until the next one is asked for.  Each call makes its own
+    buffers."""
+    _, h, wd, c = x.shape
+    xpad = np.zeros((h + k - 1, wd + k - 1, c), dtype=x.dtype)
+    inner = xpad[beg : beg + h, beg : beg + wd]
+    win = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=1).transpose(0, 1, 3, 2)  # (h + k - 1, wd, k, c)
+    cols = np.empty(win.shape, dtype=x.dtype)
+    flat = cols.reshape((h + k - 1) * wd, k * c)
+    for img in x:
+        inner[...] = img
+        cols[...] = win
+        yield flat
 
 
-def _correlate_rows(cols: Tensor, w: Tensor, h: int, wd: int) -> Tensor:
-    """SAME correlation from a _row_patches matrix: (n, h * wd, co), the sum
-    over kernel rows u of the patch rows shifted down by u image rows times
-    w[u]."""
+def _correlate(x: Tensor, w: Tensor, beg: int) -> Tensor:
+    """SAME correlation of x zero-padded by beg rows and columns before (see
+    _image_patches): (n, h * wd, co), per image the sum over kernel rows u of
+    the patch rows shifted down by u image rows times w[u]."""
+    n, h, wd, _ = x.shape
     k, _, ci, co = w.shape
     w = w.reshape(k, k * ci, co)
-    y = np.empty((cols.shape[0], h * wd, co), dtype=np.result_type(cols, w))
-    # one image at a time, so the k partial products accumulate in cache
-    for img, out in zip(cols, y):
-        np.matmul(img[: h * wd], w[0], out=out)
+    y = np.empty((n, h * wd, co), dtype=np.result_type(x, w))
+    for cols, out in zip(_image_patches(x, k, beg), y):
+        np.matmul(cols[: h * wd], w[0], out=out)
         for u in range(1, k):
-            out += img[u * wd : (u + h) * wd] @ w[u]
+            out += cols[u * wd : (u + h) * wd] @ w[u]
     return y
 
 
 def conv2d_forward(x: Tensor, w: Tensor, bias: Tensor) -> tuple:
     """2-d convolution, stride 1, SAME zero padding; spatial dims preserved.
 
-    The width-only patch matrix is kept in the cache for the weight gradient;
-    it holds batch * (h + k - 1) * w * k * c floats, k times the input.
+    The patch matrix is built per image in one reused buffer, k times the
+    image; the cache holds the input x, from which the weight gradient
+    gathers the patches again.
     """
     x, w, bias = np.asarray(x), np.asarray(w), np.asarray(bias)
     if x.ndim != 4 or w.ndim != 4 or w.shape[0] != w.shape[1]:
@@ -68,33 +81,32 @@ def conv2d_forward(x: Tensor, w: Tensor, bias: Tensor) -> tuple:
     if x.shape[3] != ci or bias.shape != (co,):
         raise ShapeError(f"channel mismatch: x {x.shape}, w {w.shape}, bias {bias.shape}")
     n, h, wd, _ = x.shape
-    cols = _row_patches(x, k, *_same_pad(k))
-    y = _correlate_rows(cols, w, h, wd)
+    y = _correlate(x, w, _same_pad(k)[0])
     y += bias
-    return y.reshape(n, h, wd, co), ((n, h, wd), cols, w)
+    return y.reshape(n, h, wd, co), ((n, h, wd), x, w)
 
 
 def conv2d_backward(grad_y: Tensor, cache: tuple, input_grad: bool = True) -> tuple:
     """Gradients (grad_x, grad_w, grad_b); grad_x is None when input_grad=False."""
-    (n, h, wd), cols, w = cache
+    (n, h, wd), x, w = cache
     k, _, ci, co = w.shape
     if grad_y.shape != (n, h, wd, co):
         raise ShapeError(f"grad_y {grad_y.shape} does not match forward output {(n, h, wd, co)}")
+    beg, end = _same_pad(k)
     gy = grad_y.reshape(n, h * wd, co)
     grad_b = gy.sum(axis=(0, 1))
-    grad_w = np.zeros((k, k * ci, co), dtype=np.result_type(cols, gy))
-    for img, g in zip(cols, gy):
+    grad_w = np.zeros((k, k * ci, co), dtype=np.result_type(x, gy))
+    for cols, g in zip(_image_patches(x, k, beg), gy):
         for u in range(k):
-            grad_w[u] += img[u * wd : (u + h) * wd].T @ g
+            grad_w[u] += cols[u * wd : (u + h) * wd].T @ g
     grad_w = grad_w.reshape(k, k, ci, co)
 
     grad_x = None
     if input_grad:
         # the transposed convolution is the SAME correlation of grad_y with the
         # flipped kernel, in and out channels swapped; the padding sides swap
-        beg, end = _same_pad(k)
         w_flip = w[::-1, ::-1].transpose(0, 1, 3, 2)
-        grad_x = _correlate_rows(_row_patches(grad_y, k, end, beg), w_flip, h, wd).reshape(n, h, wd, ci)
+        grad_x = _correlate(grad_y, w_flip, end).reshape(n, h, wd, ci)
     return grad_x, grad_w, grad_b
 
 

@@ -2,8 +2,9 @@
 
 These are deliberately naive, straight-line implementations written before
 and apart from the library code they check: a queue BFS for flood fill, a
-six-loop direct convolution and its scatter-form input gradient, loop max
-pooling, central finite differences, a scalar Adam recurrence, the plain
+six-loop direct convolution and its scatter-form input gradient, the
+whole-batch width-only patch convolution that the conv layers once used,
+loop max pooling, central finite differences, a scalar Adam recurrence, the plain
 formulas of the RGB/HSV conversions, and the per-image augmentation pipeline
 composed from those formulas.  None of them calls into fruitnet.  damage()
 draws the damaged files that the format fuzz tests feed to the readers.
@@ -81,6 +82,55 @@ def conv2d_grad_x_oracle(grad_y: np.ndarray, w: np.ndarray) -> np.ndarray:
                         if 0 <= rr < h and 0 <= cc < wd:
                             gx[b, rr, cc] += w[u, v] @ grad_y[b, p, q]
     return gx
+
+
+def _batch_row_patches(x: np.ndarray, k: int, beg: int, end: int) -> np.ndarray:
+    """The whole batch's width-only patch matrix of x zero-padded by beg/end
+    rows and columns: (n, (h + k - 1) * w, k * c)."""
+    n, h, wd, c = x.shape
+    xpad = np.pad(x, ((0, 0), (beg, end), (beg, end), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=2)
+    return win.transpose(0, 1, 2, 4, 3).reshape(n, (h + k - 1) * wd, k * c)
+
+
+def _batch_correlate(cols: np.ndarray, w: np.ndarray, h: int, wd: int) -> np.ndarray:
+    k, _, ci, co = w.shape
+    w = w.reshape(k, k * ci, co)
+    y = np.empty((cols.shape[0], h * wd, co), dtype=np.result_type(cols, w))
+    for img, out in zip(cols, y):
+        np.matmul(img[: h * wd], w[0], out=out)
+        for u in range(1, k):
+            out += img[u * wd : (u + h) * wd] @ w[u]
+    return y
+
+
+def conv2d_batch_patches(x: np.ndarray, w: np.ndarray, bias: np.ndarray, grad_y: np.ndarray) -> tuple:
+    """SAME convolution as the conv layers computed it from one patch matrix
+    spanning the whole batch: k GEMMs per image for the output, the k-row
+    grad_w loop over the same matrix, and grad_x as the correlation of grad_y
+    with the flipped kernel, padding sides swapped.  Returns (y, grad_x,
+    grad_w, grad_b) from the same GEMMs in the same order, so a per-image
+    rewrite must match it bit for bit."""
+    n, h, wd, _ = x.shape
+    k, _, ci, co = w.shape
+    beg = (k - 1) // 2
+    end = k - 1 - beg
+    cols = _batch_row_patches(x, k, beg, end)
+    y = _batch_correlate(cols, w, h, wd)
+    y += bias
+    gy = grad_y.reshape(n, h * wd, co)
+    grad_w = np.zeros((k, k * ci, co), dtype=np.result_type(cols, gy))
+    for img, g in zip(cols, gy):
+        for u in range(k):
+            grad_w[u] += img[u * wd : (u + h) * wd].T @ g
+    w_flip = w[::-1, ::-1].transpose(0, 1, 3, 2)
+    grad_x = _batch_correlate(_batch_row_patches(grad_y, k, end, beg), w_flip, h, wd)
+    return (
+        y.reshape(n, h, wd, co),
+        grad_x.reshape(n, h, wd, ci),
+        grad_w.reshape(k, k, ci, co),
+        gy.sum(axis=(0, 1)),
+    )
 
 
 def maxpool_oracle(x: np.ndarray, grad_y: np.ndarray) -> tuple:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fruitnet import evaluation
 from fruitnet.augmentation import Scenario, preprocess
 from fruitnet.errors import ConfigurationError, InvalidInputError
 from fruitnet.evaluation import REFERENCE_TEST_ACCURACY, EvalReport, evaluate, predict_image
@@ -164,6 +165,28 @@ class TestPredictImage:
         a = predict_image(ckpt, img, Scenario.RGB)
         b = predict_image(ckpt, resize_bilinear(img, 100, 100), Scenario.RGB)
         assert (a.class_id, a.probability) == (b.class_id, b.probability)
+
+    def test_resizes_only_images_not_already_full_size(self, monkeypatch):
+        # at 100x100 the resize is an identity and is skipped: the prediction
+        # equals the explicitly resized pipeline's, bit for bit
+        resized = []
+
+        def counting_resize(image, height, width):
+            resized.append((image.height, image.width))
+            return resize_bilinear(image, height, width)
+
+        monkeypatch.setattr(evaluation, "resize_bilinear", counting_resize)
+        ckpt = random_checkpoint(13)
+        img = RasterImage(np.random.default_rng(14).random((100, 100, 3)))
+        prediction = predict_image(ckpt, img, Scenario.RGB)
+        assert resized == []
+        x = preprocess(resize_bilinear(img, 100, 100), Scenario.RGB, "test")[None].astype(np.float32)
+        probs = softmax(forward(ckpt.config, ckpt.params, x, 1.0)[0])[0]
+        assert prediction.class_id == int(np.argmax(probs))
+        assert prediction.probability == float(probs.max())
+
+        predict_image(ckpt, RasterImage(np.random.default_rng(15).random((37, 53, 3))), Scenario.RGB)
+        assert resized == [(37, 53)]
 
     def test_agrees_with_evaluate_on_same_record(self, tmp_path):
         rec = random_records(1, seed=9)[0]

@@ -9,6 +9,7 @@ from fruitnet.imaging import (
     BackgroundMask,
     FloodFillParams,
     RasterImage,
+    check_unit_range,
     flood_fill_background,
     hsv_to_rgb_pixels,
     read_ppm,
@@ -57,6 +58,31 @@ class TestRasterImage:
         with pytest.raises(ValueError):
             img.pixels[0, 0, 0] = 2.0
         assert (img.pixels == 0.5).all()
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([0.5, np.nan], "finite"),
+        ([0.5, np.inf], "finite"),
+        ([-np.inf, 0.5], "finite"),
+        ([np.nan, 2.0], "finite"),
+        ([-0.5, np.inf], "finite"),
+        ([-0.5, 0.5], r"lie in \[0, 1\]"),
+        ([0.5, 1.5], r"lie in \[0, 1\]"),
+    ],
+)
+def test_unit_range_prefers_the_finiteness_message(values, message):
+    # a non-finite value is reported as such, also beside an out-of-range one;
+    # NaN fails both comparisons, an infinity lands in min or max
+    for dtype in (np.float32, np.float64):
+        with pytest.raises(InvalidInputError, match=message):
+            check_unit_range(np.array(values, dtype=dtype))
+
+
+def test_unit_range_accepts_the_closed_interval_and_empty_arrays():
+    check_unit_range(np.array([0.0, -0.0, 1.0]))
+    check_unit_range(np.zeros((0, 3)))
 
 
 class TestFloodFill:

@@ -1,6 +1,7 @@
-"""Property tests of the conv and pool kernels against loop oracles, of the
-pool-before-relu block order against the relu-before-pool reference, and a
-memory ceiling for the preset-1 network."""
+"""Property tests of the conv and pool kernels against loop oracles and
+against the whole-batch patch convolution, of the pool-before-relu block
+order against the relu-before-pool reference, and memory ceilings for the
+preset-1 network."""
 
 import tracemalloc
 
@@ -32,7 +33,7 @@ from fruitnet.network import (
 )
 from fruitnet.seeding import make_rng
 
-from helpers import conv2d_grad_x_oracle, max_rel_err, maxpool_oracle
+from helpers import conv2d_batch_patches, conv2d_grad_x_oracle, max_rel_err, maxpool_oracle
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -76,6 +77,37 @@ def test_conv_input_gradient_matches_scatter_oracle(k, n, h, w, ci, co, seed):
     grad_x, _, _ = conv2d_backward(grad_y, cache)
     assert grad_x.shape == x.shape
     assert max_rel_err(grad_x, conv2d_grad_x_oracle(grad_y, wt)) < 1e-9
+
+
+@given(
+    k=st.integers(1, 5),
+    n=st.integers(1, 4),
+    h=st.integers(1, 12),
+    w=st.integers(1, 12),
+    ci=st.integers(1, 6),
+    co=st.integers(1, 6),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=SEEDS,
+)
+@settings(max_examples=80, deadline=None)
+def test_conv_bit_identical_to_whole_batch_patches(k, n, h, w, ci, co, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, h, w, ci)).astype(dtype)
+    wt = rng.normal(size=(k, k, ci, co)).astype(dtype)
+    bias = rng.normal(size=co).astype(dtype)
+    grad_y = rng.normal(size=(n, h, w, co)).astype(dtype)
+    y_ref, gx_ref, gw_ref, gb_ref = conv2d_batch_patches(x, wt, bias, grad_y)
+
+    y, cache = conv2d_forward(x, wt, bias)
+    assert y.dtype == dtype and np.array_equal(y, y_ref)
+    grad_x, grad_w, grad_b = conv2d_backward(grad_y, cache)
+    assert np.array_equal(grad_x, gx_ref)
+    assert np.array_equal(grad_w, gw_ref)
+    assert np.array_equal(grad_b, gb_ref)
+    grad_x, grad_w, grad_b = conv2d_backward(grad_y, cache, input_grad=False)
+    assert grad_x is None
+    assert np.array_equal(grad_w, gw_ref)
+    assert np.array_equal(grad_b, gb_ref)
 
 
 def relu_before_pool_forward(cfg, params, x, keep_prob, masks):
@@ -150,6 +182,27 @@ def test_preset_one_memory_ceiling():
     params = init_params(cfg, make_rng(0))
     x = np.random.default_rng(0).random((8, 100, 100, 4)).astype(np.float32)
     labels = np.arange(8) % 5
+    tracemalloc.start()
+    try:
+        logits, caches = forward(cfg, params, x)
+        _, forward_peak = tracemalloc.get_traced_memory()
+        _, grad_logits = cross_entropy_loss(logits, labels)
+        backward(caches, grad_logits)
+        _, total_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < 50e6, f"forward peaked at {forward_peak / 1e6:.1f} MB"
+    assert total_peak < 100e6, f"forward plus backward peaked at {total_peak / 1e6:.1f} MB"
+
+
+def test_preset_one_memory_ceiling_at_train_slice():
+    # train runs forward and backward on 30-image slices; each conv builds its
+    # patch matrix one image at a time, so no buffer grows with the slice
+    # beyond the activations the caches keep
+    cfg = preset_configuration(1, num_classes=5)
+    params = init_params(cfg, make_rng(0))
+    x = np.random.default_rng(0).random((30, 100, 100, 4)).astype(np.float32)
+    labels = np.arange(30) % 5
     tracemalloc.start()
     try:
         logits, caches = forward(cfg, params, x)
