@@ -18,7 +18,6 @@ A labels file is UTF-8 text, one class name per line; line order defines ids
 trained on N classes has N + 1 outputs.
 """
 
-import itertools
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -109,6 +108,8 @@ class ShuffleParams:
     def __post_init__(self):
         if self.capacity < 1:
             raise InvalidInputError(f"capacity must be >= 1, got {self.capacity}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 @contextmanager
@@ -181,21 +182,20 @@ def iter_shard(path) -> Iterator[ExampleRecord]:
     yield from _records(*_read_shard(Path(path)))
 
 
+def _image_shard(path: Path) -> tuple:
+    """_read_shard, then a check that the shard holds 100 x 100 x 3 images."""
+    labels, pixels = _read_shard(path)
+    if labels.size and pixels.shape[1:] != (IMAGE_SIDE, IMAGE_SIDE, 3):
+        msg = f"shard holds {pixels.shape[1]}x{pixels.shape[2]}x3 images, expected {IMAGE_SIDE}x{IMAGE_SIDE}x3"
+        raise FormatError(msg, path=path, offset=12)
+    return labels, pixels
+
+
 def read_examples(shards: ShardSet) -> Iterator[ExampleRecord]:
     """Stream records across shards, files in given order, records in file order;
     each shard is checked once to hold 100 x 100 x 3 images."""
     for path in shards.paths:
-        labels, pixels = _read_shard(path)
-        if labels.size and pixels.shape[1:] != (IMAGE_SIDE, IMAGE_SIDE, 3):
-            msg = f"shard holds {pixels.shape[1]}x{pixels.shape[2]}x3 images, expected {IMAGE_SIDE}x{IMAGE_SIDE}x3"
-            raise FormatError(msg, path=path, offset=12)
-        yield from _records(labels, pixels)
-
-
-def cycle_records(shards: ShardSet) -> Iterator[ExampleRecord]:
-    """Endless stream cycling globally over the concatenated shard list; each
-    shard is read once and later passes repeat the same record objects."""
-    return itertools.cycle(read_examples(shards))
+        yield from _records(*_image_shard(path))
 
 
 def _decode_for_shard(path: Path) -> np.ndarray:
@@ -279,47 +279,48 @@ def find_shards(records_dir, split: str) -> ShardSet:
     return ShardSet(paths=paths, split=split, count=count)
 
 
-def _assemble(batch: list) -> tuple:
-    images = np.stack([rec.pixels for rec in batch]).astype(np.float32) / np.float32(255.0)
-    labels = np.array([rec.label for rec in batch], dtype=np.int64)
-    return images, labels
+def _batch(pixels, labels) -> tuple:
+    """Stack uint8 images into one float32 batch in [0, 1], with int64 labels."""
+    images = np.stack(pixels).astype(np.float32) / np.float32(255.0)
+    return images, np.array(labels, dtype=np.int64)
 
 
-def shuffle_batches(stream: Iterable[ExampleRecord], batch_size: int, params: ShuffleParams) -> Iterator[tuple]:
-    """Yield batches sampled through a fixed-capacity shuffle buffer.
+def shuffle_batches(shards: ShardSet, batch_size: int, params: ShuffleParams, start: int = 0) -> Iterator[tuple]:
+    """Yield batches through a fixed-capacity shuffle buffer, without end.
 
-    The buffer is first filled to capacity (or stream end, whichever comes
-    first).  Each emission picks a uniformly random buffer slot and replaces
-    it with the next stream element; once the stream is exhausted the buffer
-    drains, swap-removing the sampled slot.  A final smaller batch is
-    allowed.  Equal seeds give bit-identical batch sequences.
+    The buffer holds numbers of elements of an endless file-order cycle over
+    the set's records (element e is record e mod count), and starts with the
+    first `capacity` of them.  Each emission draws a uniformly random slot and
+    refills it with the next element.  `start` skips that many batches by
+    their draws alone.  Equal seeds give bit-identical batches; an empty set
+    yields nothing.
     """
     if batch_size < 1:
         raise InvalidInputError(f"batch_size must be >= 1, got {batch_size}")
+    if start < 0:
+        raise InvalidInputError(f"start must be >= 0, got {start}")
+    shard_data = [_image_shard(path) for path in shards.paths]
+    first = np.cumsum([0] + [len(labels) for labels, _ in shard_data])  # each shard's first record number
+    if first[-1] == 0:
+        return
+    labels = np.concatenate([labels for labels, _ in shard_data])
+    maps = [np.asarray(pixels) for _, pixels in shard_data]
     rng = make_rng(params.seed, STREAM_SHUFFLE)
-    it = iter(stream)
-
-    buf = []
-    for rec in it:
-        buf.append(rec)
-        if len(buf) >= params.capacity:
-            break
-
-    batch = []
-    while buf:
-        j = int(rng.integers(len(buf)))
-        batch.append(buf[j])
-        nxt = next(it, None)
-        if nxt is not None:
-            buf[j] = nxt
-        else:
-            buf[j] = buf[-1]
-            buf.pop()
-        if len(batch) == batch_size:
-            yield _assemble(batch)
-            batch = []
-    if batch:
-        yield _assemble(batch)
+    buf = np.arange(params.capacity)
+    nxt = params.capacity
+    skipped = start * batch_size
+    for at in range(0, skipped, 1 << 20):  # a slot keeps its last, so largest, skipped element
+        slots = rng.integers(params.capacity, size=min(1 << 20, skipped - at))
+        np.maximum.at(buf, slots, np.arange(nxt, nxt + len(slots)))
+        nxt += len(slots)
+    while True:
+        taken = []
+        for j in rng.integers(params.capacity, size=batch_size).tolist():
+            taken.append(buf[j])
+            buf[j], nxt = nxt, nxt + 1
+        records = np.array(taken) % first[-1]
+        shard = np.searchsorted(first, records, side="right") - 1
+        yield _batch([maps[s][r - first[s]] for s, r in zip(shard.tolist(), records.tolist())], labels[records])
 
 
 def sequential_batches(stream: Iterable[ExampleRecord], batch_size: int) -> Iterator[tuple]:
@@ -330,7 +331,7 @@ def sequential_batches(stream: Iterable[ExampleRecord], batch_size: int) -> Iter
     for rec in stream:
         batch.append(rec)
         if len(batch) == batch_size:
-            yield _assemble(batch)
+            yield _batch([r.pixels for r in batch], [r.label for r in batch])
             batch = []
     if batch:
-        yield _assemble(batch)
+        yield _batch([r.pixels for r in batch], [r.label for r in batch])

@@ -16,8 +16,9 @@ Checkpoint format (little-endian):
 Training state (parameters and optimizer moments) is float32, so a
 save/load/save cycle is byte-identical and a resumed run continues the
 uninterrupted one bit for bit: augmentation and dropout streams are derived
-from (seed, iteration) and the shuffled batch stream is replayed up to the
-checkpoint's iteration counter.
+from (seed, iteration), and the shuffled batch stream starts at the
+checkpoint's iteration counter by redrawing the skipped batches' buffer
+slots, without building those batches.
 """
 
 import copy
@@ -35,7 +36,7 @@ from .augmentation import AugmentConfig, Scenario, augment_draws, preprocess_bat
 from .errors import ConfigurationError, FormatError, InvalidInputError, ShapeError, TrainingDivergedError
 from .layers import Tensor, cross_entropy_loss
 from .network import NetworkConfig, Params, backward, dropout_masks, forward, init_params, param_shapes
-from .records import LabelMap, ShardSet, ShuffleParams, cycle_records, _replaced_on_success, shuffle_batches
+from .records import LabelMap, ShardSet, ShuffleParams, _replaced_on_success, shuffle_batches
 from .seeding import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_INIT, make_rng
 
 CHECKPOINT_MAGIC = b"FRCK"
@@ -71,6 +72,8 @@ class TrainConfig:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ConfigurationError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
+        if self.shuffle_capacity is not None and self.shuffle_capacity < 1:
+            raise ConfigurationError(f"shuffle_capacity must be >= 1, got {self.shuffle_capacity}")
 
     @property
     def effective_shuffle_capacity(self) -> int:
@@ -350,10 +353,12 @@ def train(
     runs forward/backward at the configured keep_prob and applies one Adam
     step.  The batch runs as two fixed slices on the worker threads, with
     BLAS at one thread until train returns: one loss over the joined
-    logits, one backward pass per slice, gradients summed in slice order.  Every display_interval iterations the current batch is re-scored
-    at keep_prob 1, the learning rate is re-derived from that accuracy, a
+    logits, one backward pass per slice, gradients summed in slice order.
+    Every display_interval iterations the current batch is re-scored at
+    keep_prob 1, the learning rate is re-derived from that accuracy, a
     metrics row is appended and a checkpoint is persisted.  A resumed run
-    first drops the metrics rows past its checkpoint.
+    first drops the metrics rows past its checkpoint, then draws its
+    batches from the stream position of the checkpoint's iteration.
     """
     check_channels(cfg.scenario, cfg.net)
     if labels.num_classes != cfg.net.num_classes:
@@ -368,12 +373,6 @@ def train(
     ckpt_path = out_dir / CHECKPOINT_NAME
     metrics_path = out_dir / METRICS_NAME
 
-    stream = shuffle_batches(
-        cycle_records(shards),
-        cfg.batch_size,
-        ShuffleParams(capacity=cfg.effective_shuffle_capacity, seed=cfg.seed),
-    )
-
     if resume_from is not None:
         if resume_from.config != cfg.net:
             raise ConfigurationError("checkpoint network config differs from the training config")
@@ -386,8 +385,6 @@ def train(
         adam = copy.deepcopy(resume_from.adam)
         lr = resume_from.learning_rate
         start = resume_from.iteration
-        for _ in range(start):  # replay the batch stream to the saved position
-            next(stream)
         _keep_metrics_up_to(metrics_path, start)
     else:
         params = init_params(cfg.net, make_rng(cfg.seed, STREAM_INIT))
@@ -396,6 +393,8 @@ def train(
         start = 0
         _append_metrics(metrics_path, [], fresh=True)
 
+    shuffle = ShuffleParams(capacity=cfg.effective_shuffle_capacity, seed=cfg.seed)
+    stream = shuffle_batches(shards, cfg.batch_size, shuffle, start)
     tick = time.perf_counter()
     with slice_workers() as run:
         for i in range(start + 1, cfg.iterations + 1):

@@ -5,11 +5,13 @@ and apart from the library code they check: a queue BFS for flood fill, a
 six-loop direct convolution and its scatter-form input gradient, the
 whole-batch width-only patch convolution that the conv layers once used,
 loop max pooling, central finite differences, a scalar Adam recurrence, the plain
-formulas of the RGB/HSV conversions, and the per-image augmentation pipeline
-composed from those formulas.  None of them calls into fruitnet.  damage()
-draws the damaged files that the format fuzz tests feed to the readers.
+formulas of the RGB/HSV conversions, the per-image augmentation pipeline
+composed from those formulas, and a list shuffle buffer over record numbers.
+None of them calls into fruitnet.  damage() draws the damaged files that the
+format fuzz tests feed to the readers.
 """
 
+import itertools
 import math
 from collections import deque
 
@@ -187,6 +189,22 @@ def adam_scalar_oracle(p0: float, grads, lr: float, beta1=0.9, beta2=0.999, eps=
         p = p - lr * m_hat / (math.sqrt(v_hat) + eps)
         history.append(p)
     return history
+
+
+def shuffle_oracle(n: int, capacity: int, batch_size: int, rng):
+    """Endless batches of record numbers from a list shuffle buffer over an
+    endless file-order cycle of range(n): the buffer is filled with the first
+    capacity elements, then per record one scalar draw picks the slot that
+    is emitted and refilled with the next element."""
+    stream = itertools.cycle(range(n))
+    buf = [next(stream) for _ in range(capacity)]
+    while True:
+        batch = []
+        for _ in range(batch_size):
+            j = int(rng.integers(capacity))
+            batch.append(buf[j])
+            buf[j] = next(stream)
+        yield batch
 
 
 def rgb_to_hsv_oracle(px: np.ndarray) -> np.ndarray:

@@ -358,6 +358,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError, match=re.escape(f"{field} must be {bound}, got {value}")):
             tiny_cfg(**{"iterations": 1, field: value})
 
+    def test_a_shuffle_capacity_below_one_is_refused_at_construction(self):
+        with pytest.raises(ConfigurationError, match=re.escape("shuffle_capacity must be >= 1, got 0")):
+            tiny_cfg(iterations=1, shuffle_capacity=0)
+
 
 class _FailingWrites:
     """A file opened for writing whose write raises exc once more than limit
