@@ -28,7 +28,7 @@ from .errors import ConfigurationError, FruitnetError
 from .evaluation import evaluate, predict_image
 from .imaging import FloodFillParams, flood_fill_background, read_ppm, remove_background, resize_bilinear, write_ppm
 from .network import preset_configuration
-from .records import IMAGE_SIDE, LabelMap, build_shards, find_shards
+from .records import IMAGE_SIDE, LabelMap, _replaced_on_success, build_shards, find_shards
 from .synthetic import generate_corpus
 from .training import (
     CHECKPOINT_NAME,
@@ -237,7 +237,8 @@ def _cmd_test(args, project: ProjectConfig) -> int:
 
     json_path = Path(args.json_out) if args.json_out else ckpt_path.parent / f"report-{split}.json"
     json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(report.to_json() + "\n", encoding="utf-8")
+    with _replaced_on_success(json_path) as tmp:
+        tmp.write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"json report: {json_path}")
     return 0
 

@@ -17,8 +17,8 @@ from .errors import ConfigurationError
 from .imaging import RasterImage, resize_bilinear
 from .layers import softmax
 from .network import forward
-from .records import IMAGE_SIDE, ShardSet, read_examples, sequential_batches
-from .training import Checkpoint, check_channels
+from .records import ShardSet, read_examples, sequential_batches
+from .training import Checkpoint, check_channels, check_image_side
 
 # published benchmark test accuracies on the full fruit corpus (46371 train /
 # 15563 test images, 75000 iterations); documentation only, never asserted
@@ -84,6 +84,7 @@ def evaluate(
     batch runs as two slices on the worker threads, with BLAS at one thread
     until evaluate returns."""
     check_channels(scenario, ckpt.config, "checkpoint network")
+    check_image_side(ckpt.config, "checkpoint network")
     total = 0
     correct = 0
     mislabeled: dict = {}
@@ -117,8 +118,9 @@ def predict_image(ckpt: Checkpoint, image: RasterImage, scenario: Scenario) -> P
     """Classify one RGB image of any size; returns the argmax class and its
     softmax probability."""
     check_channels(scenario, ckpt.config, "checkpoint network")
-    if (image.height, image.width) != (IMAGE_SIDE, IMAGE_SIDE):
-        image = resize_bilinear(image, IMAGE_SIDE, IMAGE_SIDE)
+    side = (ckpt.config.input_height, ckpt.config.input_width)
+    if (image.height, image.width) != side:
+        image = resize_bilinear(image, *side)
     x = preprocess(image, scenario, "test")[None].astype(np.float32)
     logits, _ = forward(ckpt.config, ckpt.params, x, keep_prob=1.0)
     probs = softmax(logits)[0]

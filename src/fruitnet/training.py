@@ -1,33 +1,35 @@
 """Loss-driven optimization: Adam, the accuracy-driven learning-rate rule,
 the training loop and binary checkpoints.
 
-Checkpoint format (little-endian):
+Checkpoint format v2 (little-endian):
 
-    magic "FRCK" | version u32 = 1
-    iteration u64 | adam step u64 | learning rate f64
-    beta1 f64 | beta2 f64 | eps f64
-    network: num_classes u32 | input_channels u32 | kernel u32 | input_h u32
-             | input_w u32 | reserved u8, must be 0 (was the LRN flag)
-             | conv_maps u32 x 4 | fc_sizes u32 x 2
-    labels: count u32, then per name: byte length u32 + UTF-8 bytes
-    tensors: count u32, then per tensor: name length u32 + UTF-8 name
-             | rank u32 (1..4) | dims u32 each (>= 1) | float32 payload
+    header: magic "FRCK" | version u32 = 2
+            | iteration u64 | adam step u64 | learning rate f64
+            | num_classes u32 | input_channels u32 | kernel u32 | input_h u32
+            | input_w u32 | conv_maps u32 x 4 | fc_sizes u32 x 2
+    labels: count u32 = num_classes, then per name: byte length u32 + UTF-8 bytes
+    tensors: float32, params then Adam m then Adam v, each in param_shapes order
 
-Training state (parameters and optimizer moments) is float32, so a
-save/load/save cycle is byte-identical and a resumed run continues the
-uninterrupted one bit for bit: augmentation and dropout streams are derived
-from (seed, iteration), and the shuffled batch stream starts at the
-checkpoint's iteration counter by redrawing the skipped batches' buffer
-slots, without building those batches.
+The network config fixes every tensor's name, order and shape, so the file
+stores none of them, and the header plus the labels fix the file size.
+Checkpoints written before version 2 are not read.  Training state
+(parameters and optimizer moments) is float32, so a save/load/save cycle is
+byte-identical and a resumed run continues the uninterrupted one bit for
+bit: augmentation and dropout streams are derived from (seed, iteration),
+and the shuffled batch stream starts at the checkpoint's iteration counter
+by redrawing the skipped batches' buffer slots, without building those
+batches.
 """
 
 import copy
 import csv
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,11 +38,15 @@ from .augmentation import AugmentConfig, Scenario, augment_draws, preprocess_bat
 from .errors import ConfigurationError, FormatError, InvalidInputError, ShapeError, TrainingDivergedError
 from .layers import Tensor, cross_entropy_loss
 from .network import NetworkConfig, Params, backward, dropout_masks, forward, init_params, param_shapes
-from .records import LabelMap, ShardSet, ShuffleParams, _replaced_on_success, shuffle_batches
+from .records import IMAGE_SIDE, LabelMap, ShardSet, ShuffleParams, _replaced_on_success, shuffle_batches
 from .seeding import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_INIT, make_rng
 
 CHECKPOINT_MAGIC = b"FRCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# magic, version, iteration, adam step, learning rate, then the network block:
+# num_classes, input channels, kernel, input height and width, 4 conv maps, 2 fc sizes
+_HEADER = struct.Struct("<4sIQQd5I4I2I")
+_NETWORK_AT = 32
 CHECKPOINT_NAME = "checkpoint.frck"
 METRICS_NAME = "metrics.csv"
 _ADAM_BLOCK = 1 << 15  # elements per block of the in-place Adam update
@@ -84,14 +90,15 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter plus the step counter."""
+    """First/second moment estimates per parameter plus the step counter;
+    the decay rates and eps are the same for every run."""
 
     m: dict
     v: dict
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
     @classmethod
     def zeros_like(cls, params: Params) -> "AdamState":
@@ -166,146 +173,98 @@ def batch_accuracy(logits: Tensor, labels: Tensor) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def _tensor_items(ckpt: Checkpoint):
-    for key in ckpt.params:
-        yield f"param/{key}", ckpt.params[key]
-    for key in ckpt.params:
-        yield f"adam_m/{key}", ckpt.adam.m[key]
-    for key in ckpt.params:
-        yield f"adam_v/{key}", ckpt.adam.v[key]
-
-
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write the full training state; the write is atomic (tmp + rename)."""
-    path = Path(path)
-    cfg = ckpt.config
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    parts.append(struct.pack("<QQd", ckpt.iteration, ckpt.adam.t, ckpt.learning_rate))
-    parts.append(struct.pack("<ddd", ckpt.adam.beta1, ckpt.adam.beta2, ckpt.adam.eps))
-    dims = (cfg.num_classes, cfg.input_channels, cfg.kernel_size, cfg.input_height, cfg.input_width)
-    parts.append(struct.pack("<IIIIIB", *dims, 0))  # the byte after the dims is reserved
-    parts.append(struct.pack("<4I", *cfg.conv_maps))
-    parts.append(struct.pack("<2I", *cfg.fc_sizes))
-
-    names = ckpt.labels.names
-    parts.append(struct.pack("<I", len(names)))
-    for name in names:
-        raw = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)) + raw)
-
-    tensors = list(_tensor_items(ckpt))
-    parts.append(struct.pack("<I", len(tensors)))
-
-    with _replaced_on_success(path) as tmp, open(tmp, "wb") as f:
-        f.write(b"".join(parts))
-        for name, arr in tensors:
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)) + raw + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
-            # straight from the tensor's buffer: no bytes copy of the payload
-            f.write(memoryview(np.ascontiguousarray(arr, dtype="<f4")))
+    """Write the full training state; the write is atomic (tmp + rename).
+    The file holds no shapes, so each tensor must have its config's shape."""
+    cfg, shapes = ckpt.config, param_shapes(ckpt.config)
+    groups = (ckpt.params, ckpt.adam.m, ckpt.adam.v)
+    if any(group[key].shape != shape for group in groups for key, shape in shapes.items()):
+        raise ShapeError("checkpoint tensors do not have the shapes of the network config")
+    head = _HEADER.pack(
+        CHECKPOINT_MAGIC, CHECKPOINT_VERSION, ckpt.iteration, ckpt.adam.t, ckpt.learning_rate,
+        cfg.num_classes, cfg.input_channels, cfg.kernel_size, cfg.input_height, cfg.input_width,
+        *cfg.conv_maps, *cfg.fc_sizes,
+    )
+    names = [name.encode("utf-8") for name in ckpt.labels.names]
+    head += struct.pack("<I", len(names)) + b"".join(struct.pack("<I", len(raw)) + raw for raw in names)
+    with _replaced_on_success(Path(path)) as tmp, open(tmp, "wb") as f:
+        f.write(head)
+        for group in groups:
+            for key in shapes:
+                # straight from the tensor's buffer: no bytes copy of the payload
+                f.write(memoryview(np.ascontiguousarray(group[key], dtype="<f4")))
 
 
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.path = path
-        self.pos = 0
+def _read_labels(fh, num_classes: int, end: int, size: int, path) -> LabelMap:
+    """The label block, a field at a time.  `end` is where the tensor block
+    must start; a field that runs past it leaves the file too short for the
+    tensors, a FormatError at the file's end."""
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError(
-                f"truncated checkpoint: wanted {n} bytes", path=self.path, offset=self.pos
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+    def take(n: int) -> bytes:
+        if fh.tell() + n > end:
+            raise FormatError(f"truncated checkpoint: wanted {n} bytes", path=path, offset=size)
+        return fh.read(n)
 
-    def unpack(self, fmt: str):
-        st = struct.Struct(fmt)
-        return st.unpack(self.take(st.size))
-
-    def text(self) -> str:
-        """A name: byte length u32, then UTF-8 bytes."""
-        (n,) = self.unpack("<I")
-        at = self.pos
+    labels_at = fh.tell()
+    count = int.from_bytes(take(4), "little")
+    if count != num_classes:
+        raise FormatError(f"{count} label names for {num_classes} classes", path=path, offset=labels_at)
+    names = []
+    for _ in range(count):
+        n = int.from_bytes(take(4), "little")
+        at = fh.tell()
         try:
-            return self.take(n).decode("utf-8")
+            names.append(take(n).decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise FormatError(f"name is not UTF-8: {exc.reason}", path=self.path, offset=at + exc.start) from None
-
-
-def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint back to a bit-identical training state."""
-    path = Path(path)
-    rd = _Reader(path.read_bytes(), path)
-    magic = rd.take(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}", path=path, offset=0)
-    (version,) = rd.unpack("<I")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported version {version}", path=path, offset=4)
-    iteration, adam_t, lr = rd.unpack("<QQd")
-    beta1, beta2, eps = rd.unpack("<ddd")
-    network_at = rd.pos
-    num_classes, input_channels, kernel, in_h, in_w, reserved = rd.unpack("<IIIIIB")
-    if reserved != 0:  # the flag of the removed LRN layer: such a network would load and predict wrongly
-        raise FormatError(f"reserved byte must be 0, got {reserved}", path=path, offset=rd.pos - 1)
-    conv_maps = rd.unpack("<4I")
-    fc_sizes = rd.unpack("<2I")
+            raise FormatError(f"name is not UTF-8: {exc.reason}", path=path, offset=at + exc.start) from None
     try:
-        cfg = NetworkConfig(
-            num_classes=num_classes,
-            input_channels=input_channels,
-            conv_maps=conv_maps,
-            fc_sizes=fc_sizes,
-            kernel_size=kernel,
-            input_height=in_h,
-            input_width=in_w,
-        )
-    except InvalidInputError as exc:
-        raise FormatError(f"invalid network config: {exc}", path=path, offset=network_at) from None
-
-    labels_at = rd.pos
-    (n_names,) = rd.unpack("<I")
-    if n_names != num_classes:
-        raise FormatError(f"{n_names} label names for {num_classes} classes", path=path, offset=labels_at)
-    try:
-        labels = LabelMap(tuple(rd.text() for _ in range(n_names)))
+        return LabelMap(tuple(names))
     except InvalidInputError as exc:
         raise FormatError(f"invalid label names: {exc}", path=path, offset=labels_at + 4) from None
 
-    (n_tensors,) = rd.unpack("<I")
-    tensors = {}
-    for _ in range(n_tensors):
-        name = rd.text()
-        dims_at = rd.pos
-        (rank,) = rd.unpack("<I")
-        dims = rd.unpack(f"<{rank}I")
-        if not 1 <= rank <= 4 or 0 in dims:  # no network tensor is empty or has more than 4 axes
-            raise FormatError(f"tensor {name!r} needs 1 to 4 non-empty axes", path=path, offset=dims_at)
-        payload = rd.take(4 * math.prod(dims))  # exact int product; take() checks it against the bytes left
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-    if rd.pos != len(rd.data):
-        raise FormatError("trailing bytes after final tensor", path=path, offset=rd.pos)
 
-    expected = param_shapes(cfg)
-    for group in ("param", "adam_m", "adam_v"):
-        for key, shape in expected.items():
-            name = f"{group}/{key}"
-            if name not in tensors or tensors[name].shape != shape:
-                raise FormatError(f"missing or misshaped tensor {name!r}", path=path, offset=rd.pos)
-    params = {key: tensors[f"param/{key}"] for key in expected}
-    adam = AdamState(
-        m={key: tensors[f"adam_m/{key}"] for key in expected},
-        v={key: tensors[f"adam_v/{key}"] for key in expected},
-        t=adam_t,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint back to a bit-identical training state.  The file
+    size is checked before the tensor block is read, in one pass, into one
+    array; the params and both Adam moments are views of it."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise FormatError(f"bad magic {head[:4]!r}, expected {CHECKPOINT_MAGIC!r}", path=path, offset=0)
+        version = int.from_bytes(head[4:8], "little")
+        if version != CHECKPOINT_VERSION:
+            msg = f"unsupported checkpoint version {version}; checkpoints written before version 2 cannot be loaded"
+            raise FormatError(msg, path=path, offset=4)
+        if len(head) < _HEADER.size:
+            raise FormatError("truncated checkpoint header", path=path, offset=len(head))
+        _, _, iteration, adam_t, lr, num_classes, channels, kernel, in_h, in_w, *maps = _HEADER.unpack(head)
+        try:
+            cfg = NetworkConfig(
+                num_classes, input_channels=channels, conv_maps=maps[:4], fc_sizes=maps[4:],
+                kernel_size=kernel, input_height=in_h, input_width=in_w,
+            )
+        except InvalidInputError as exc:
+            raise FormatError(f"invalid network config: {exc}", path=path, offset=_NETWORK_AT) from None
+        shapes = param_shapes(cfg)
+        sizes = [math.prod(shape) for shape in shapes.values()]  # exact ints, however large the dims
+        tensor_bytes = 3 * 4 * sum(sizes)
+        labels = _read_labels(fh, num_classes, size - tensor_bytes, size, path)
+        expected = fh.tell() + tensor_bytes
+        if size != expected:
+            what = "truncated checkpoint" if size < expected else "trailing bytes in checkpoint"
+            msg = f"{what}: the header and labels describe {expected} bytes, the file holds {size}"
+            raise FormatError(msg, path=path, offset=min(size, expected))
+        block = np.fromfile(fh, dtype="<f4", count=tensor_bytes // 4)
+
+    ends = np.cumsum(sizes)[:-1]
+    params, m, v = (
+        {key: part.reshape(shape) for (key, shape), part in zip(shapes.items(), np.split(group, ends))}
+        for group in block.reshape(3, -1)
     )
-    return Checkpoint(
-        config=cfg, params=params, adam=adam, iteration=iteration, learning_rate=lr, labels=labels
-    )
+    adam = AdamState(m=m, v=v, t=adam_t)
+    return Checkpoint(config=cfg, params=params, adam=adam, iteration=iteration, learning_rate=lr, labels=labels)
 
 
 def check_channels(scenario: Scenario, net: NetworkConfig, owner: str = "network") -> None:
@@ -314,6 +273,14 @@ def check_channels(scenario: Scenario, net: NetworkConfig, owner: str = "network
         raise ConfigurationError(
             f"scenario {scenario.value} feeds {scenario.input_channels} channels, "
             f"{owner} expects {net.input_channels}"
+        )
+
+
+def check_image_side(net: NetworkConfig, owner: str = "network") -> None:
+    """Raise ConfigurationError unless the network takes the shards' images."""
+    if (net.input_height, net.input_width) != (IMAGE_SIDE, IMAGE_SIDE):
+        raise ConfigurationError(
+            f"shards hold {IMAGE_SIDE}x{IMAGE_SIDE} images, {owner} expects {net.input_height}x{net.input_width}"
         )
 
 
@@ -361,6 +328,7 @@ def train(
     batches from the stream position of the checkpoint's iteration.
     """
     check_channels(cfg.scenario, cfg.net)
+    check_image_side(cfg.net)
     if labels.num_classes != cfg.net.num_classes:
         raise ConfigurationError(
             f"label map has {labels.num_classes} classes, network has {cfg.net.num_classes}"

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +189,29 @@ class TestPipeline:
             "--resume", str(tmp_path / "model" / "checkpoint.frck"),
         )
         assert code == 0
+
+
+    def test_a_failed_report_write_keeps_the_old_report(self, corpus, capsys, monkeypatch):
+        tmp_path, parts = corpus
+        self.build(capsys, tmp_path, parts)
+        self.train(capsys, tmp_path, parts)
+        argv = ("test", "--checkpoint", str(tmp_path / "model" / "checkpoint.frck"),
+                "--records-dir", str(tmp_path / "records"), "--batch-size", "4")
+        assert run(capsys, *argv)[0] == 0
+        report = tmp_path / "model" / "report-test.json"
+        before = report.read_bytes()
+
+        def half_then_fail(path, text, encoding=None):
+            with open(path, "w", encoding=encoding) as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+        with pytest.raises(OSError):
+            run(capsys, *argv)
+        monkeypatch.undo()
+        assert report.read_bytes() == before
+        assert not list((tmp_path / "model").glob("*.tmp"))
 
 
 class TestErrors:

@@ -188,6 +188,17 @@ class TestPredictImage:
         predict_image(ckpt, RasterImage(np.random.default_rng(15).random((37, 53, 3))), Scenario.RGB)
         assert resized == [(37, 53)]
 
+    def test_resizes_to_the_checkpoint_input_size(self):
+        net = NetworkConfig(**{**NET.__dict__, "input_height": 12, "input_width": 12})
+        rng = make_rng(16)
+        params = {k: rng.uniform(-0.5, 0.5, size=s).astype(np.float32) for k, s in param_shapes(net).items()}
+        ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, LABELS)
+        for img in (RasterImage(rng.random((12, 12, 3))), RasterImage(rng.random((30, 20, 3)))):
+            prediction = predict_image(ckpt, img, Scenario.RGB)
+            x = preprocess(resize_bilinear(img, 12, 12), Scenario.RGB, "test")[None].astype(np.float32)
+            probs = softmax(forward(net, params, x, 1.0)[0])[0]
+            assert (prediction.class_id, prediction.probability) == (int(np.argmax(probs)), float(probs.max()))
+
     def test_agrees_with_evaluate_on_same_record(self, tmp_path):
         rec = random_records(1, seed=9)[0]
         ckpt = random_checkpoint(12)
@@ -218,3 +229,13 @@ def test_label_beyond_the_checkpoint_classes_is_a_configuration_error(tmp_path):
     shards = shard_records(tmp_path, records)
     with pytest.raises(ConfigurationError, match=r"label 5 .*3-class"):
         evaluate(random_checkpoint(), shards, Scenario.RGB, batch_size=2, log=None)
+
+
+def test_a_network_not_taking_the_shard_images_is_refused(tmp_path):
+    net = NetworkConfig(**{**NET.__dict__, "input_height": 12, "input_width": 12})
+    params = {k: np.zeros(s, dtype=np.float32) for k, s in param_shapes(net).items()}
+    ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, LABELS)
+    lines = []
+    with pytest.raises(ConfigurationError, match="shards hold 100x100 images, checkpoint network expects 12x12"):
+        evaluate(ckpt, shard_records(tmp_path, random_records(2)), Scenario.RGB, log=lines.append)
+    assert lines == []

@@ -4,6 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fruitnet.synthetic import generate_corpus
+from fruitnet.training import load_checkpoint
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -33,3 +36,17 @@ def test_run_full_corpus_prints_its_usage():
     done = run_script("run_full_corpus.py", "--help")
     assert done.returncode == 0, done.stderr
     assert "--corpus-dir" in done.stdout
+
+
+def test_run_full_corpus_resumes_from_its_checkpoint(tmp_path):
+    generate_corpus(tmp_path / "corpus", num_classes=2, train_per_class=3, test_per_class=2, seed=4)
+    common = ("--corpus-dir", str(tmp_path / "corpus"), "--workdir", str(tmp_path / "work"),
+              "--batch-size", "2", "--num-threads", "1")
+    first = run_script("run_full_corpus.py", *common, "--iterations", "2")
+    assert first.returncode == 0, first.stderr
+    assert "resuming" not in first.stdout
+    again = run_script("run_full_corpus.py", *common, "--iterations", "4", "--resume")
+    assert again.returncode == 0, again.stderr
+    assert "reusing shards: 6 train / 4 test" in again.stdout
+    assert "resuming from iteration 2" in again.stdout
+    assert load_checkpoint(tmp_path / "work" / "model" / "checkpoint.frck").iteration == 4

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from fruitnet import training
 from fruitnet.augmentation import Scenario
 from fruitnet.errors import ConfigurationError, FormatError, ShapeError, TrainingDivergedError
 from fruitnet.layers import cross_entropy_loss
-from fruitnet.network import NetworkConfig, backward, forward, init_params, preset_configuration
+from fruitnet.network import NetworkConfig, backward, forward, init_params, param_shapes, preset_configuration
 from fruitnet.records import ExampleRecord, LabelMap, ShardSet, write_shard
 from fruitnet.seeding import STREAM_INIT, make_rng
 from fruitnet.training import (
@@ -406,26 +407,6 @@ def test_a_failed_checkpoint_save_leaves_no_tmp_and_the_old_checkpoint(tmp_path,
     assert path.read_bytes() == before
 
 
-def _tensor_dims_offset(raw: bytes, name: str) -> int:
-    # a tensor entry is: name length u32 | name | rank u32 | dims u32 each
-    at = raw.index(name.encode("utf-8")) + len(name)
-    assert struct.unpack_from("<I", raw, at)[0] == 4
-    return at + 4
-
-
-def test_tensor_dims_overflowing_int64_are_a_format_error(tmp_path):
-    path = tmp_path / "dims.frck"
-    save_checkpoint(make_checkpoint(), path)
-    raw = bytearray(path.read_bytes())
-    at = _tensor_dims_offset(bytes(raw), "param/conv1_w")
-    raw[at : at + 16] = struct.pack("<4I", *(2**32 - 1,) * 4)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError) as err:
-        load_checkpoint(path)
-    assert err.value.path == path
-    assert err.value.offset == at + 16  # the payload those dims claim
-
-
 def test_label_count_must_match_num_classes(tmp_path):
     ckpt = make_checkpoint()
     ckpt.labels = LabelMap(ckpt.labels.names[:2])  # 2 names for 3 classes
@@ -446,9 +427,16 @@ def test_scenario_channel_checks_keep_their_messages(tmp_path):
         train(tiny_cfg(iterations=1, scenario=Scenario.HSV_GRAY), shards, tmp_path / "x", labels, log=None)
 
 
-# header: magic 4 | version 4 | iteration, adam step, rate 24 | betas, eps 24 | then the network block
-_NETWORK_AT = 56
-_RESERVED_AT = _NETWORK_AT + 5 * 4
+def test_a_network_not_taking_the_shard_images_is_refused_before_anything_is_written(tmp_path):
+    shards, labels = tiny_corpus(tmp_path)
+    net = NetworkConfig(**{**TINY_NET.__dict__, "input_height": 12, "input_width": 12})
+    with pytest.raises(ConfigurationError, match="shards hold 100x100 images, network expects 12x12"):
+        train(tiny_cfg(iterations=1, net=net), shards, tmp_path / "run", labels, log=None)
+    assert not (tmp_path / "run").exists()
+
+
+# header: magic 4 | version 4 | iteration, adam step, rate 24 | then the network block
+_NETWORK_AT = 32
 
 
 def _non_utf8(name: bytes):
@@ -467,22 +455,15 @@ def _first_label_not_nothing(raw):
 
 
 def _zero_conv_maps(raw):
-    conv_maps_at = _RESERVED_AT + 1
+    conv_maps_at = _NETWORK_AT + 5 * 4
     raw[conv_maps_at : conv_maps_at + 4] = struct.pack("<I", 0)
     return _NETWORK_AT
 
 
-def _reserved_byte_set(raw):
-    assert raw[_RESERVED_AT] == 0  # what save_checkpoint writes
-    raw[_RESERVED_AT] = 1  # the flag of the removed LRN variant
-    return _RESERVED_AT
-
-
 @pytest.mark.parametrize(
     "edit",
-    [_non_utf8(b"nothing"), _non_utf8(b"param/conv1_w"),
-     _first_label_not_nothing, _zero_conv_maps, _reserved_byte_set],
-    ids=["non_utf8_label", "non_utf8_tensor_name", "first_label", "zero_conv_maps", "reserved_byte"],
+    [_non_utf8(b"nothing"), _first_label_not_nothing, _zero_conv_maps],
+    ids=["non_utf8_label", "first_label", "zero_conv_maps"],
 )
 def test_malformed_checkpoint_is_a_format_error_at_its_offset(tmp_path, edit):
     path = tmp_path / "damaged.frck"
@@ -494,6 +475,127 @@ def test_malformed_checkpoint_is_a_format_error_at_its_offset(tmp_path, edit):
         load_checkpoint(path)
     assert err.value.path == path
     assert err.value.offset == at
+
+
+def test_conv_maps_claiming_2_to_the_32_are_a_format_error_before_any_allocation(tmp_path):
+    path = tmp_path / "huge.frck"
+    save_checkpoint(make_checkpoint(), path)
+    raw = bytearray(path.read_bytes())
+    raw[_NETWORK_AT + 20 : _NETWORK_AT + 36] = struct.pack("<4I", *(2**32 - 1,) * 4)
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.path == path
+    assert err.value.offset == len(raw)  # min(size, expected): the file ends long before the tensors it claims
+    assert peak < 1e6, f"load_checkpoint peaked at {peak / 1e6:.1f} MB"
+
+
+def test_a_class_count_the_tensors_leave_no_room_for_fails_without_walking_them(tmp_path):
+    # zero tensors would parse as millions of empty label names; the labels
+    # must end where the tensors the header describes begin
+    cfg = preset_configuration(1, num_classes=5)
+    params = {k: np.zeros(s, dtype=np.float32) for k, s in param_shapes(cfg).items()}
+    path = tmp_path / "classes.frck"
+    labels = LabelMap.from_names(list("abcd"))
+    save_checkpoint(Checkpoint(cfg, params, AdamState.zeros_like(params), 1, 0.001, labels), path)
+    raw = bytearray(path.read_bytes())
+    raw[_NETWORK_AT : _NETWORK_AT + 4] = raw[76:80] = struct.pack("<I", 2**32 - 1)
+    path.write_bytes(bytes(raw))
+    began = time.perf_counter()
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert time.perf_counter() - began < 5.0
+    assert err.value.offset == len(raw)
+
+
+@pytest.mark.parametrize("change", [-1, -4, -500, 1, 4], ids=["short_1", "short_4", "short_500", "long_1", "long_4"])
+def test_truncated_and_trailing_files_fail_at_the_described_size(tmp_path, change):
+    path = tmp_path / "sized.frck"
+    save_checkpoint(make_checkpoint(), path)
+    raw = path.read_bytes()
+    damaged = raw[:change] if change < 0 else raw + bytes(change)
+    path.write_bytes(damaged)
+    with pytest.raises(FormatError, match="truncated" if change < 0 else "trailing") as err:
+        load_checkpoint(path)
+    assert err.value.offset == min(len(damaged), len(raw))
+
+
+@pytest.mark.parametrize("length", [20, 80], ids=["in_header", "in_labels"])
+def test_a_file_cut_in_its_header_or_labels_fails_at_its_end(tmp_path, length):
+    path = tmp_path / "cut.frck"
+    save_checkpoint(make_checkpoint(), path)
+    path.write_bytes(path.read_bytes()[:length])
+    with pytest.raises(FormatError, match="truncated") as err:
+        load_checkpoint(path)
+    assert err.value.offset == length
+
+
+def test_a_version_1_checkpoint_is_refused_at_offset_4(tmp_path):
+    path = tmp_path / "v1.frck"
+    save_checkpoint(make_checkpoint(), path)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="checkpoints written before version 2 cannot be loaded") as err:
+        load_checkpoint(path)
+    assert err.value.offset == 4
+
+
+_small_nets = st.builds(
+    NetworkConfig,
+    num_classes=st.integers(1, 4),
+    input_channels=st.integers(1, 4),
+    conv_maps=st.tuples(*[st.integers(1, 3)] * 4),
+    fc_sizes=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    kernel_size=st.integers(1, 3),
+    input_height=st.integers(1, 20),
+    input_width=st.integers(1, 20),
+)
+
+
+@given(net=_small_nets, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_v2_round_trip_is_exact_and_holds_only_the_state(tmp_path_factory, net, data):
+    names = data.draw(st.lists(st.text(max_size=6), min_size=net.num_classes - 1, max_size=net.num_classes - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shapes = param_shapes(net)
+    params, m, v = ({k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()} for _ in range(3))
+    ckpt = Checkpoint(
+        net, params, AdamState(m=m, v=v, t=data.draw(st.integers(0, 2**64 - 1), label="t")),
+        data.draw(st.integers(0, 2**64 - 1), label="iteration"),
+        data.draw(st.floats(allow_nan=False), label="lr"),
+        LabelMap.from_names(names),
+    )
+    tmp = tmp_path_factory.mktemp("v2")
+    save_checkpoint(ckpt, tmp / "a.frck")
+    back = load_checkpoint(tmp / "a.frck")
+    assert (back.config, back.labels, back.iteration, back.learning_rate, back.adam.t) == (
+        net, ckpt.labels, ckpt.iteration, ckpt.learning_rate, ckpt.adam.t
+    )
+    for group, loaded in ((params, back.params), (m, back.adam.m), (v, back.adam.v)):
+        assert list(loaded) == list(shapes)
+        for key in shapes:
+            assert loaded[key].dtype == np.float32 and np.array_equal(loaded[key], group[key]), key
+    # the fixed header, the labels and the float32 tensors: no names, dims or other fields
+    label_bytes = 4 + sum(4 + len(name.encode("utf-8")) for name in ckpt.labels.names)
+    tensor_bytes = 3 * 4 * sum(math.prod(s) for s in shapes.values())
+    raw = (tmp / "a.frck").read_bytes()
+    assert len(raw) == 76 + label_bytes + tensor_bytes
+    save_checkpoint(back, tmp / "b.frck")
+    assert (tmp / "b.frck").read_bytes() == raw
+
+
+def test_saving_tensors_of_the_wrong_shape_is_a_shape_error(tmp_path):
+    ckpt = make_checkpoint()
+    ckpt.adam.v["fc1_b"] = ckpt.adam.v["fc1_b"][:-1]
+    with pytest.raises(ShapeError):
+        save_checkpoint(ckpt, tmp_path / "bad.frck")
+    assert list(tmp_path.iterdir()) == []
 
 
 _FUZZ_NET = NetworkConfig(
@@ -537,3 +639,21 @@ def test_saving_a_preset_1_checkpoint_copies_no_tensor(tmp_path):
         tracemalloc.stop()
     assert peak < 8e6, f"save_checkpoint peaked at {peak / 1e6:.1f} MB"
     assert load_checkpoint(tmp_path / "c.frck").params["fc1_w"].tobytes() == params["fc1_w"].tobytes()
+
+
+def test_loading_a_preset_1_checkpoint_reads_the_tensors_once(tmp_path):
+    # the tensor block is read in one pass into one array that the params
+    # and both Adam moments view, so the traced peak is that block and little more
+    cfg = preset_configuration(1, num_classes=5)
+    params = init_params(cfg, make_rng(0, STREAM_INIT))
+    ckpt = Checkpoint(cfg, params, AdamState.zeros_like(params), 1, 0.001, LabelMap.from_names(list("abcd")))
+    save_checkpoint(ckpt, tmp_path / "c.frck")
+    tensor_bytes = 3 * sum(p.nbytes for p in params.values())
+    tracemalloc.start()
+    try:
+        back = load_checkpoint(tmp_path / "c.frck")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * tensor_bytes, f"load_checkpoint peaked at {peak / 1e6:.1f} MB for {tensor_bytes / 1e6:.1f} MB"
+    assert all(np.array_equal(back.params[k], params[k]) for k in params)
