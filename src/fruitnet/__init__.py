@@ -17,7 +17,6 @@ from .errors import (
 )
 from .evaluation import EvalReport, Prediction, evaluate, predict_image
 from .imaging import (
-    BackgroundMask,
     FloodFillParams,
     RasterImage,
     flood_fill_background,
@@ -31,7 +30,6 @@ from .records import (
     ExampleRecord,
     LabelMap,
     ShardSet,
-    ShuffleParams,
     build_shards,
     find_shards,
     read_examples,

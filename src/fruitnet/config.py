@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_utf8
 
 ENV_VAR = "FRUITS_CONFIG"
 
@@ -42,7 +42,7 @@ class ProjectConfig:
     def load(cls, path) -> "ProjectConfig":
         """Parse a key=value file ('#' starts a comment)."""
         raw = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -1,4 +1,6 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and a text-file reader that raises them."""
+
+from pathlib import Path
 
 
 class FruitnetError(Exception):
@@ -37,3 +39,12 @@ class TrainingDivergedError(FruitnetError, RuntimeError):
     def __init__(self, iteration: int, loss: float):
         super().__init__(f"non-finite loss {loss} at iteration {iteration}")
         self.iteration = iteration
+
+
+def read_utf8(path) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise FormatError
+    with the path and the offset of the first bad byte."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"text is not UTF-8: {exc.reason}", path=path, offset=exc.start) from None

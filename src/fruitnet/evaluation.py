@@ -85,9 +85,9 @@ def evaluate(
     until evaluate returns."""
     check_channels(scenario, ckpt.config, "checkpoint network")
     check_image_side(ckpt.config, "checkpoint network")
-    total = 0
-    correct = 0
-    mislabeled: dict = {}
+    n = ckpt.config.num_classes
+    misses = np.zeros(n, dtype=np.int64)  # per true class
+    total = correct = 0
 
     def logits_of(images):
         x = preprocess_batch(images, scenario)
@@ -95,21 +95,19 @@ def evaluate(
 
     with slice_workers() as run:
         for images, labels in sequential_batches(read_examples(shards), batch_size):
-            if labels.max() >= ckpt.config.num_classes:
-                n = ckpt.config.num_classes
+            if labels.max() >= n:
                 raise ConfigurationError(f"shard label {labels.max()} is out of range for a {n}-class checkpoint")
             logits = np.concatenate(run(logits_of, [images[rows] for rows in batch_slices(len(images))]))
             picks = np.argmax(logits, axis=1)  # lowest index wins on ties
-            for pick, truth in zip(picks, labels):
-                total += 1
-                if pick == truth:
-                    correct += 1
-                else:
-                    name = ckpt.labels.name_of(int(truth))
-                    mislabeled[name] = mislabeled.get(name, 0) + 1
+            np.add.at(misses, labels[picks != labels], 1)
+            total += len(labels)
+            correct = total - int(misses.sum())
             if log is not None:
-                running = correct / total
-                log(f"evaluated {total} images, running accuracy {running:.4f}")
+                log(f"evaluated {total} images, running accuracy {correct / total:.4f}")
+    mislabeled: dict = {}
+    for class_id in np.flatnonzero(misses).tolist():  # two ids of one name share its count
+        name = ckpt.labels.name_of(class_id)
+        mislabeled[name] = mislabeled.get(name, 0) + int(misses[class_id])
     accuracy = correct / total if total else 0.0
     return EvalReport(total_images=total, correct=correct, accuracy=accuracy, mislabeled=mislabeled)
 

@@ -2,7 +2,8 @@
 
 A RasterImage is an RGB photo: float64 (height, width, 3) in [0, 1], checked
 when it is made.  Background extraction, rescaling and PPM I/O take and give
-RasterImages.  The colorspace math works on plain (..., 3) float arrays (the
+RasterImages; a background mask is a plain (height, width) bool array, True
+on background.  The colorspace math works on plain (..., 3) float arrays (the
 *_pixels functions), which is all that preprocessing needs.  The RGB/HSV
 conversions are Smith's hexcone transform pair; they are exact, faster
 rewrites of the plain formulas kept as oracles in tests/helpers.py, and
@@ -14,6 +15,7 @@ floats as v / 255 and back as round(v * 255) clamped to [0, 255].
 """
 
 import itertools
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,27 +81,6 @@ class RasterImage:
 
 
 @dataclass(frozen=True)
-class BackgroundMask:
-    """Boolean mask per pixel; True marks background."""
-
-    marked: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.marked, dtype=bool)
-        object.__setattr__(self, "marked", m)
-        if m.ndim != 2:
-            raise InvalidInputError(f"mask must be 2-d, got shape {m.shape}")
-
-    @property
-    def height(self) -> int:
-        return self.marked.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.marked.shape[1]
-
-
-@dataclass(frozen=True)
 class FloodFillParams:
     """Flood-fill tuning; the color-distance threshold is set per input.
 
@@ -123,8 +104,9 @@ def _close_to_neighbour(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     return np.sqrt(d, out=d) < t
 
 
-def flood_fill_background(img: RasterImage, params: FloodFillParams) -> BackgroundMask:
-    """Mark the background by growing inward from the image border.
+def flood_fill_background(img: RasterImage, params: FloodFillParams) -> np.ndarray:
+    """Mark the background by growing inward from the image border; returns
+    a (height, width) bool array, True on background.
 
     Every border pixel is marked.  A pixel joins the mask when some already
     marked 4-neighbor is closer to it than the threshold (Euclidean distance
@@ -173,16 +155,16 @@ def flood_fill_background(img: RasterImage, params: FloodFillParams) -> Backgrou
         if grown == count:
             break
         count = grown
-    return BackgroundMask(marked.reshape(h, w))
+    return marked.reshape(h, w)
 
 
-def remove_background(img: RasterImage, mask: BackgroundMask) -> RasterImage:
-    """Fill masked pixels with white; unmasked pixels pass through untouched."""
-    if (mask.height, mask.width) != (img.height, img.width):
-        raise InvalidInputError(
-            f"mask {mask.height}x{mask.width} does not match image {img.height}x{img.width}"
-        )
-    return RasterImage._adopt(np.where(mask.marked[..., None], 1.0, img.pixels))
+def remove_background(img: RasterImage, mask: np.ndarray) -> RasterImage:
+    """Fill masked pixels with white; unmasked pixels pass through untouched.
+    The mask is read as bool and must have the image's (height, width) shape."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (img.height, img.width):
+        raise InvalidInputError(f"mask of shape {mask.shape} does not match image {img.height}x{img.width}")
+    return RasterImage._adopt(np.where(mask[..., None], 1.0, img.pixels))
 
 
 def _axis_coords(n_in: int, n_out: int) -> np.ndarray:
@@ -280,39 +262,36 @@ def rgb_to_gray_pixels(px: np.ndarray) -> np.ndarray:
     return np.clip(gray, 0.0, 1.0)[..., None]
 
 
+# one PPM header token after whitespace and comments (to the end of the line);
+# \s is the ASCII whitespace of bytes.isspace()
+_PPM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
+
 def read_ppm(path) -> RasterImage:
     """Read a binary PPM (P6, maxval 255) as an RGB image."""
     path = Path(path)
     data = path.read_bytes()
     pos = 0
 
-    def token():
+    def next_token() -> bytes:
         nonlocal pos
-        while pos < len(data):
-            ch = data[pos : pos + 1]
-            if ch == b"#":  # comment runs to end of line
-                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        match = _PPM_TOKEN.match(data, pos)
+        pos = match.end()
+        if not match[1]:
             raise FormatError("unexpected end of PPM header", path=path, offset=pos)
-        return data[start:pos]
+        return match[1]
 
-    magic = token()
+    def next_int() -> int:
+        token = next_token()
+        try:
+            return int(token)
+        except ValueError as exc:
+            raise FormatError(f"malformed PPM header: {exc}", path=path, offset=pos) from exc
+
+    magic = next_token()
     if magic != b"P6":
         raise FormatError(f"not a binary PPM (magic {magic!r})", path=path, offset=0)
-    try:
-        width = int(token())
-        height = int(token())
-        maxval = int(token())
-    except ValueError as exc:
-        raise FormatError(f"malformed PPM header: {exc}", path=path, offset=pos) from exc
+    width, height, maxval = next_int(), next_int(), next_int()
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}, expected 255", path=path, offset=pos)
     if width < 1 or height < 1:

@@ -9,17 +9,23 @@ Shard format v2 (little-endian, bit-exact round trip):
 
 All records of a shard share its dims (height, width >= 1; an empty shard
 has 0x0), so the header fixes the file size.  Records are views of a
-read-only map of the pixel block; write_shard renames a finished temporary
-file over the target, so a mapped shard is never truncated.  Version 1
+read-only map of the pixel block; write_shard syncs a finished temporary
+file to disk and renames it over the target, so a mapped shard is never
+truncated and a crash leaves the old or the new file.  Version 1
 shards are not read: rebuild them with `fruitnet build-records`.
+
+A build writes a split's shards as `<split>-00000-of-N.rec` onwards and deletes
+its shards of other counts; find_shards reads only such a complete set.
 
 A labels file is UTF-8 text, one class name per line; line order defines ids
 1..N and id 0 is reserved for the "nothing" background class, so a network
-trained on N classes has N + 1 outputs.
+trained on N classes has N + 1 outputs.  A file that names a class twice, or
+names "nothing", is refused.
 """
 
 import os
 import struct
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -28,7 +34,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, InvalidInputError
+from .errors import ConfigurationError, FormatError, InvalidInputError, read_utf8
 from .imaging import read_ppm, resize_bilinear, to_u8
 from .seeding import STREAM_SHUFFLE, make_rng
 
@@ -72,8 +78,13 @@ class LabelMap:
 
     @classmethod
     def from_file(cls, path) -> "LabelMap":
-        lines = [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines()]
-        return cls.from_names([ln for ln in lines if ln])
+        names = [ln.strip() for ln in read_utf8(path).splitlines() if ln.strip()]
+        if BACKGROUND_NAME in names:
+            raise ConfigurationError(f"labels file {path} names {BACKGROUND_NAME!r}, the class of id 0")
+        twice = sorted(name for name, n in Counter(names).items() if n > 1)
+        if twice:
+            raise ConfigurationError(f"labels file {path} names {', '.join(twice)} more than once")
+        return cls.from_names(names)
 
     @property
     def num_classes(self) -> int:
@@ -98,31 +109,28 @@ class ShardSet:
     count: int
 
 
-@dataclass(frozen=True)
-class ShuffleParams:
-    """Shuffle-buffer sizing; defaults follow the reference training setup."""
-
-    capacity: int = 35060
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise InvalidInputError(f"capacity must be >= 1, got {self.capacity}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
-
-
 @contextmanager
 def _replaced_on_success(path: Path):
     """Yield path's ".tmp" sibling to write: renamed over path when the block
-    completes, deleted when it raises (Ctrl-C too), so path keeps its bytes."""
+    completes, deleted when it raises (Ctrl-C too), so path keeps its bytes.
+    The file is synced before the rename and the directory after it."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         yield tmp
+        _fsync(tmp)
         os.replace(tmp, path)
+        _fsync(path.parent)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _fsync(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def write_shard(path, records: Iterable[ExampleRecord]) -> int:
@@ -226,19 +234,26 @@ def _decoded_records(examples: list, pool) -> Iterator[ExampleRecord]:
             yield ExampleRecord(label, px)
 
 
+def _shard_names(split: str, n_shards: int) -> list:
+    return [f"{split}-{i:05d}-of-{n_shards:05d}.rec" for i in range(n_shards)]
+
+
 def _build_split(split: str, split_dir: Path, labels, out_dir: Path, n_shards: int, pool) -> ShardSet:
     examples = _collect_examples(split_dir, labels)
     bounds = np.linspace(0, len(examples), n_shards + 1).astype(int)
     paths = []
     try:
-        for i in range(n_shards):
+        for i, name in enumerate(_shard_names(split, n_shards)):
             chunk = examples[bounds[i] : bounds[i + 1]]
-            paths.append(out_dir / f"{split}-{i:05d}-of-{n_shards:05d}.rec")
+            paths.append(out_dir / name)
             write_shard(paths[-1], _decoded_records(chunk, pool))
     except BaseException:
         for path in paths:  # no partial outputs on failure
             path.unlink(missing_ok=True)
         raise
+    digits = "[0-9]" * 5
+    for stale in set(out_dir.glob(f"{split}-{digits}-of-{digits}.rec")) - set(paths):  # an earlier build's
+        stale.unlink()
     return ShardSet(paths=tuple(paths), split=split, count=len(examples))
 
 
@@ -271,10 +286,15 @@ def build_shards(
 
 
 def find_shards(records_dir, split: str) -> ShardSet:
-    """Locate a split's shard files under a directory and count their records."""
-    paths = tuple(sorted(Path(records_dir).glob(f"{split}-*.rec")))
-    if not paths:
+    """Locate a split's shard files under a directory and count their records.
+    The files must be one complete set, `<split>-00000-of-N.rec` onwards."""
+    found = sorted(path.name for path in Path(records_dir).glob(f"{split}-*.rec"))
+    if not found:
         raise ConfigurationError(f"no {split!r} shards found in {records_dir}")
+    if found != _shard_names(split, len(found)):
+        msg = f"{split!r} shards in {records_dir} are not one complete set: {', '.join(found)}"
+        raise ConfigurationError(msg + "; rebuild them with `fruitnet build-records`")
+    paths = tuple(Path(records_dir) / name for name in found)
     count = sum(len(_read_shard(path)[0]) for path in paths)
     return ShardSet(paths=paths, split=split, count=count)
 
@@ -285,7 +305,7 @@ def _batch(pixels, labels) -> tuple:
     return images, np.array(labels, dtype=np.int64)
 
 
-def shuffle_batches(shards: ShardSet, batch_size: int, params: ShuffleParams, start: int = 0) -> Iterator[tuple]:
+def shuffle_batches(shards: ShardSet, batch_size: int, capacity: int, seed: int, start: int = 0) -> Iterator[tuple]:
     """Yield batches through a fixed-capacity shuffle buffer, without end.
 
     The buffer holds numbers of elements of an endless file-order cycle over
@@ -295,27 +315,27 @@ def shuffle_batches(shards: ShardSet, batch_size: int, params: ShuffleParams, st
     their draws alone.  Equal seeds give bit-identical batches; an empty set
     yields nothing.
     """
-    if batch_size < 1:
-        raise InvalidInputError(f"batch_size must be >= 1, got {batch_size}")
-    if start < 0:
-        raise InvalidInputError(f"start must be >= 0, got {start}")
+    lows = (("batch_size", batch_size, 1), ("capacity", capacity, 1), ("seed", seed, 0), ("start", start, 0))
+    for name, value, low in lows:
+        if value < low:
+            raise InvalidInputError(f"{name} must be >= {low}, got {value}")
     shard_data = [_image_shard(path) for path in shards.paths]
     first = np.cumsum([0] + [len(labels) for labels, _ in shard_data])  # each shard's first record number
     if first[-1] == 0:
         return
     labels = np.concatenate([labels for labels, _ in shard_data])
     maps = [np.asarray(pixels) for _, pixels in shard_data]
-    rng = make_rng(params.seed, STREAM_SHUFFLE)
-    buf = np.arange(params.capacity)
-    nxt = params.capacity
+    rng = make_rng(seed, STREAM_SHUFFLE)
+    buf = np.arange(capacity)
+    nxt = capacity
     skipped = start * batch_size
     for at in range(0, skipped, 1 << 20):  # a slot keeps its last, so largest, skipped element
-        slots = rng.integers(params.capacity, size=min(1 << 20, skipped - at))
+        slots = rng.integers(capacity, size=min(1 << 20, skipped - at))
         np.maximum.at(buf, slots, np.arange(nxt, nxt + len(slots)))
         nxt += len(slots)
     while True:
         taken = []
-        for j in rng.integers(params.capacity, size=batch_size).tolist():
+        for j in rng.integers(capacity, size=batch_size).tolist():
             taken.append(buf[j])
             buf[j], nxt = nxt, nxt + 1
         records = np.array(taken) % first[-1]

@@ -38,7 +38,7 @@ from .augmentation import AugmentConfig, Scenario, augment_draws, preprocess_bat
 from .errors import ConfigurationError, FormatError, InvalidInputError, ShapeError, TrainingDivergedError
 from .layers import Tensor, cross_entropy_loss
 from .network import NetworkConfig, Params, backward, dropout_masks, forward, init_params, param_shapes
-from .records import IMAGE_SIDE, LabelMap, ShardSet, ShuffleParams, _replaced_on_success, shuffle_batches
+from .records import IMAGE_SIDE, LabelMap, ShardSet, _replaced_on_success, shuffle_batches
 from .seeding import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_INIT, make_rng
 
 CHECKPOINT_MAGIC = b"FRCK"
@@ -63,29 +63,22 @@ class TrainConfig:
     lr_final: float = 0.00001
     display_interval: int = 50
     seed: int = 0
-    shuffle_capacity: int | None = None  # defaults to 35000 + batch_size
+    shuffle_capacity: int | None = None  # None becomes 35000 + batch_size
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.shuffle_capacity is None:
+            object.__setattr__(self, "shuffle_capacity", 35000 + self.batch_size)
+        lows = (("batch_size", 1), ("iterations", 0), ("display_interval", 1), ("seed", 0), ("shuffle_capacity", 1))
+        for name, low in lows:
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 < self.lr_final <= self.lr_initial:
             raise ConfigurationError(
                 f"need 0 < lr_final <= lr_initial, got {self.lr_final}, {self.lr_initial}"
             )
-        for name, low in (("iterations", 0), ("display_interval", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ConfigurationError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
-        if self.shuffle_capacity is not None and self.shuffle_capacity < 1:
-            raise ConfigurationError(f"shuffle_capacity must be >= 1, got {self.shuffle_capacity}")
-
-    @property
-    def effective_shuffle_capacity(self) -> int:
-        if self.shuffle_capacity is not None:
-            return self.shuffle_capacity
-        return 35000 + self.batch_size
 
 
 @dataclass
@@ -361,8 +354,7 @@ def train(
         start = 0
         _append_metrics(metrics_path, [], fresh=True)
 
-    shuffle = ShuffleParams(capacity=cfg.effective_shuffle_capacity, seed=cfg.seed)
-    stream = shuffle_batches(shards, cfg.batch_size, shuffle, start)
+    stream = shuffle_batches(shards, cfg.batch_size, cfg.shuffle_capacity, cfg.seed, start)
     tick = time.perf_counter()
     with slice_workers() as run:
         for i in range(start + 1, cfg.iterations + 1):

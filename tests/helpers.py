@@ -6,8 +6,8 @@ six-loop direct convolution and its scatter-form input gradient, the
 whole-batch width-only patch convolution that the conv layers once used,
 loop max pooling, central finite differences, a scalar Adam recurrence, the plain
 formulas of the RGB/HSV conversions, the per-image augmentation pipeline
-composed from those formulas, and a list shuffle buffer over record numbers.
-None of them calls into fruitnet.  damage() draws the damaged files that the
+composed from those formulas, a list shuffle buffer over record numbers,
+and a byte-by-byte PPM header parse.  None of them calls into fruitnet.  damage() draws the damaged files that the
 format fuzz tests feed to the readers.
 """
 
@@ -266,6 +266,62 @@ def hsv_gray_aug_oracle(images: np.ndarray, rng, config) -> np.ndarray:
         gray = np.clip(0.299 * px[..., 0] + 0.587 * px[..., 1] + 0.114 * px[..., 2], 0.0, 1.0)
         out.append(np.concatenate([rgb_to_hsv_oracle(px), gray[..., None]], axis=-1))
     return np.stack(out)
+
+
+class PpmOracleError(Exception):
+    """The oracle's refusal of a PPM: the message and byte offset that the
+    reader must report."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(message)
+        self.message, self.offset = message, offset
+
+
+def read_ppm_oracle(data: bytes) -> np.ndarray:
+    """Parse a binary PPM (P6, maxval 255) a byte at a time; returns the
+    uint8 (height, width, 3) raster.  Before each header token, whitespace
+    (bytes.isspace) is skipped, and so is a comment: "#" up to, not
+    including, the next CR or LF; the token runs to the next whitespace
+    byte.  One byte after maxval, which may be cut off, precedes the raster."""
+    pos = 0
+
+    def token():
+        nonlocal pos
+        while pos < len(data):
+            ch = data[pos : pos + 1]
+            if ch == b"#":
+                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
+                    pos += 1
+            elif ch.isspace():
+                pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise PpmOracleError("unexpected end of PPM header", pos)
+        return data[start:pos]
+
+    magic = token()
+    if magic != b"P6":
+        raise PpmOracleError(f"not a binary PPM (magic {magic!r})", 0)
+    try:
+        width = int(token())
+        height = int(token())
+        maxval = int(token())
+    except ValueError as exc:
+        raise PpmOracleError(f"malformed PPM header: {exc}", pos) from exc
+    if maxval != 255:
+        raise PpmOracleError(f"unsupported maxval {maxval}, expected 255", pos)
+    if width < 1 or height < 1:
+        raise PpmOracleError(f"image dims must be positive, got {width}x{height}", pos)
+    pos = min(pos + 1, len(data))
+    need = width * height * 3
+    raster = data[pos : pos + need]
+    if len(raster) != need:
+        raise PpmOracleError(f"truncated raster: expected {need} bytes, got {len(raster)}", pos)
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
 
 
 def damage(data, raw: bytes) -> bytes:

@@ -210,11 +210,11 @@ def test_criterion_3_flood_fill_oracle_equivalence():
         for case in range(200):
             pixels = rng.random((16, 16, 3))
             img = RasterImage(pixels)
-            mask = flood_fill_background(img, FloodFillParams(0.2)).marked
+            mask = flood_fill_background(img, FloodFillParams(0.2))
             assert np.array_equal(mask, floodfill_bfs_oracle(pixels, 0.2)), f"random case {case}"
         for seed in range(20):
             img = synthetic_image(make_rng(3002, seed), hue=(seed % 5) / 5.0, size=20, raw=True)
-            mask = flood_fill_background(img, FloodFillParams(0.1)).marked
+            mask = flood_fill_background(img, FloodFillParams(0.1))
             assert np.array_equal(mask, floodfill_bfs_oracle(img.pixels, 0.1)), f"blob case {seed}"
         elapsed = time.monotonic() - started
         assert elapsed < 10.0, f"flood-fill equivalence took {elapsed:.1f}s"

@@ -14,12 +14,12 @@ PUBLIC_NAMES = {
     # evaluation and prediction
     "EvalReport", "Prediction", "evaluate", "predict_image",
     # images: background extraction, rescaling, PPM I/O
-    "BackgroundMask", "FloodFillParams", "RasterImage", "flood_fill_background", "read_ppm",
+    "FloodFillParams", "RasterImage", "flood_fill_background", "read_ppm",
     "remove_background", "resize_bilinear", "write_ppm",
     # the network
     "NetworkConfig", "init_params", "preset_configuration",
     # shards and batches
-    "ExampleRecord", "LabelMap", "ShardSet", "ShuffleParams", "build_shards", "find_shards",
+    "ExampleRecord", "LabelMap", "ShardSet", "build_shards", "find_shards",
     "read_examples", "sequential_batches", "shuffle_batches",
     # synthetic corpus
     "generate_corpus",

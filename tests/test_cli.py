@@ -238,6 +238,46 @@ class TestErrors:
         assert "error:" in err
 
 
+class TestTextInputs:
+    def build(self, capsys, tmp_path, parts, labels: bytes):
+        labels_file = tmp_path / "labels.txt"
+        labels_file.write_bytes(labels)
+        return run(
+            capsys, "build-records",
+            "--train_directory", str(parts["train_dir"]),
+            "--validation_directory", str(parts["test_dir"]),
+            "--output_directory", str(tmp_path / "records"),
+            "--labels_file", str(labels_file),
+        )
+
+    def test_a_labels_file_that_is_not_utf8_fails_at_its_offset(self, corpus, capsys):
+        tmp_path, parts = corpus
+        code, _, err = self.build(capsys, tmp_path, parts, b"class_01\nclass_\xff2\n")
+        assert code == 1
+        assert err.startswith("error: text is not UTF-8")
+        assert str(tmp_path / "labels.txt") in err and "[byte offset: 15]" in err
+
+    @pytest.mark.parametrize(
+        "labels, named",
+        [(b"class_01\nclass_02\nclass_01\n", "class_01"), (b"nothing\nclass_01\nclass_02\n", "'nothing'")],
+    )
+    def test_a_labels_file_naming_a_class_twice_or_the_background_fails(self, corpus, capsys, labels, named):
+        tmp_path, parts = corpus
+        code, _, err = self.build(capsys, tmp_path, parts, labels)
+        assert code == 1
+        assert err.startswith("error: labels file") and named in err
+        assert not (tmp_path / "records").exists()
+
+    def test_a_config_file_that_is_not_utf8_fails_at_its_offset(self, tmp_path, capsys, monkeypatch):
+        cfg_file = tmp_path / "p.cfg"
+        cfg_file.write_bytes(b"data_dir=caf\xe9\n")
+        monkeypatch.setenv("FRUITS_CONFIG", str(cfg_file))
+        code, _, err = run(capsys, "test")
+        assert code == 1
+        assert err.startswith("error: text is not UTF-8")
+        assert str(cfg_file) in err and "[byte offset: 12]" in err
+
+
 class TestProjectConfig:
     def test_parse_and_relative_resolution(self, tmp_path):
         cfg_file = tmp_path / "p.cfg"

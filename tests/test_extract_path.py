@@ -95,7 +95,7 @@ quarter_grid_images = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_flood_fill_matches_the_oracle_where_distances_equal_the_threshold(quarters, t):
     px = quarters / 4.0
-    mask = flood_fill_background(RasterImage(px), FloodFillParams(t)).marked
+    mask = flood_fill_background(RasterImage(px), FloodFillParams(t))
     assert np.array_equal(mask, floodfill_bfs_oracle(px, t))
 
 
@@ -103,7 +103,7 @@ def test_flood_fill_matches_the_oracle_where_distances_equal_the_threshold(quart
 def test_flood_fill_follows_a_corridor_that_turns_at_every_step(corridor):
     path = corridor(60)
     px = walled(60, path)
-    mask = flood_fill_background(RasterImage(px), FloodFillParams(0.1)).marked
+    mask = flood_fill_background(RasterImage(px), FloodFillParams(0.1))
     assert np.array_equal(mask, floodfill_bfs_oracle(px, 0.1))
     assert mask[path[-1]]  # the fill reached the corridor's inner end
 

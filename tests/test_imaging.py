@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from fruitnet.errors import FormatError, InvalidInputError
 from fruitnet.augmentation import Scenario, preprocess
 from fruitnet.imaging import (
-    BackgroundMask,
     FloodFillParams,
     RasterImage,
     check_unit_range,
@@ -21,7 +20,7 @@ from fruitnet.imaging import (
     write_ppm,
 )
 
-from helpers import damage, floodfill_bfs_oracle
+from helpers import PpmOracleError, damage, floodfill_bfs_oracle, read_ppm_oracle
 
 
 def rgb(pixels) -> RasterImage:
@@ -88,7 +87,7 @@ def test_unit_range_accepts_the_closed_interval_and_empty_arrays():
 class TestFloodFill:
     def test_uniform_image_fully_marked(self):
         mask = flood_fill_background(rgb(np.full((3, 3, 3), 0.5)), FloodFillParams(0.1))
-        assert mask.marked.all()
+        assert mask.all()
 
     def test_zero_threshold_marks_border_only(self):
         rng = np.random.default_rng(0)
@@ -97,7 +96,7 @@ class TestFloodFill:
         expected = np.zeros((6, 7), dtype=bool)
         expected[0, :] = expected[-1, :] = True
         expected[:, 0] = expected[:, -1] = True
-        assert np.array_equal(mask.marked, expected)
+        assert np.array_equal(mask, expected)
 
     def test_matches_bfs_oracle_on_random_images(self):
         rng = np.random.default_rng(42)
@@ -105,22 +104,22 @@ class TestFloodFill:
             img = random_rgb(rng, 16, 16)
             mask = flood_fill_background(img, FloodFillParams(0.2))
             oracle = floodfill_bfs_oracle(img.pixels, 0.2)
-            assert np.array_equal(mask.marked, oracle)
+            assert np.array_equal(mask, oracle)
 
     def test_blob_is_protected(self):
         # bright blob on a dark background: fill stops at the color jump
         px = np.full((9, 9, 3), 0.1)
         px[3:6, 3:6] = 0.9
         mask = flood_fill_background(rgb(px), FloodFillParams(0.3))
-        assert mask.marked.sum() == 81 - 9
-        assert not mask.marked[3:6, 3:6].any()
+        assert mask.sum() == 81 - 9
+        assert not mask[3:6, 3:6].any()
 
     def test_mask_is_a_fixed_point(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             img = random_rgb(rng, 12, 12)
             t = 0.25
-            marked = flood_fill_background(img, FloodFillParams(t)).marked
+            marked = flood_fill_background(img, FloodFillParams(t))
             px = img.pixels
             # one more expansion round must add nothing
             for r in range(12):
@@ -137,14 +136,18 @@ class TestFloodFill:
     def test_mask_monotone_in_threshold(self, seed, t1, extra):
         rng = np.random.default_rng(seed)
         img = random_rgb(rng, 8, 8)
-        small = flood_fill_background(img, FloodFillParams(t1)).marked
-        large = flood_fill_background(img, FloodFillParams(t1 + extra)).marked
+        small = flood_fill_background(img, FloodFillParams(t1))
+        large = flood_fill_background(img, FloodFillParams(t1 + extra))
         assert (small <= large).all()
 
     def test_wrong_colorspace_rejected(self):
         # the image type refuses one channel, so flood fill never sees it
         with pytest.raises(InvalidInputError):
             flood_fill_background(RasterImage(np.zeros((2, 2, 1))), FloodFillParams(0.1))
+
+    def test_the_mask_is_a_bool_array_of_the_image_shape(self):
+        mask = flood_fill_background(random_rgb(np.random.default_rng(4), 5, 7), FloodFillParams(0.2))
+        assert type(mask) is np.ndarray and mask.dtype == bool and mask.shape == (5, 7)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -155,13 +158,13 @@ class TestRemoveBackground:
     def test_all_marked_gives_white(self):
         rng = np.random.default_rng(1)
         img = random_rgb(rng, 4, 4)
-        out = remove_background(img, BackgroundMask(np.ones((4, 4), dtype=bool)))
+        out = remove_background(img, np.ones((4, 4), dtype=bool))
         assert (out.pixels == 1.0).all()
 
     def test_nothing_marked_is_identity(self):
         rng = np.random.default_rng(2)
         img = random_rgb(rng, 4, 4)
-        out = remove_background(img, BackgroundMask(np.zeros((4, 4), dtype=bool)))
+        out = remove_background(img, np.zeros((4, 4), dtype=bool))
         assert np.array_equal(out.pixels, img.pixels)
 
     def test_unmarked_pixels_bit_identical_with_oracle_mask(self):
@@ -169,14 +172,27 @@ class TestRemoveBackground:
         px[4:7, 4:7] = np.array([0.9, 0.3, 0.1])
         img = rgb(px)
         oracle = floodfill_bfs_oracle(img.pixels, 0.4)
-        out = remove_background(img, BackgroundMask(oracle))
+        out = remove_background(img, oracle)
         assert (out.pixels[oracle] == 1.0).all()
         assert np.array_equal(out.pixels[~oracle], img.pixels[~oracle])
 
     def test_dimension_mismatch_rejected(self):
         img = rgb(np.zeros((3, 3, 3)))
         with pytest.raises(InvalidInputError):
-            remove_background(img, BackgroundMask(np.zeros((2, 3), dtype=bool)))
+            remove_background(img, np.zeros((2, 3), dtype=bool))
+
+    def test_a_zero_one_uint8_mask_is_read_as_bool(self):
+        img = random_rgb(np.random.default_rng(3), 4, 4)
+        mask = np.zeros((4, 4), dtype=np.uint8)
+        mask[0] = 1
+        out = remove_background(img, mask)
+        assert (out.pixels[0] == 1.0).all()
+        assert np.array_equal(out.pixels[1:], img.pixels[1:])
+
+    def test_a_mask_with_a_channel_axis_is_refused(self):
+        img = rgb(np.zeros((3, 3, 3)))
+        with pytest.raises(InvalidInputError, match=r"mask of shape \(3, 3, 1\)"):
+            remove_background(img, np.ones((3, 3, 1), dtype=bool))
 
 
 class TestResize:
@@ -348,3 +364,24 @@ def test_damaged_ppm_is_a_format_error_or_a_valid_image(tmp_path_factory, data):
         return
     assert img.pixels.ndim == 3 and img.pixels.shape[2] == 3 and img.pixels.size > 0
     assert 0.0 <= img.pixels.min() and img.pixels.max() <= 1.0
+
+
+# every whitespace byte, comments ended by LF and by CR, a comment straight
+# after a token, and one whitespace byte before the 2x1 raster
+_SPACED_PPM = b"P6\t# first\r2 # second\n\x0b1\x0c\r\n255\n" + bytes([0, 128, 255, 7, 8, 9])
+
+
+@given(data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_read_ppm_agrees_with_the_byte_by_byte_oracle(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("ppm") / "img.ppm"
+    damaged = _SPACED_PPM if data.draw(st.booleans(), label="intact") else damage(data, _SPACED_PPM)
+    path.write_bytes(damaged)
+    try:
+        raster = read_ppm_oracle(damaged)
+    except PpmOracleError as want:
+        with pytest.raises(FormatError) as got:
+            read_ppm(path)
+        assert str(got.value) == str(FormatError(want.message, path=path, offset=want.offset))
+        return
+    assert np.array_equal(read_ppm(path).pixels, raster.astype(np.float64) / 255.0)

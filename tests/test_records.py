@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 import struct
 import time
 import tracemalloc
@@ -16,7 +17,6 @@ from fruitnet.records import (
     ExampleRecord,
     LabelMap,
     ShardSet,
-    ShuffleParams,
     build_shards,
     find_shards,
     iter_shard,
@@ -171,6 +171,34 @@ class TestBuildShards:
             build_shards(train_dir, test_dir, labels_file, tmp_path / "out")
         assert not list((tmp_path / "out").glob("*.rec"))  # partial outputs removed
 
+    def test_a_rebuild_with_other_shard_counts_leaves_one_set(self, tmp_path):
+        train_dir, test_dir, labels_file = self.corpus(tmp_path, per_class=4)
+        build_shards(train_dir, test_dir, labels_file, tmp_path / "out", train_shards=4, test_shards=3)
+        train_set, test_set = build_shards(train_dir, test_dir, labels_file, tmp_path / "out", train_shards=2)
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert names == ["test-00000-of-00001.rec", "train-00000-of-00002.rec", "train-00001-of-00002.rec"]
+        assert find_shards(tmp_path / "out", "train") == train_set
+        assert find_shards(tmp_path / "out", "test") == test_set
+        assert train_set.count == test_set.count == 8
+
+    def test_find_shards_refuses_shards_of_two_builds(self, tmp_path):
+        train_dir, test_dir, labels_file = self.corpus(tmp_path)
+        train_set, _ = build_shards(train_dir, test_dir, labels_file, tmp_path / "out", train_shards=2)
+        stray = tmp_path / "out" / "train-00000-of-00004.rec"
+        stray.write_bytes(train_set.paths[0].read_bytes())
+        with pytest.raises(ConfigurationError, match="not one complete set") as err:
+            find_shards(tmp_path / "out", "train")
+        for path in train_set.paths + (stray,):
+            assert path.name in str(err.value)
+
+    def test_find_shards_refuses_a_set_with_a_shard_missing(self, tmp_path):
+        train_dir, test_dir, labels_file = self.corpus(tmp_path)
+        train_set, _ = build_shards(train_dir, test_dir, labels_file, tmp_path / "out", train_shards=3)
+        train_set.paths[1].unlink()
+        with pytest.raises(ConfigurationError, match="not one complete set") as err:
+            find_shards(tmp_path / "out", "train")
+        assert train_set.paths[0].name in str(err.value) and train_set.paths[2].name in str(err.value)
+
     def test_multiple_shards_partition_all_examples(self, tmp_path):
         train_dir, test_dir, labels_file = self.corpus(tmp_path, per_class=5)
         train_set, _ = build_shards(train_dir, test_dir, labels_file, tmp_path / "out", train_shards=3)
@@ -189,7 +217,7 @@ class TestBuildShards:
 class TestShuffleBatches:
     def test_batch_tensor_shape(self, tmp_path):
         shards = shard_of(tmp_path, make_records(130, seed=10))
-        images, labels = next(shuffle_batches(shards, 60, ShuffleParams(seed=1)))
+        images, labels = next(shuffle_batches(shards, 60, 35060, 1))
         assert images.shape == (60, 100, 100, 3)
         assert images.dtype == np.float32
         assert 0.0 <= images.min() and images.max() <= 1.0
@@ -199,15 +227,14 @@ class TestShuffleBatches:
         records = make_records(9, seed=11)
         shards = shard_of(tmp_path, records)
         out = []
-        for _, labels in itertools.islice(shuffle_batches(shards, 2, ShuffleParams(capacity=1, seed=0)), 5):
+        for _, labels in itertools.islice(shuffle_batches(shards, 2, 1, 0), 5):
             out.extend(labels.tolist())
         assert out == [r.label for r in records] + [records[0].label]
 
     def test_equal_seeds_reproduce_batches(self, tmp_path):
         shards = shard_of(tmp_path, make_records(40, seed=13))
-        params = ShuffleParams(capacity=16, seed=77)
-        a = [lbl.tolist() for _, lbl in itertools.islice(shuffle_batches(shards, 8, params), 5)]
-        b = [lbl.tolist() for _, lbl in itertools.islice(shuffle_batches(shards, 8, params), 5)]
+        a = [lbl.tolist() for _, lbl in itertools.islice(shuffle_batches(shards, 8, 16, 77), 5)]
+        b = [lbl.tolist() for _, lbl in itertools.islice(shuffle_batches(shards, 8, 16, 77), 5)]
         assert a == b
 
     def test_different_seeds_differ(self, tmp_path):
@@ -216,15 +243,14 @@ class TestShuffleBatches:
         shards = shard_of(tmp_path, records)
         seq = {}
         for seed in (0, 1):
-            params = ShuffleParams(capacity=50, seed=seed)
-            seq[seed] = [l for _, lbl in itertools.islice(shuffle_batches(shards, 12, params), 10) for l in lbl]
+            seq[seed] = [l for _, lbl in itertools.islice(shuffle_batches(shards, 12, 50, seed), 10) for l in lbl]
         assert seq[0] != seq[1]
 
     def test_invalid_params_rejected(self):
+        with pytest.raises(InvalidInputError, match="capacity must be >= 1, got 0"):
+            next(shuffle_batches(ShardSet((), "train", 0), 1, 0, 0))
         with pytest.raises(InvalidInputError):
-            ShuffleParams(capacity=0)
-        with pytest.raises(InvalidInputError):
-            next(shuffle_batches(ShardSet((), "train", 0), 0, ShuffleParams()))
+            next(shuffle_batches(ShardSet((), "train", 0), 0, 35060, 0))
 
 
 class TestSequentialBatches:
@@ -346,6 +372,14 @@ def test_failed_rewrite_keeps_the_old_shard(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+def test_a_written_file_is_synced_before_its_rename_and_its_directory_after(tmp_path, monkeypatch):
+    path = tmp_path / "train-00000-of-00001.rec"
+    synced = []  # (inode, whether path exists yet) per fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append((os.fstat(fd).st_ino, path.exists())))
+    write_shard(path, make_records(2, side=4))
+    assert synced == [(path.stat().st_ino, False), (tmp_path.stat().st_ino, True)]
+
+
 def test_rewriting_a_shard_leaves_records_read_from_it_intact(tmp_path):
     path = tmp_path / "train-00000-of-00001.rec"
     old, new = make_records(3, seed=31), make_records(5, seed=32)
@@ -369,10 +403,9 @@ def test_version_1_shard_names_the_rebuild_command(tmp_path):
 def test_shuffle_buffer_over_cycled_records_holds_references(tmp_path):
     # 1,000 slots from a 10-record shard: copies would take 30 MB of pixels
     shards = shard_of(tmp_path, make_records(10, seed=33))
-    params = ShuffleParams(capacity=1000, seed=0)
     tracemalloc.start()
     try:
-        next(shuffle_batches(shards, 1, params))
+        next(shuffle_batches(shards, 1, 1000, 0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -393,7 +426,7 @@ def test_train_batch_stream_matches_the_pinned_digest(tmp_path):
     write_shard(a, records[:6])
     write_shard(b, records[6:])
     shards = ShardSet(paths=(a, b), split="train", count=10)
-    stream = shuffle_batches(shards, 4, ShuffleParams(capacity=25, seed=7))
+    stream = shuffle_batches(shards, 4, 25, 7)
     digest = hashlib.sha256()
     for images, labels in itertools.islice(stream, 8):
         digest.update(images.tobytes())
@@ -432,7 +465,7 @@ def numbered_shard_sets(tmp_path_factory):
 )
 def test_shuffle_batches_match_the_list_buffer_oracle(numbered_shard_sets, n, n_shards, capacity, batch_size, start, seed, m):
     shards, pixels = numbered_shard_sets[n, n_shards]
-    got = list(itertools.islice(shuffle_batches(shards, batch_size, ShuffleParams(capacity, seed), start), m))
+    got = list(itertools.islice(shuffle_batches(shards, batch_size, capacity, seed, start), m))
     oracle = shuffle_oracle(n, capacity, batch_size, make_rng(seed, STREAM_SHUFFLE))
     want = list(itertools.islice(oracle, start, start + m))
     assert len(got) == m
@@ -445,7 +478,7 @@ def test_shuffle_batches_match_the_list_buffer_oracle(numbered_shard_sets, n, n_
 def test_a_start_at_the_last_protocol_iteration_builds_no_skipped_batch(tmp_path):
     # 75,000 skipped batches of 60: building them would take minutes
     shards = shard_of(tmp_path, make_records(10, seed=36))
-    stream = shuffle_batches(shards, 60, ShuffleParams(capacity=35060, seed=0), start=75_000)
+    stream = shuffle_batches(shards, 60, 35060, 0, start=75_000)
     tick = time.perf_counter()
     images, _ = next(stream)
     assert time.perf_counter() - tick < 5.0
@@ -453,13 +486,13 @@ def test_a_start_at_the_last_protocol_iteration_builds_no_skipped_batch(tmp_path
 
 
 def test_shuffle_refuses_a_negative_seed_or_start(tmp_path):
-    with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
-        ShuffleParams(seed=-1)
     shards = shard_of(tmp_path, make_records(2, seed=37))
+    with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
+        next(shuffle_batches(shards, 1, 35060, -1))
     with pytest.raises(InvalidInputError, match="start must be >= 0, got -1"):
-        next(shuffle_batches(shards, 1, ShuffleParams(), start=-1))
+        next(shuffle_batches(shards, 1, 35060, 0, start=-1))
 
 
 def test_an_empty_shard_set_yields_no_batch(tmp_path):
-    assert list(shuffle_batches(shard_of(tmp_path, []), 3, ShuffleParams(capacity=4), start=2)) == []
-    assert list(shuffle_batches(ShardSet((), "train", 0), 3, ShuffleParams())) == []
+    assert list(shuffle_batches(shard_of(tmp_path, []), 3, 4, 0, start=2)) == []
+    assert list(shuffle_batches(ShardSet((), "train", 0), 3, 35060, 0)) == []

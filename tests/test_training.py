@@ -336,7 +336,7 @@ class TestLossDescent:
 class TestTrainConfig:
     def test_default_shuffle_capacity_tracks_batch_size(self):
         cfg = tiny_cfg(iterations=1, shuffle_capacity=None)
-        assert cfg.effective_shuffle_capacity == 35000 + cfg.batch_size
+        assert cfg.shuffle_capacity == 35000 + cfg.batch_size
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
