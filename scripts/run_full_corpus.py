@@ -30,9 +30,9 @@ def main() -> int:
     parser.add_argument("--workdir", required=True)
     parser.add_argument("--scenario", default="hsv_gray_aug")
     parser.add_argument("--config-nr", type=int, default=1)
-    parser.add_argument("--iterations", type=int, default=75000)
-    parser.add_argument("--batch-size", type=int, default=60)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--iterations", type=int, default=TrainConfig.iterations)
+    parser.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    parser.add_argument("--seed", type=int, default=TrainConfig.seed)
     parser.add_argument("--num-threads", type=int, default=4)
     parser.add_argument("--resume", action="store_true", help="continue from the saved checkpoint")
     args = parser.parse_args()

@@ -6,7 +6,7 @@ accuracy-driven learning-rate rule, evaluation with per-class mislabel
 accounting, and single-image prediction.
 """
 
-from .augmentation import AugmentConfig, Scenario, preprocess
+from .augmentation import Scenario, preprocess
 from .errors import (
     ConfigurationError,
     FormatError,

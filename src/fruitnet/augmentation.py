@@ -3,6 +3,9 @@
 A scenario fixes what the network sees: grayscale, plain RGB, HSV, HSV with a
 grayscale channel appended, or the same with hue/saturation jitter and random
 flips during training.  Test-mode preprocessing never consumes random draws.
+The jitter ranges and the flip chance are the published protocol's values,
+held only in the module constants HUE_MAX_DELTA, SAT_LOWER, SAT_UPPER and
+FLIP_PROB.
 
 One private pipeline on plain float64 (h, w, 3) arrays serves preprocess
 (one RasterImage in, its float64 (h, w, channels) array out) and
@@ -13,7 +16,6 @@ preprocess_batch takes the batch's block as an array, never a generator, so
 a batch slice runs with its rows of the whole batch's draws.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,25 +25,10 @@ from .imaging import RasterImage, check_unit_range, hsv_to_rgb_pixels, rgb_to_gr
 from .seeding import RngStream
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    hue_max_delta: float = 0.02
-    sat_lower: float = 0.9
-    sat_upper: float = 1.2
-    flip_prob: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.hue_max_delta <= 0.5:
-            raise InvalidInputError(f"hue_max_delta must be in [0, 0.5], got {self.hue_max_delta}")
-        if not 0.0 < self.sat_lower <= self.sat_upper:
-            raise InvalidInputError(
-                f"need 0 < sat_lower <= sat_upper, got {self.sat_lower}, {self.sat_upper}"
-            )
-        if not 0.0 <= self.flip_prob <= 1.0:
-            raise InvalidInputError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
-
-
-DEFAULT_AUGMENT = AugmentConfig()
+# the published protocol's hue shift bound, saturation factor range and flip chance
+HUE_MAX_DELTA = 0.02
+SAT_LOWER, SAT_UPPER = 0.9, 1.2
+FLIP_PROB = 0.5
 
 
 class Scenario(Enum):
@@ -96,7 +83,7 @@ def augment_draws(scenario: Scenario, mode: str, rng: RngStream | None, n: int) 
     return rng.random((n, 4))
 
 
-def _pipeline(px: np.ndarray, scenario: Scenario, draws: np.ndarray | None, config: AugmentConfig):
+def _pipeline(px: np.ndarray, scenario: Scenario, draws: np.ndarray | None):
     """One scenario on a float64 RGB array (h, w, 3); returns (h, w, channels).
     draws is the image's row of augment_draws, None in test mode."""
     if scenario is Scenario.GRAY:
@@ -108,25 +95,19 @@ def _pipeline(px: np.ndarray, scenario: Scenario, draws: np.ndarray | None, conf
     if draws is not None:
         u_hue, u_sat, u_hflip, u_vflip = draws
         # low + (high - low) * u, as Generator.uniform computes it
-        low, high = -config.hue_max_delta, config.hue_max_delta
+        low, high = -HUE_MAX_DELTA, HUE_MAX_DELTA
         delta = low + (high - low) * u_hue
-        factor = config.sat_lower + (config.sat_upper - config.sat_lower) * u_sat
+        factor = SAT_LOWER + (SAT_UPPER - SAT_LOWER) * u_sat
         # flips commute with per-pixel operations, so they can come first, as views
-        if u_hflip < config.flip_prob:
+        if u_hflip < FLIP_PROB:
             px = px[:, ::-1]
-        if u_vflip < config.flip_prob:
+        if u_vflip < FLIP_PROB:
             px = px[::-1]
         px = _jitter(px, delta, factor)
     return np.concatenate([rgb_to_hsv_pixels(px), rgb_to_gray_pixels(px)], axis=-1)
 
 
-def preprocess(
-    img: RasterImage,
-    scenario: Scenario,
-    mode: str,
-    rng: RngStream | None = None,
-    config: AugmentConfig = DEFAULT_AUGMENT,
-) -> np.ndarray:
+def preprocess(img: RasterImage, scenario: Scenario, mode: str, rng: RngStream | None = None) -> np.ndarray:
     """Apply one scenario's pipeline to an RGB image; returns the float64
     (h, w, scenario.input_channels) array that the network sees, in [0, 1].
 
@@ -136,15 +117,10 @@ def preprocess(
     For the RGB scenario the result is img.pixels itself, which is read-only.
     """
     draws = augment_draws(scenario, mode, rng, 1)
-    return _pipeline(img.pixels, scenario, None if draws is None else draws[0], config)
+    return _pipeline(img.pixels, scenario, None if draws is None else draws[0])
 
 
-def preprocess_batch(
-    images: np.ndarray,
-    scenario: Scenario,
-    draws: np.ndarray | None = None,
-    config: AugmentConfig = DEFAULT_AUGMENT,
-) -> np.ndarray:
+def preprocess_batch(images: np.ndarray, scenario: Scenario, draws: np.ndarray | None = None) -> np.ndarray:
     """Preprocess a float RGB batch (b, h, w, 3) into (b, h, w, scenario channels).
 
     draws is the batch's (b, 4) augment_draws block in train mode, None in
@@ -160,5 +136,5 @@ def preprocess_batch(
         raise InvalidInputError(f"hsv_gray_aug takes ({b}, 4) augment draws; got {draws.shape} for {scenario.value}")
     out = np.empty((b, h, w, scenario.input_channels), dtype=np.float32)
     for i in range(b):
-        out[i] = _pipeline(images[i].astype(np.float64), scenario, None if draws is None else draws[i], config)
+        out[i] = _pipeline(images[i].astype(np.float64), scenario, None if draws is None else draws[i])
     return out

@@ -60,14 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a network")
     p.add_argument("--scenario", default="hsv_gray_aug")
     p.add_argument("--config-nr", type=int, default=1, choices=range(1, 11), help="benchmark configuration 1..10")
-    p.add_argument("--iterations", type=int, default=75000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iterations", type=int, default=TrainConfig.iterations)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", default=None, help="output directory for checkpoint and metrics")
     p.add_argument("--records-dir", default=None)
     p.add_argument("--labels-file", default=None)
-    p.add_argument("--batch-size", type=int, default=60)
-    p.add_argument("--keep-prob", type=float, default=0.8)
-    p.add_argument("--display-interval", type=int, default=50)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--keep-prob", type=float, default=TrainConfig.keep_prob)
+    p.add_argument("--display-interval", type=int, default=TrainConfig.display_interval)
     p.add_argument("--shuffle-capacity", type=int, default=None)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
 
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--use-train", action="store_true", help="evaluate the train split instead of the test split")
     p.add_argument("--scenario", default="hsv_gray_aug")
     p.add_argument("--records-dir", default=None)
-    p.add_argument("--batch-size", type=int, default=60)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--json-out", default=None, help="where to write the JSON report")
 
     p = sub.add_parser("predict", help="classify one PPM image")
@@ -141,7 +141,7 @@ def _removed_on_failure(out_dir: Path, kept_on_interrupt: tuple = ()):
         raise
 
 
-def _cmd_extract_background(args) -> int:
+def _cmd_extract_background(args, project: ProjectConfig) -> int:
     in_dir = _existing_dir(Path(args.input_directory), "--input_directory")
     out_dir = Path(args.output_directory)
     params = FloodFillParams(threshold=args.threshold)
@@ -237,7 +237,7 @@ def _cmd_test(args, project: ProjectConfig) -> int:
 
     json_path = Path(args.json_out) if args.json_out else ckpt_path.parent / f"report-{split}.json"
     json_path.parent.mkdir(parents=True, exist_ok=True)
-    with _replaced_on_success(json_path) as tmp:
+    with _replaced_on_success(json_path) as (tmp,):
         tmp.write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"json report: {json_path}")
     return 0
@@ -256,7 +256,7 @@ def _cmd_predict(args, project: ProjectConfig) -> int:
     return 0
 
 
-def _cmd_gen_synthetic(args) -> int:
+def _cmd_gen_synthetic(args, project: ProjectConfig) -> int:
     out_dir = Path(args.output_directory)
     with _removed_on_failure(out_dir):
         parts = generate_corpus(
@@ -274,6 +274,16 @@ def _cmd_gen_synthetic(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "extract-background": _cmd_extract_background,
+    "build-records": _cmd_build_records,
+    "train": _cmd_train,
+    "test": _cmd_test,
+    "predict": _cmd_predict,
+    "gen-synthetic": _cmd_gen_synthetic,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -281,24 +291,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        project = ProjectConfig.from_environment()
-        if args.command == "extract-background":
-            return _cmd_extract_background(args)
-        if args.command == "build-records":
-            return _cmd_build_records(args, project)
-        if args.command == "train":
-            return _cmd_train(args, project)
-        if args.command == "test":
-            return _cmd_test(args, project)
-        if args.command == "predict":
-            return _cmd_predict(args, project)
-        if args.command == "gen-synthetic":
-            return _cmd_gen_synthetic(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, ProjectConfig.from_environment())
     except FruitnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

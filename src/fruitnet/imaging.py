@@ -283,10 +283,9 @@ def read_ppm(path) -> RasterImage:
 
     def next_int() -> int:
         token = next_token()
-        try:
-            return int(token)
-        except ValueError as exc:
-            raise FormatError(f"malformed PPM header: {exc}", path=path, offset=pos) from exc
+        if not token.isdigit():  # ASCII digits only: int() would also take a sign or "_"
+            raise FormatError(f"malformed PPM header: {token!r} is not a decimal number", path=path, offset=pos)
+        return int(token)
 
     magic = next_token()
     if magic != b"P6":

@@ -14,8 +14,10 @@ file to disk and renames it over the target, so a mapped shard is never
 truncated and a crash leaves the old or the new file.  Version 1
 shards are not read: rebuild them with `fruitnet build-records`.
 
-A build writes a split's shards as `<split>-00000-of-N.rec` onwards and deletes
-its shards of other counts; find_shards reads only such a complete set.
+A build writes a split's shards as `<split>-00000-of-N.rec` onwards, first
+under temporary names that are renamed over the old shards only once the last
+is written, so a failed build keeps the split it was replacing; it then deletes
+the split's shards of other counts.  find_shards reads only a complete set.
 
 A labels file is UTF-8 text, one class name per line; line order defines ids
 1..N and id 0 is reserved for the "nothing" background class, so a network
@@ -110,18 +112,22 @@ class ShardSet:
 
 
 @contextmanager
-def _replaced_on_success(path: Path):
-    """Yield path's ".tmp" sibling to write: renamed over path when the block
-    completes, deleted when it raises (Ctrl-C too), so path keeps its bytes.
-    The file is synced before the rename and the directory after it."""
-    tmp = path.with_name(path.name + ".tmp")
+def _replaced_on_success(*paths: Path):
+    """Yield the list of the paths' ".tmp" siblings to write: each renamed
+    over its path once the block completes, all deleted when it raises
+    (Ctrl-C too), so every path keeps its bytes.  The paths share a directory;
+    each file is synced before the renames, and the directory once after them."""
+    tmps = [path.with_name(path.name + ".tmp") for path in paths]
     try:
-        yield tmp
-        _fsync(tmp)
-        os.replace(tmp, path)
-        _fsync(path.parent)
+        yield tmps
+        for tmp in tmps:
+            _fsync(tmp)
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+        _fsync(paths[0].parent)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -134,9 +140,15 @@ def _fsync(path: Path) -> None:
 
 
 def write_shard(path, records: Iterable[ExampleRecord]) -> int:
-    """Write records of one shape to one shard file; returns the record count."""
+    """Write records of one shape to one shard file, replacing it only once
+    all are written; returns the record count."""
+    with _replaced_on_success(Path(path)) as (tmp,):
+        return _write_records(tmp, records)
+
+
+def _write_records(path: Path, records: Iterable[ExampleRecord]) -> int:
     labels, dims = [], None
-    with _replaced_on_success(Path(path)) as tmp, open(tmp, "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write(bytes(_HEADER.size))  # patched once the count and dims are known
         for rec in records:
             dims = dims or rec.pixels.shape
@@ -241,16 +253,10 @@ def _shard_names(split: str, n_shards: int) -> list:
 def _build_split(split: str, split_dir: Path, labels, out_dir: Path, n_shards: int, pool) -> ShardSet:
     examples = _collect_examples(split_dir, labels)
     bounds = np.linspace(0, len(examples), n_shards + 1).astype(int)
-    paths = []
-    try:
-        for i, name in enumerate(_shard_names(split, n_shards)):
-            chunk = examples[bounds[i] : bounds[i + 1]]
-            paths.append(out_dir / name)
-            write_shard(paths[-1], _decoded_records(chunk, pool))
-    except BaseException:
-        for path in paths:  # no partial outputs on failure
-            path.unlink(missing_ok=True)
-        raise
+    paths = [out_dir / name for name in _shard_names(split, n_shards)]
+    with _replaced_on_success(*paths) as tmps:
+        for tmp, low, high in zip(tmps, bounds, bounds[1:]):
+            _write_records(tmp, _decoded_records(examples[low:high], pool))
     digits = "[0-9]" * 5
     for stale in set(out_dir.glob(f"{split}-{digits}-of-{digits}.rec")) - set(paths):  # an earlier build's
         stale.unlink()

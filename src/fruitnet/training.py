@@ -1,6 +1,10 @@
 """Loss-driven optimization: Adam, the accuracy-driven learning-rate rule,
 the training loop and binary checkpoints.
 
+The rule's published bounds are the constants LR_INITIAL and LR_FINAL: the
+rate starts at LR_INITIAL and never falls below LR_FINAL.  TrainConfig holds
+the run's other settings, and its field defaults are the published protocol.
+
 Checkpoint format v2 (little-endian):
 
     header: magic "FRCK" | version u32 = 2
@@ -27,14 +31,14 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
 from ._parallel import batch_slices, slice_workers
-from .augmentation import AugmentConfig, Scenario, augment_draws, preprocess_batch
+from .augmentation import Scenario, augment_draws, preprocess_batch
 from .errors import ConfigurationError, FormatError, InvalidInputError, ShapeError, TrainingDivergedError
 from .layers import Tensor, cross_entropy_loss
 from .network import NetworkConfig, Params, backward, dropout_masks, forward, init_params, param_shapes
@@ -50,6 +54,7 @@ _NETWORK_AT = 32
 CHECKPOINT_NAME = "checkpoint.frck"
 METRICS_NAME = "metrics.csv"
 _ADAM_BLOCK = 1 << 15  # elements per block of the in-place Adam update
+LR_INITIAL, LR_FINAL = 0.001, 0.00001
 
 
 @dataclass(frozen=True)
@@ -59,12 +64,9 @@ class TrainConfig:
     iterations: int = 75000
     batch_size: int = 60
     keep_prob: float = 0.8
-    lr_initial: float = 0.001
-    lr_final: float = 0.00001
     display_interval: int = 50
     seed: int = 0
     shuffle_capacity: int | None = None  # None becomes 35000 + batch_size
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
         if self.shuffle_capacity is None:
@@ -73,10 +75,6 @@ class TrainConfig:
         for name, low in lows:
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not 0.0 < self.lr_final <= self.lr_initial:
-            raise ConfigurationError(
-                f"need 0 < lr_final <= lr_initial, got {self.lr_final}, {self.lr_initial}"
-            )
         if not 0.0 < self.keep_prob <= 1.0:
             raise ConfigurationError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
 
@@ -111,7 +109,7 @@ class Checkpoint:
     labels: LabelMap
 
 
-def update_learning_rate(acc: float, lr_initial: float = 0.001, lr_final: float = 0.00001) -> float:
+def update_learning_rate(acc: float, lr_initial: float = LR_INITIAL, lr_final: float = LR_FINAL) -> float:
     """Rescale the rate from its initial value by the current batch accuracy.
 
     Fully accurate batches decay the rate by 90 percent; the rate never drops
@@ -180,7 +178,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     )
     names = [name.encode("utf-8") for name in ckpt.labels.names]
     head += struct.pack("<I", len(names)) + b"".join(struct.pack("<I", len(raw)) + raw for raw in names)
-    with _replaced_on_success(Path(path)) as tmp, open(tmp, "wb") as f:
+    with _replaced_on_success(Path(path)) as (tmp,), open(tmp, "wb") as f:
         f.write(head)
         for group in groups:
             for key in shapes:
@@ -295,7 +293,7 @@ def _keep_metrics_up_to(path: Path, iteration: int):
             next(fh, None)  # the header
             lines = [ln for ln in fh if ln.endswith("\n")]
     rows = [row for row in csv.reader(lines) if int(row[0]) <= iteration]
-    with _replaced_on_success(path) as tmp:
+    with _replaced_on_success(path) as (tmp,):
         _append_metrics(tmp, rows, fresh=True)
 
 
@@ -337,6 +335,10 @@ def train(
     if resume_from is not None:
         if resume_from.config != cfg.net:
             raise ConfigurationError("checkpoint network config differs from the training config")
+        if resume_from.labels != labels:
+            raise ConfigurationError(
+                f"checkpoint labels {list(resume_from.labels.names)} differ from the run's {list(labels.names)}"
+            )
         if resume_from.iteration > cfg.iterations:
             raise ConfigurationError(
                 f"checkpoint is at iteration {resume_from.iteration}, past the configured {cfg.iterations}"
@@ -350,7 +352,7 @@ def train(
     else:
         params = init_params(cfg.net, make_rng(cfg.seed, STREAM_INIT))
         adam = AdamState.zeros_like(params)
-        lr = cfg.lr_initial
+        lr = LR_INITIAL
         start = 0
         _append_metrics(metrics_path, [], fresh=True)
 
@@ -364,7 +366,7 @@ def train(
             masks = dropout_masks(cfg.net, n, cfg.keep_prob, make_rng(cfg.seed, STREAM_DROPOUT, i))
 
             def forward_slice(rows):
-                x = preprocess_batch(images[rows], cfg.scenario, None if draws is None else draws[rows], cfg.augment)
+                x = preprocess_batch(images[rows], cfg.scenario, None if draws is None else draws[rows])
                 slice_masks = tuple(None if m is None else m[rows] for m in masks)
                 logits, caches = forward(cfg.net, params, x, cfg.keep_prob, slice_masks)
                 return x, logits, caches
@@ -386,7 +388,7 @@ def train(
                 eval_logits = np.concatenate(run(lambda x: forward(cfg.net, params, x, keep_prob=1.0)[0], xs))
                 eval_loss, _ = cross_entropy_loss(eval_logits, batch_labels)
                 acc = batch_accuracy(eval_logits, batch_labels)
-                lr = update_learning_rate(acc, cfg.lr_initial, cfg.lr_final)
+                lr = update_learning_rate(acc)
                 # the row goes first: a Ctrl-C before the save completes leaves a
                 # row past the checkpoint, which a resume drops and writes again
                 _append_metrics(metrics_path, [[i, f"{eval_loss:.6f}", f"{acc:.6f}", f"{lr:.8f}"]], fresh=False)

@@ -245,23 +245,24 @@ def hsv_to_rgb_oracle(px: np.ndarray) -> np.ndarray:
     return np.clip(np.stack([r, g, b], axis=-1), 0.0, 1.0)
 
 
-def hsv_gray_aug_oracle(images: np.ndarray, rng, config) -> np.ndarray:
+def hsv_gray_aug_oracle(images: np.ndarray, rng) -> np.ndarray:
     """Train-mode hsv_gray_aug, image by image, as two separate HSV round
-    trips through the oracle conversions (hue shift, then saturation scale
-    clamped to [0, 1]), the flips as index reversals, then HSV with the
-    BT.601 luma appended.  Draws per image, in order: hue, saturation,
-    horizontal flip, vertical flip."""
+    trips through the oracle conversions (hue shift in [-0.02, 0.02], then
+    saturation scale in [0.9, 1.2] clamped to [0, 1]), the flips, each with
+    chance 0.5, as index reversals, then HSV with the BT.601 luma appended.
+    Draws per image, in order: hue, saturation, horizontal flip, vertical
+    flip."""
     out = []
     for px in images:
         px = px.astype(np.float64)
         hsv = rgb_to_hsv_oracle(px)
-        hsv[..., 0] = (hsv[..., 0] + rng.uniform(-config.hue_max_delta, config.hue_max_delta)) % 1.0
+        hsv[..., 0] = (hsv[..., 0] + rng.uniform(-0.02, 0.02)) % 1.0
         hsv = rgb_to_hsv_oracle(hsv_to_rgb_oracle(hsv))
-        hsv[..., 1] = np.clip(hsv[..., 1] * rng.uniform(config.sat_lower, config.sat_upper), 0.0, 1.0)
+        hsv[..., 1] = np.clip(hsv[..., 1] * rng.uniform(0.9, 1.2), 0.0, 1.0)
         px = hsv_to_rgb_oracle(hsv)
-        if rng.random() < config.flip_prob:
+        if rng.random() < 0.5:
             px = px[:, ::-1]
-        if rng.random() < config.flip_prob:
+        if rng.random() < 0.5:
             px = px[::-1]
         gray = np.clip(0.299 * px[..., 0] + 0.587 * px[..., 1] + 0.114 * px[..., 2], 0.0, 1.0)
         out.append(np.concatenate([rgb_to_hsv_oracle(px), gray[..., None]], axis=-1))
@@ -282,7 +283,8 @@ def read_ppm_oracle(data: bytes) -> np.ndarray:
     uint8 (height, width, 3) raster.  Before each header token, whitespace
     (bytes.isspace) is skipped, and so is a comment: "#" up to, not
     including, the next CR or LF; the token runs to the next whitespace
-    byte.  One byte after maxval, which may be cut off, precedes the raster."""
+    byte; width, height and maxval must be ASCII decimal digits.  One byte
+    after maxval, which may be cut off, precedes the raster."""
     pos = 0
 
     def token():
@@ -306,12 +308,15 @@ def read_ppm_oracle(data: bytes) -> np.ndarray:
     magic = token()
     if magic != b"P6":
         raise PpmOracleError(f"not a binary PPM (magic {magic!r})", 0)
-    try:
-        width = int(token())
-        height = int(token())
-        maxval = int(token())
-    except ValueError as exc:
-        raise PpmOracleError(f"malformed PPM header: {exc}", pos) from exc
+    def number():
+        field = token()
+        if any(byte not in b"0123456789" for byte in field):
+            raise PpmOracleError(f"malformed PPM header: {field!r} is not a decimal number", pos)
+        return int(field)
+
+    width = number()
+    height = number()
+    maxval = number()
     if maxval != 255:
         raise PpmOracleError(f"unsupported maxval {maxval}, expected 255", pos)
     if width < 1 or height < 1:

@@ -1,13 +1,15 @@
-"""The public surface: the names the package exports.  A name added here is a
-decision, not a side effect of an import."""
+"""The public surface: the names the package exports and the fields of
+TrainConfig.  A name added here is a decision, not a side effect of an import
+or a new knob."""
 
+import dataclasses
 import types
 
 import fruitnet
 
 PUBLIC_NAMES = {
     # preprocessing scenarios
-    "AugmentConfig", "Scenario", "preprocess",
+    "Scenario", "preprocess",
     # errors
     "ConfigurationError", "FormatError", "FruitnetError", "InvalidInputError", "ShapeError",
     "TrainingDivergedError",
@@ -36,3 +38,14 @@ def test_exported_names_are_exactly_the_public_api():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+# the run's settings; the published protocol's fixed values (augmentation
+# ranges, learning-rate bounds) are module constants, not fields
+TRAIN_CONFIG_FIELDS = [
+    "net", "scenario", "iterations", "batch_size", "keep_prob", "display_interval", "seed", "shuffle_capacity",
+]
+
+
+def test_train_config_fields_are_exactly_the_run_settings():
+    assert [f.name for f in dataclasses.fields(fruitnet.TrainConfig)] == TRAIN_CONFIG_FIELDS

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fruitnet.augmentation import AugmentConfig, Scenario, augment_draws, preprocess, preprocess_batch
+from fruitnet import augmentation
+from fruitnet.augmentation import Scenario, augment_draws, preprocess, preprocess_batch
 from fruitnet.errors import InvalidInputError
 from fruitnet.imaging import RasterImage, hsv_to_rgb_pixels, rgb_to_hsv_pixels
 from fruitnet.seeding import make_rng
 
-# train-mode hsv_gray_aug with one knob left free: the others are pinned to
-# no hue shift, no saturation change and no flips
-STILL = dict(hue_max_delta=0.0, sat_lower=1.0, sat_upper=1.0, flip_prob=0.0)
+# augment_draws rows (hue, saturation, horizontal flip, vertical flip): STILL
+# maps to hue shift 0.0, saturation factor 1.0 and no flip, exactly
+STILL = (0.5, 1 / 3, 0.9, 0.9)
+SAT_HIGH = (0.5, 1.0, 0.9, 0.9)  # saturation factor 1.2, the top of the range
+H_FLIP, V_FLIP, BOTH_FLIPS = (0.5, 1 / 3, 0.0, 0.9), (0.5, 1 / 3, 0.9, 0.0), (0.5, 1 / 3, 0.0, 0.0)
 
 
 def rgb(pixels) -> RasterImage:
@@ -21,25 +24,15 @@ def random_rgb(seed, h=6, w=5) -> RasterImage:
     return rgb(np.random.default_rng(seed).random((h, w, 3)))
 
 
-def augmented(img: RasterImage, seed: int = 0, **knobs) -> np.ndarray:
-    """Train-mode hsv_gray_aug of img with the STILL config overridden by knobs."""
-    config = AugmentConfig(**{**STILL, **knobs})
-    return preprocess(img, Scenario.HSV_GRAY_AUG, "train", make_rng(seed, 2), config)
-
-
-def draws(seed: int, config: AugmentConfig) -> tuple:
-    """The hue shift, saturation factor and flips that augmented(..., seed) draws."""
-    rng = make_rng(seed, 2)
-    delta = rng.uniform(-config.hue_max_delta, config.hue_max_delta)
-    factor = rng.uniform(config.sat_lower, config.sat_upper)
-    return delta, factor, rng.random() < config.flip_prob, rng.random() < config.flip_prob
+def augmented(img: RasterImage, row=STILL) -> np.ndarray:
+    """Train-mode hsv_gray_aug of img with one chosen row of draws."""
+    return augmentation._pipeline(img.pixels, Scenario.HSV_GRAY_AUG, np.array(row))
 
 
 class TestAdjustHue:
     def test_zero_delta_is_identity(self):
         img = random_rgb(0)
-        out = augmented(img, sat_lower=1.0, sat_upper=1.0, flip_prob=0.0)
-        assert np.abs(out - preprocess(img, Scenario.HSV_GRAY, "test")).max() < 1e-6
+        assert np.abs(augmented(img) - preprocess(img, Scenario.HSV_GRAY, "test")).max() < 1e-6
 
     def test_red_plus_half_turn_is_cyan(self):
         hsv = rgb_to_hsv_pixels(np.array([[[1.0, 0.0, 0.0]]]))
@@ -47,56 +40,61 @@ class TestAdjustHue:
         assert np.allclose(hsv_to_rgb_pixels(hsv)[0, 0], [0.0, 1.0, 1.0], atol=1e-12)
 
     def test_hue_wraps_around(self):
-        # the first seed whose draw carries hue 0.99 past 1.0
-        config = AugmentConfig(**{**STILL, "hue_max_delta": 0.02})
-        seed = next(s for s in range(100) if draws(s, config)[0] > 0.011)
+        # a hue draw of 0.9 shifts by 0.016, which carries hue 0.99 past 1.0
         start = rgb(hsv_to_rgb_pixels(np.array([[[0.99, 1.0, 1.0]]])))
-        hue = augmented(start, seed, hue_max_delta=0.02)[0, 0, 0]
-        assert hue == pytest.approx(0.99 + draws(seed, config)[0] - 1.0, abs=1e-9)
+        hue = augmented(start, (0.9, 1 / 3, 0.9, 0.9))[0, 0, 0]
+        assert hue == pytest.approx(0.99 + 0.016 - 1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("delta", [0.3, 0.5, -0.5])
+    def test_any_shift_wraps_modulo_one(self, delta):
+        hsv = np.array([[[0.0, 1.0, 1.0], [0.25, 0.5, 0.8], [0.75, 1.0, 0.6], [0.99, 0.7, 1.0]]])
+        out = rgb_to_hsv_pixels(augmentation._jitter(hsv_to_rgb_pixels(hsv), delta, 1.0))
+        gap = np.abs(out[..., 0] - (hsv[..., 0] + delta) % 1.0) % 1.0
+        assert np.minimum(gap, 1.0 - gap).max() < 1e-9
+        assert np.allclose(out[..., 1:], hsv[..., 1:], atol=1e-9)
 
 
 class TestAdjustSaturation:
     def test_factor_one_is_identity(self):
         img = random_rgb(2)
-        out = augmented(img, hue_max_delta=0.0, sat_lower=1.0, sat_upper=1.0)
-        assert np.abs(out - preprocess(img, Scenario.HSV_GRAY, "test")).max() < 1e-6
+        assert np.abs(augmented(img) - preprocess(img, Scenario.HSV_GRAY, "test")).max() < 1e-6
 
     def test_gray_pixel_is_fixed_point(self):
         img = rgb([[[0.4, 0.4, 0.4]]])
-        out = augmented(img, sat_lower=1.2, sat_upper=1.2)
-        assert np.allclose(out, preprocess(img, Scenario.HSV_GRAY, "test"), atol=1e-12)
+        assert np.allclose(augmented(img, SAT_HIGH), preprocess(img, Scenario.HSV_GRAY, "test"), atol=1e-12)
 
     def test_saturation_clamps_at_one(self):
-        out = augmented(rgb([[[1.0, 0.0, 0.0]]]), sat_lower=1.2, sat_upper=1.2)
+        out = augmented(rgb([[[1.0, 0.0, 0.0]]]), SAT_HIGH)
         assert out[0, 0, 1] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("factor", [1.5, 2.0, 3.0])
+    def test_large_factors_scale_then_clamp(self, factor):
+        hsv = np.array([[[0.1, 0.2, 0.9], [0.4, 0.45, 0.7], [0.6, 0.8, 0.5], [0.9, 1.0, 1.0]]])
+        out = rgb_to_hsv_pixels(augmentation._jitter(hsv_to_rgb_pixels(hsv), 0.0, factor))
+        assert np.allclose(out[..., 1], np.minimum(hsv[..., 1] * factor, 1.0), atol=1e-9)
+        assert np.allclose(out[..., [0, 2]], hsv[..., [0, 2]], atol=1e-9)
 
 
 class TestFlip:
     def test_double_flip_is_identity(self):
         img = random_rgb(4)
         flipped = rgb(img.pixels[::-1, ::-1])
-        assert np.array_equal(augmented(flipped, flip_prob=1.0), augmented(img))
-        assert not np.array_equal(augmented(img, flip_prob=1.0), augmented(img))
+        assert np.array_equal(augmented(flipped, BOTH_FLIPS), augmented(img))
+        assert not np.array_equal(augmented(img, BOTH_FLIPS), augmented(img))
 
     def test_one_by_two_horizontal(self):
         img = rgb([[[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]]])
-        out = augmented(img, flip_prob=1.0)
+        out = augmented(img, H_FLIP)
         assert np.allclose(out[0, 0, 2:], 0.9) and np.allclose(out[0, 1, 2:], 0.1)
 
     def test_matches_index_reversal_oracle(self):
-        # flip_prob 0.5 over eight seeds draws all four flip combinations
         img = random_rgb(5, h=4, w=7)
-        config = AugmentConfig(**{**STILL, "flip_prob": 0.5})
-        seen = set()
-        for seed in range(8):
-            _, _, horizontal, vertical = draws(seed, config)
-            seen.add((horizontal, vertical))
+        for row, horizontal, vertical in ((STILL, 0, 0), (H_FLIP, 1, 0), (V_FLIP, 0, 1), (BOTH_FLIPS, 1, 1)):
             want = np.empty_like(img.pixels)
             for r in range(4):
                 for c in range(7):
                     want[r, c] = img.pixels[4 - 1 - r if vertical else r, 7 - 1 - c if horizontal else c]
-            assert np.array_equal(augmented(img, seed, flip_prob=0.5), augmented(rgb(want), seed))
-        assert len(seen) == 4
+            assert np.array_equal(augmented(img, row), augmented(rgb(want)))
 
 
 class TestPreprocess:
@@ -166,20 +164,6 @@ class TestPreprocess:
         b = preprocess_batch(images, aug, augment_draws(aug, "train", make_rng(5, 2, 1), 3))
         assert a.shape == (3, 8, 8, 4) and a.dtype == np.float32
         assert np.array_equal(a, b)
-
-
-class TestAugmentConfig:
-    def test_defaults(self):
-        cfg = AugmentConfig()
-        assert (cfg.hue_max_delta, cfg.sat_lower, cfg.sat_upper, cfg.flip_prob) == (0.02, 0.9, 1.2, 0.5)
-
-    def test_invalid_ranges_rejected(self):
-        with pytest.raises(InvalidInputError):
-            AugmentConfig(hue_max_delta=0.7)
-        with pytest.raises(InvalidInputError):
-            AugmentConfig(sat_lower=0.0)
-        with pytest.raises(InvalidInputError):
-            AugmentConfig(sat_lower=1.3, sat_upper=1.2)
 
 
 class TestScenario:

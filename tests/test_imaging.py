@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +348,25 @@ def test_non_positive_ppm_dims_are_a_format_error(tmp_path, dims):
         read_ppm(path)
     assert err.value.path == path
     assert err.value.offset is not None
+
+
+@pytest.mark.parametrize(
+    "header, token",
+    [(b"P6 +1 0_1 255", b"+1"), (b"P6 1 0_1 255", b"0_1"), (b"P6 1 1 2_5_5", b"2_5_5"), (b"P6 1 1 255.0", b"255.0")],
+)
+def test_ppm_header_numbers_must_be_decimal_digits(tmp_path, header, token):
+    # int() takes a sign and "_" separators; a PPM header number is digits only
+    path = tmp_path / "sign.ppm"
+    path.write_bytes(header + b"\n" + bytes(3))
+    with pytest.raises(FormatError, match=re.escape(f"{token!r} is not a decimal number")) as err:
+        read_ppm(path)
+    assert err.value.offset == header.index(token) + len(token)
+
+
+def test_ppm_header_numbers_may_have_leading_zeros(tmp_path):
+    path = tmp_path / "zeros.ppm"
+    path.write_bytes(b"P6 01 001 0255\n" + bytes([1, 2, 3]))
+    assert np.array_equal(to_u8(read_ppm(path)), [[[1, 2, 3]]])
 
 
 _PPM = b"P6\n# a comment\n3 2\n255\n" + bytes(range(0, 180, 10))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fruitnet.augmentation import AugmentConfig, Scenario, augment_draws, preprocess, preprocess_batch
+from fruitnet.augmentation import Scenario, augment_draws, preprocess, preprocess_batch
 from fruitnet.errors import InvalidInputError
 from fruitnet.imaging import RasterImage
 from fruitnet.seeding import make_rng
@@ -37,45 +37,32 @@ def u8_batch(seed: int, b: int, h: int, w: int) -> np.ndarray:
     b=st.integers(1, 3),
     h=st.integers(1, 6),
     w=st.integers(3, 6),
-    hue_max_delta=st.sampled_from([0.0, 0.02, 0.5]),
-    sat=st.sampled_from([(0.9, 1.2), (0.1, 0.5), (1.5, 3.0)]),
-    flip_prob=st.sampled_from([0.0, 0.5, 1.0]),
 )
 @settings(max_examples=60, deadline=None)
-def test_batched_augmentation_matches_per_image_oracle(seed, b, h, w, hue_max_delta, sat, flip_prob):
-    config = AugmentConfig(hue_max_delta=hue_max_delta, sat_lower=sat[0], sat_upper=sat[1], flip_prob=flip_prob)
+def test_batched_augmentation_matches_per_image_oracle(seed, b, h, w):
     images = u8_batch(seed, b, h, w)
     rng, oracle_rng = make_rng(seed, 2), make_rng(seed, 2)
     draws = augment_draws(Scenario.HSV_GRAY_AUG, "train", rng, b)
-    got = preprocess_batch(images, Scenario.HSV_GRAY_AUG, draws, config)
-    want = hsv_gray_aug_oracle(images, oracle_rng, config)
+    got = preprocess_batch(images, Scenario.HSV_GRAY_AUG, draws)
+    want = hsv_gray_aug_oracle(images, oracle_rng)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state  # same draws, same count
     hue_gap = np.abs(got[..., 0] - want[..., 0]) % 1.0
     assert np.minimum(hue_gap, 1.0 - hue_gap).max() < 1e-6
     assert np.abs(got[..., 1:] - want[..., 1:]).max() < 1e-6
 
 
-@given(
-    seed=st.integers(0, 2**63 - 1),
-    n=st.integers(1, 64),
-    hue_max_delta=st.floats(0.0, 0.5),
-    sat=st.tuples(st.floats(1e-3, 10.0), st.floats(0.0, 10.0)),
-    flip_prob=st.floats(0.0, 1.0),
-)
+@given(seed=st.integers(0, 2**63 - 1), n=st.integers(1, 64))
 @settings(max_examples=100, deadline=None)
-def test_block_draw_equals_the_per_image_draw_sequence(seed, n, hue_max_delta, sat, flip_prob):
-    config = AugmentConfig(hue_max_delta, sat[0], sat[0] + sat[1], flip_prob)
+def test_block_draw_equals_the_per_image_draw_sequence(seed, n):
     rng, per_image = make_rng(seed, 2), make_rng(seed, 2)
     block = augment_draws(Scenario.HSV_GRAY_AUG, "train", rng, n)
     assert block.shape == (n, 4)
-    low, high = -config.hue_max_delta, config.hue_max_delta
     for u_hue, u_sat, u_hflip, u_vflip in block:
-        # the mapping the pipeline applies to each row
-        assert low + (high - low) * u_hue == per_image.uniform(low, high)
-        sat_low, sat_high = config.sat_lower, config.sat_upper
-        assert sat_low + (sat_high - sat_low) * u_sat == per_image.uniform(sat_low, sat_high)
-        assert (u_hflip < flip_prob) == (per_image.random() < flip_prob)
-        assert (u_vflip < flip_prob) == (per_image.random() < flip_prob)
+        # the mapping the pipeline applies to each row, with the published values
+        assert -0.02 + (0.02 - -0.02) * u_hue == per_image.uniform(-0.02, 0.02)
+        assert 0.9 + (1.2 - 0.9) * u_sat == per_image.uniform(0.9, 1.2)
+        assert (u_hflip < 0.5) == (per_image.random() < 0.5)
+        assert (u_vflip < 0.5) == (per_image.random() < 0.5)
     assert rng.bit_generator.state == per_image.bit_generator.state
 
 

@@ -181,6 +181,19 @@ class TestBuildShards:
         assert find_shards(tmp_path / "out", "test") == test_set
         assert train_set.count == test_set.count == 8
 
+    def test_a_failed_rebuild_keeps_the_split_it_was_replacing(self, tmp_path):
+        train_dir, test_dir, labels_file = self.corpus(tmp_path)
+        out = tmp_path / "out"
+        _, test_set = build_shards(train_dir, test_dir, labels_file, out, test_shards=2)
+        before = {path.name: path.read_bytes() for path in test_set.paths}
+        bad = test_dir / "beta" / "2.ppm"  # in the second test shard, after the first is written
+        bad.write_bytes(bad.read_bytes()[:-1])
+        with pytest.raises(FormatError):
+            build_shards(train_dir, test_dir, labels_file, out, test_shards=2)
+        assert {path.name: path.read_bytes() for path in test_set.paths} == before
+        assert not list(out.glob("*.tmp"))
+        assert find_shards(out, "test") == test_set
+
     def test_find_shards_refuses_shards_of_two_builds(self, tmp_path):
         train_dir, test_dir, labels_file = self.corpus(tmp_path)
         train_set, _ = build_shards(train_dir, test_dir, labels_file, tmp_path / "out", train_shards=2)

@@ -260,6 +260,18 @@ class TestTrainLoop:
         with pytest.raises(ConfigurationError):
             train(tiny_cfg(iterations=2), shards, tmp_path / "long", labels, resume_from=ckpt, log=None)
 
+    def test_resume_with_the_labels_of_another_run_rejected_before_writing(self, tmp_path):
+        shards, labels = tiny_corpus(tmp_path)
+        run = tmp_path / "run"
+        train(tiny_cfg(iterations=2), shards, run, labels, log=None)
+        before = {path.name: path.read_bytes() for path in run.iterdir()}
+        swapped = LabelMap.from_names(["second", "first"])  # same count, other order
+        ckpt = load_checkpoint(run / "checkpoint.frck")
+        with pytest.raises(ConfigurationError, match=re.escape("['nothing', 'first', 'second']")) as err:
+            train(tiny_cfg(iterations=4), shards, run, swapped, resume_from=ckpt, log=None)
+        assert "['nothing', 'second', 'first']" in str(err.value)
+        assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
     def test_metrics_csv_schema(self, tmp_path):
         shards, labels = tiny_corpus(tmp_path)
         train(tiny_cfg(iterations=4), shards, tmp_path / "m", labels, log=None)
@@ -278,12 +290,16 @@ class TestTrainLoop:
         assert rate == pytest.approx(update_learning_rate(acc), abs=1e-12)
 
     def test_diverged_loss_reports_iteration(self, tmp_path):
+        # a checkpoint at iteration 2 whose output bias is NaN: the loss of
+        # the first resumed step, iteration 3, is not finite
         shards, labels = tiny_corpus(tmp_path)
-        cfg = tiny_cfg(iterations=6, lr_initial=1e25, lr_final=1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
+        train(tiny_cfg(iterations=2), shards, tmp_path / "boom", labels, log=None)
+        ckpt = load_checkpoint(tmp_path / "boom" / "checkpoint.frck")
+        ckpt.params["out_b"][:] = np.nan
+        with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingDivergedError) as err:
-                train(cfg, shards, tmp_path / "boom", labels, log=None)
-        assert err.value.iteration >= 1
+                train(tiny_cfg(iterations=6), shards, tmp_path / "boom", labels, resume_from=ckpt, log=None)
+        assert err.value.iteration == 3
 
     def test_scenario_channel_mismatch_rejected(self, tmp_path):
         shards, labels = tiny_corpus(tmp_path)
@@ -341,8 +357,6 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             tiny_cfg(iterations=1, batch_size=0)
-        with pytest.raises(ConfigurationError):
-            tiny_cfg(iterations=1, lr_initial=1e-5, lr_final=1e-3)
 
     @pytest.mark.parametrize(
         "field, value, bound",
