@@ -104,10 +104,7 @@ def evaluate(
             correct = total - int(misses.sum())
             if log is not None:
                 log(f"evaluated {total} images, running accuracy {correct / total:.4f}")
-    mislabeled: dict = {}
-    for class_id in np.flatnonzero(misses).tolist():  # two ids of one name share its count
-        name = ckpt.labels.name_of(class_id)
-        mislabeled[name] = mislabeled.get(name, 0) + int(misses[class_id])
+    mislabeled = {ckpt.labels.name_of(class_id): int(misses[class_id]) for class_id in np.flatnonzero(misses).tolist()}
     accuracy = correct / total if total else 0.0
     return EvalReport(total_images=total, correct=correct, accuracy=accuracy, mislabeled=mislabeled)
 

@@ -66,13 +66,19 @@ class ExampleRecord:
 
 @dataclass(frozen=True)
 class LabelMap:
-    """Class names indexed by id; id 0 is always the background class."""
+    """Class names indexed by id; id 0 is always the background class, and
+    no other id shares a name with it or with each other."""
 
     names: tuple
 
     def __post_init__(self):
         if not self.names or self.names[0] != BACKGROUND_NAME:
             raise InvalidInputError(f"names[0] must be {BACKGROUND_NAME!r}")
+        if BACKGROUND_NAME in self.names[1:]:
+            raise InvalidInputError(f"names {BACKGROUND_NAME!r}, the class of id 0")
+        twice = sorted(name for name, n in Counter(self.names).items() if n > 1)
+        if twice:
+            raise InvalidInputError(f"names {', '.join(twice)} more than once")
 
     @classmethod
     def from_names(cls, class_names: Iterable[str]) -> "LabelMap":
@@ -80,13 +86,10 @@ class LabelMap:
 
     @classmethod
     def from_file(cls, path) -> "LabelMap":
-        names = [ln.strip() for ln in read_utf8(path).splitlines() if ln.strip()]
-        if BACKGROUND_NAME in names:
-            raise ConfigurationError(f"labels file {path} names {BACKGROUND_NAME!r}, the class of id 0")
-        twice = sorted(name for name, n in Counter(names).items() if n > 1)
-        if twice:
-            raise ConfigurationError(f"labels file {path} names {', '.join(twice)} more than once")
-        return cls.from_names(names)
+        try:
+            return cls.from_names(ln.strip() for ln in read_utf8(path).splitlines() if ln.strip())
+        except InvalidInputError as exc:
+            raise ConfigurationError(f"labels file {path} {exc}") from None
 
     @property
     def num_classes(self) -> int:
@@ -143,19 +146,20 @@ def write_shard(path, records: Iterable[ExampleRecord]) -> int:
     """Write records of one shape to one shard file, replacing it only once
     all are written; returns the record count."""
     with _replaced_on_success(Path(path)) as (tmp,):
-        return _write_records(tmp, records)
+        return _write_records(tmp, ((rec.label, rec.pixels) for rec in records))
 
 
-def _write_records(path: Path, records: Iterable[ExampleRecord]) -> int:
+def _write_records(path: Path, pairs: Iterable[tuple]) -> int:
+    """Write (label, uint8 pixels) pairs of one shape to a new shard file."""
     labels, dims = [], None
     with open(path, "wb") as fh:
         fh.write(bytes(_HEADER.size))  # patched once the count and dims are known
-        for rec in records:
-            dims = dims or rec.pixels.shape
-            if rec.pixels.shape != dims:
-                raise InvalidInputError(f"record {len(labels)} has shape {rec.pixels.shape}, shard has {dims}")
-            fh.write(rec.pixels.tobytes())
-            labels.append(rec.label)
+        for label, pixels in pairs:
+            dims = dims or pixels.shape
+            if pixels.shape != dims:
+                raise InvalidInputError(f"record {len(labels)} has shape {pixels.shape}, shard has {dims}")
+            fh.write(pixels.tobytes())
+            labels.append(label)
         fh.write(np.array(labels, dtype="<u4").tobytes())
         fh.seek(0)
         fh.write(_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, len(labels), *(dims or (0, 0, 3))))
@@ -236,14 +240,14 @@ def _collect_examples(split_dir: Path, labels: LabelMap) -> list:
     return out
 
 
-def _decoded_records(examples: list, pool) -> Iterator[ExampleRecord]:
+def _decoded_records(examples: list, pool) -> Iterator[tuple]:
+    """(label, pixels) per (path, label) example, in order."""
     # schedule decoding in bounded slices so results never pile up in memory
     step = 64
     for start in range(0, len(examples), step):
         chunk = examples[start : start + step]
         pixels = pool.map(_decode_for_shard, [p for p, _ in chunk])
-        for (_, label), px in zip(chunk, pixels):
-            yield ExampleRecord(label, px)
+        yield from zip((label for _, label in chunk), pixels)
 
 
 def _shard_names(split: str, n_shards: int) -> list:

@@ -10,11 +10,14 @@ counter alone.
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 # stream ids; never reorder, they are part of the reproducibility contract
 STREAM_INIT = 0      # weight initialization
 STREAM_SHUFFLE = 1   # shuffle-buffer sampling
 STREAM_AUGMENT = 2   # per-iteration train-time augmentation
 STREAM_DROPOUT = 3   # per-iteration dropout masks
+STREAM_SYNTH = 100   # synthetic corpus images, per split and class
 
 RngStream = np.random.Generator
 
@@ -22,6 +25,6 @@ RngStream = np.random.Generator
 def make_rng(seed: int, *stream: int) -> RngStream:
     """Generator fully determined by (seed, *stream): same ids, same draws."""
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     entropy = (int(seed),) + tuple(int(s) for s in stream)
     return np.random.default_rng(np.random.SeedSequence(entropy))

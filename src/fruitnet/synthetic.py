@@ -19,9 +19,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .imaging import RasterImage, hsv_to_rgb_pixels, write_ppm
 from .records import LabelMap
-from .seeding import make_rng
-
-_STREAM_SYNTH = 100
+from .seeding import STREAM_SYNTH, make_rng
 
 
 def synthetic_image(rng, hue: float, size: int = 100, raw: bool = False) -> RasterImage:
@@ -85,7 +83,7 @@ def generate_corpus(
     raw = style == "raw"
     for split_dir, per_class, split_id in ((train_dir, train_per_class, 0), (test_dir, test_per_class, 1)):
         for ci, name in enumerate(names):
-            rng = make_rng(seed, _STREAM_SYNTH, split_id, ci)
+            rng = make_rng(seed, STREAM_SYNTH, split_id, ci)
             class_dir = split_dir / name
             class_dir.mkdir(parents=True, exist_ok=True)
             for k in range(per_class):

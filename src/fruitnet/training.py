@@ -16,16 +16,15 @@ Checkpoint format v2 (little-endian):
 
 The network config fixes every tensor's name, order and shape, so the file
 stores none of them, and the header plus the labels fix the file size.
-Checkpoints written before version 2 are not read.  Training state
-(parameters and optimizer moments) is float32, so a save/load/save cycle is
-byte-identical and a resumed run continues the uninterrupted one bit for
-bit: augmentation and dropout streams are derived from (seed, iteration),
-and the shuffled batch stream starts at the checkpoint's iteration counter
-by redrawing the skipped batches' buffer slots, without building those
-batches.
+Checkpoints written before version 2 are not read.  Training state is
+float32, so a save/load/save cycle is byte-identical.  train advances one
+Checkpoint in place, the loaded one itself on a resume, and a resumed run
+continues the uninterrupted one bit for bit: augmentation and dropout streams
+are derived from (seed, iteration), and the shuffled batch stream starts at
+the checkpoint's iteration by redrawing the skipped batches' buffer slots,
+without building those batches.
 """
 
-import copy
 import csv
 import math
 import os
@@ -53,6 +52,7 @@ _HEADER = struct.Struct("<4sIQQd5I4I2I")
 _NETWORK_AT = 32
 CHECKPOINT_NAME = "checkpoint.frck"
 METRICS_NAME = "metrics.csv"
+_METRICS_HEADER = b"iteration,loss,batch_accuracy,learning_rate\r\n"  # csv.writer's line end, as the rows
 _ADAM_BLOCK = 1 << 15  # elements per block of the in-place Adam update
 LR_INITIAL, LR_FINAL = 0.001, 0.00001
 
@@ -275,26 +275,27 @@ def check_image_side(net: NetworkConfig, owner: str = "network") -> None:
         )
 
 
-def _append_metrics(path, rows, fresh: bool):
-    mode = "w" if fresh else "a"
-    with open(path, mode, newline="") as fh:
-        writer = csv.writer(fh)
-        if fresh:
-            writer.writerow(["iteration", "loss", "batch_accuracy", "learning_rate"])
-        writer.writerows(rows)
+def _append_metrics(path, rows):
+    with open(path, "a", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _keep_metrics_up_to(path: Path, iteration: int):
-    """Rewrite the metrics file with its header and the complete rows (those
-    that end in a line break) of iterations <= iteration."""
-    lines = []
-    if path.exists():
-        with open(path, newline="") as fh:
-            next(fh, None)  # the header
-            lines = [ln for ln in fh if ln.endswith("\n")]
-    rows = [row for row in csv.reader(lines) if int(row[0]) <= iteration]
-    with _replaced_on_success(path) as (tmp,):
-        _append_metrics(tmp, rows, fresh=True)
+    """Rewrite the metrics file atomically as its header and the complete rows
+    of iterations <= iteration; at 0 no earlier file is read.  A complete row
+    not starting with a decimal iteration is a FormatError at its offset."""
+    kept, at = [], 0
+    lines = path.read_bytes().splitlines(keepends=True) if iteration and path.exists() else []
+    for n, line in enumerate(lines):
+        if n and line.endswith(b"\n"):  # not the header, nor a row torn by an interrupt
+            first = line.split(b",", 1)[0]
+            if not first.isdigit():
+                raise FormatError(f"metrics row {line!r} does not start with an iteration", path=path, offset=at)
+            if int(first) <= iteration:
+                kept.append(line)
+        at += len(line)
+    with _replaced_on_success(path) as (tmp,), open(tmp, "wb") as fh:
+        fh.writelines([_METRICS_HEADER, *kept])
 
 
 def train(
@@ -305,61 +306,51 @@ def train(
     resume_from: Checkpoint | None = None,
     log=print,
 ) -> Checkpoint:
-    """Run the training protocol and return the final checkpoint.
+    """Run the training protocol on one Checkpoint, advanced in place, and
+    return it: a fresh run builds it at iteration 0, a resume continues
+    `resume_from` itself, whose arrays must be writable (load_checkpoint's
+    are).  A resume of another network or labels, or past cfg.iterations, is
+    refused before anything is written or changed.  If train raises, the
+    object's tensors may be past its iteration: resume from the saved file.
 
     Each iteration draws a shuffled batch, preprocesses it in train mode,
-    runs forward/backward at the configured keep_prob and applies one Adam
-    step.  The batch runs as two fixed slices on the worker threads, with
-    BLAS at one thread until train returns: one loss over the joined
-    logits, one backward pass per slice, gradients summed in slice order.
-    Every display_interval iterations the current batch is re-scored at
-    keep_prob 1, the learning rate is re-derived from that accuracy, a
-    metrics row is appended and a checkpoint is persisted.  A resumed run
-    first drops the metrics rows past its checkpoint, then draws its
-    batches from the stream position of the checkpoint's iteration.
+    runs forward/backward at keep_prob and applies one Adam step.  The batch
+    runs as two fixed slices on the worker threads, with BLAS at one thread
+    until train returns: one loss over the joined logits, one backward pass
+    per slice, gradients summed in slice order.  Every display_interval
+    iterations the batch is re-scored at keep_prob 1, the learning rate is
+    re-derived from that accuracy, a metrics row is appended and the
+    checkpoint is saved.  Metrics rows past the start are dropped first.
     """
     check_channels(cfg.scenario, cfg.net)
     check_image_side(cfg.net)
     if labels.num_classes != cfg.net.num_classes:
-        raise ConfigurationError(
-            f"label map has {labels.num_classes} classes, network has {cfg.net.num_classes}"
-        )
+        raise ConfigurationError(f"label map has {labels.num_classes} classes, network has {cfg.net.num_classes}")
     if shards.count < 1:
         raise ConfigurationError(f"shard set {shards.split!r} is empty")
+
+    state = resume_from
+    if state is None:
+        params = init_params(cfg.net, make_rng(cfg.seed, STREAM_INIT))
+        state = Checkpoint(cfg.net, params, AdamState.zeros_like(params), 0, LR_INITIAL, labels)
+    if state.config != cfg.net:
+        raise ConfigurationError("checkpoint network config differs from the training config")
+    if state.labels != labels:
+        raise ConfigurationError(
+            f"checkpoint labels {list(state.labels.names)} differ from the run's {list(labels.names)}"
+        )
+    if state.iteration > cfg.iterations:
+        raise ConfigurationError(f"checkpoint is at iteration {state.iteration}, past the configured {cfg.iterations}")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / CHECKPOINT_NAME
     metrics_path = out_dir / METRICS_NAME
-
-    if resume_from is not None:
-        if resume_from.config != cfg.net:
-            raise ConfigurationError("checkpoint network config differs from the training config")
-        if resume_from.labels != labels:
-            raise ConfigurationError(
-                f"checkpoint labels {list(resume_from.labels.names)} differ from the run's {list(labels.names)}"
-            )
-        if resume_from.iteration > cfg.iterations:
-            raise ConfigurationError(
-                f"checkpoint is at iteration {resume_from.iteration}, past the configured {cfg.iterations}"
-            )
-        # adam_step works in place; the caller's checkpoint stays as it was
-        params = copy.deepcopy(resume_from.params)
-        adam = copy.deepcopy(resume_from.adam)
-        lr = resume_from.learning_rate
-        start = resume_from.iteration
-        _keep_metrics_up_to(metrics_path, start)
-    else:
-        params = init_params(cfg.net, make_rng(cfg.seed, STREAM_INIT))
-        adam = AdamState.zeros_like(params)
-        lr = LR_INITIAL
-        start = 0
-        _append_metrics(metrics_path, [], fresh=True)
-
-    stream = shuffle_batches(shards, cfg.batch_size, cfg.shuffle_capacity, cfg.seed, start)
+    _keep_metrics_up_to(metrics_path, state.iteration)
+    stream = shuffle_batches(shards, cfg.batch_size, cfg.shuffle_capacity, cfg.seed, state.iteration)
     tick = time.perf_counter()
     with slice_workers() as run:
-        for i in range(start + 1, cfg.iterations + 1):
+        for i in range(state.iteration + 1, cfg.iterations + 1):
             images, batch_labels = next(stream)
             n = len(images)
             draws = augment_draws(cfg.scenario, "train", make_rng(cfg.seed, STREAM_AUGMENT, i), n)
@@ -368,7 +359,7 @@ def train(
             def forward_slice(rows):
                 x = preprocess_batch(images[rows], cfg.scenario, None if draws is None else draws[rows])
                 slice_masks = tuple(None if m is None else m[rows] for m in masks)
-                logits, caches = forward(cfg.net, params, x, cfg.keep_prob, slice_masks)
+                logits, caches = forward(cfg.net, state.params, x, cfg.keep_prob, slice_masks)
                 return x, logits, caches
 
             slices = batch_slices(n)
@@ -381,24 +372,25 @@ def train(
             for more in rest:  # in slice order, so the sum does not depend on the workers
                 for key in grads:
                     grads[key] += more[key]
-            params, adam = adam_step(params, grads, adam, lr)
+            adam_step(state.params, grads, state.adam, state.learning_rate)
             del grads, rest
 
             if i % cfg.display_interval == 0:
-                eval_logits = np.concatenate(run(lambda x: forward(cfg.net, params, x, keep_prob=1.0)[0], xs))
+                eval_logits = np.concatenate(run(lambda x: forward(cfg.net, state.params, x, keep_prob=1.0)[0], xs))
                 eval_loss, _ = cross_entropy_loss(eval_logits, batch_labels)
                 acc = batch_accuracy(eval_logits, batch_labels)
                 lr = update_learning_rate(acc)
+                state.iteration, state.learning_rate = i, lr
                 # the row goes first: a Ctrl-C before the save completes leaves a
                 # row past the checkpoint, which a resume drops and writes again
-                _append_metrics(metrics_path, [[i, f"{eval_loss:.6f}", f"{acc:.6f}", f"{lr:.8f}"]], fresh=False)
-                save_checkpoint(Checkpoint(cfg.net, params, adam, i, lr, labels), ckpt_path)
+                _append_metrics(metrics_path, [[i, f"{eval_loss:.6f}", f"{acc:.6f}", f"{lr:.8f}"]])
+                save_checkpoint(state, ckpt_path)
                 if log is not None:
                     dt = time.perf_counter() - tick
                     log(f"iteration {i}: loss {eval_loss:.4f}, batch accuracy {acc:.4f}, lr {lr:.6f} ({dt:.1f}s)")
                     tick = time.perf_counter()
             del xs  # only the re-score reads the step's inputs
 
-    final = Checkpoint(cfg.net, params, adam, cfg.iterations, lr, labels)
-    save_checkpoint(final, ckpt_path)
-    return final
+    state.iteration = cfg.iterations
+    save_checkpoint(state, ckpt_path)
+    return state

@@ -49,6 +49,12 @@ class TestGenSynthetic:
         fb = sorted((tmp_path / "b").rglob("*.ppm"))
         assert [f.read_bytes() for f in fa] == [f.read_bytes() for f in fb]
 
+    def test_a_negative_seed_is_an_error_line_not_a_traceback(self, tmp_path, capsys):
+        code, _, err = run(capsys, "gen-synthetic", "--output_directory", str(tmp_path / "c"), "--seed", "-1")
+        assert code == 1
+        assert err == "error: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "c").exists()
+
 
 class TestExtractBackground:
     def test_raw_corpus_is_whitened_and_rescaled(self, tmp_path, capsys):
@@ -373,15 +379,15 @@ def test_ctrl_c_around_a_metrics_row_leaves_each_row_once_after_resume(corpus, c
     assert pipeline.train(capsys, tmp_path, parts, iterations=10, out="whole")[0] == 0
     real_append, rows = training._append_metrics, []
 
-    def append_then_interrupt(path, new_rows, fresh):
+    def append_then_interrupt(path, new_rows):
         rows.extend(new_rows)
         if len(rows) < 5:
-            return real_append(path, new_rows, fresh)
+            return real_append(path, new_rows)
         if torn:
             with open(path, "a", newline="") as fh:
                 fh.write(str(new_rows[0][0])[:1])
         else:
-            real_append(path, new_rows, fresh)
+            real_append(path, new_rows)
         raise KeyboardInterrupt
 
     monkeypatch.setattr(training, "_append_metrics", append_then_interrupt)

@@ -10,11 +10,12 @@ import pytest
 
 from fruitnet import _parallel, training
 from fruitnet.augmentation import Scenario
-from fruitnet.errors import ShapeError
+from fruitnet.errors import ConfigurationError, ShapeError
 from fruitnet.evaluation import evaluate
 from fruitnet.network import NetworkConfig, init_params
+from fruitnet.records import LabelMap
 from fruitnet.seeding import make_rng
-from fruitnet.training import AdamState, adam_step, load_checkpoint, train
+from fruitnet.training import AdamState, adam_step, load_checkpoint, save_checkpoint, train
 
 from test_evaluation import random_checkpoint, random_records, shard_records
 from test_training import tiny_cfg, tiny_corpus
@@ -185,11 +186,40 @@ def test_adam_checks_every_shape_before_writing_any():
     assert state.t == 0 and (params["a"] == 1).all() and (state.m["a"] == 0).all()
 
 
-def test_a_resumed_run_leaves_the_callers_checkpoint_as_it_was(tmp_path):
+def test_a_resume_continues_the_callers_checkpoint_and_returns_it(tmp_path):
     shards, labels = tiny_corpus(tmp_path)
     train(aug_cfg(2), shards, tmp_path / "run", labels, log=None)
     mid = load_checkpoint(tmp_path / "run" / "checkpoint.frck")
-    before = {k: p.copy() for k, p in mid.params.items()}
-    train(aug_cfg(4), shards, tmp_path / "run", labels, resume_from=mid, log=None)
-    assert all(np.array_equal(mid.params[k], before[k]) for k in before)
-    assert mid.adam.t == 2
+    arrays = [id(a) for a in (*mid.params.values(), *mid.adam.m.values(), *mid.adam.v.values())]
+    back = train(aug_cfg(4), shards, tmp_path / "run", labels, resume_from=mid, log=None)
+    assert back is mid
+    assert (mid.iteration, mid.adam.t) == (4, 4)
+    assert [id(a) for a in (*mid.params.values(), *mid.adam.m.values(), *mid.adam.v.values())] == arrays
+    save_checkpoint(mid, tmp_path / "returned.frck")
+    assert (tmp_path / "returned.frck").read_bytes() == (tmp_path / "run" / "checkpoint.frck").read_bytes()
+
+
+OTHER_NET = NetworkConfig(num_classes=3, input_channels=4, conv_maps=(2, 2, 2, 3), fc_sizes=(8, 6))
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda labels: (tiny_cfg(4, net=OTHER_NET, scenario=Scenario.HSV_GRAY_AUG, batch_size=5), labels),
+        lambda labels: (aug_cfg(4), LabelMap.from_names(reversed(labels.names[1:]))),
+        lambda labels: (aug_cfg(1), labels),
+    ],
+    ids=["network", "labels", "iteration"],
+)
+def test_a_refused_resume_leaves_the_checkpoint_untouched_and_writes_nothing(tmp_path, refused):
+    shards, labels = tiny_corpus(tmp_path)
+    run = tmp_path / "run"
+    train(aug_cfg(2), shards, run, labels, log=None)
+    files = {path.name: path.read_bytes() for path in run.iterdir()}
+    mid = load_checkpoint(run / "checkpoint.frck")
+    cfg, run_labels = refused(labels)
+    with pytest.raises(ConfigurationError):
+        train(cfg, shards, run, run_labels, resume_from=mid, log=None)
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == files
+    save_checkpoint(mid, tmp_path / "after.frck")  # every field and tensor, bit for bit
+    assert (tmp_path / "after.frck").read_bytes() == files["checkpoint.frck"]

@@ -60,6 +60,24 @@ class TestLabelMap:
         with pytest.raises(InvalidInputError):
             labels.id_of("Lime")
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["Lemon", "Lime", "Lemon"], "names Lemon more than once"),
+            (["Lemon", "nothing"], "names 'nothing', the class of id 0"),
+        ],
+        ids=["twice", "background"],
+    )
+    def test_a_name_given_twice_or_the_background_name_is_refused(self, tmp_path, names, message):
+        with pytest.raises(InvalidInputError) as err:
+            LabelMap.from_names(names)
+        assert str(err.value) == message
+        path = tmp_path / "labels"
+        path.write_text("".join(name + "\n" for name in names), encoding="utf-8")
+        with pytest.raises(ConfigurationError) as err:
+            LabelMap.from_file(path)
+        assert str(err.value) == f"labels file {path} {message}"
+
 
 class TestShardFormat:
     def test_round_trip_is_bit_exact(self, tmp_path):

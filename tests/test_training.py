@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fruitnet import training
+from fruitnet import _parallel, training
 from fruitnet.augmentation import Scenario
 from fruitnet.errors import ConfigurationError, FormatError, ShapeError, TrainingDivergedError
 from fruitnet.layers import cross_entropy_loss
@@ -575,7 +575,9 @@ _small_nets = st.builds(
 @given(net=_small_nets, data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_v2_round_trip_is_exact_and_holds_only_the_state(tmp_path_factory, net, data):
-    names = data.draw(st.lists(st.text(max_size=6), min_size=net.num_classes - 1, max_size=net.num_classes - 1))
+    names = data.draw(
+        st.lists(st.text(max_size=6), min_size=net.num_classes - 1, max_size=net.num_classes - 1, unique=True)
+    )
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     shapes = param_shapes(net)
     params, m, v = ({k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()} for _ in range(3))
@@ -671,3 +673,87 @@ def test_loading_a_preset_1_checkpoint_reads_the_tensors_once(tmp_path):
         tracemalloc.stop()
     assert peak < 1.1 * tensor_bytes, f"load_checkpoint peaked at {peak / 1e6:.1f} MB for {tensor_bytes / 1e6:.1f} MB"
     assert all(np.array_equal(back.params[k], params[k]) for k in params)
+
+
+def test_a_fresh_run_equals_a_resume_from_its_own_iteration_0_checkpoint(tmp_path):
+    shards, labels = tiny_corpus(tmp_path)
+    cfg = tiny_cfg(iterations=4)
+    train(cfg, shards, tmp_path / "fresh", labels, log=None)
+    params = init_params(cfg.net, make_rng(cfg.seed, STREAM_INIT))
+    zero = Checkpoint(cfg.net, params, AdamState.zeros_like(params), 0, training.LR_INITIAL, labels)
+    save_checkpoint(zero, tmp_path / "zero.frck")
+    resumed = load_checkpoint(tmp_path / "zero.frck")
+    train(cfg, shards, tmp_path / "resumed", labels, resume_from=resumed, log=None)
+    for name in ("checkpoint.frck", "metrics.csv"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "resumed" / name).read_bytes(), name
+
+
+def test_a_fresh_run_leaves_only_its_checkpoint_and_metrics(tmp_path):
+    shards, labels = tiny_corpus(tmp_path)
+    train(tiny_cfg(iterations=4), shards, tmp_path / "run", labels, log=None)
+    assert sorted(path.name for path in (tmp_path / "run").iterdir()) == ["checkpoint.frck", "metrics.csv"]
+
+
+def test_a_resumed_preset_1_run_peaks_no_higher_than_a_fresh_one(tmp_path, monkeypatch):
+    # the loaded checkpoint (83.5 MB of float32) is the resumed run's state, not
+    # a copy of it.  One step each, on one worker so that the two slices'
+    # temporaries never overlap in time; 1 MB covers the array headers of the
+    # loaded tensors, which are views of one block.
+    monkeypatch.setattr(_parallel, "_worker_count", lambda: 1)
+    shards, labels = tiny_corpus(tmp_path, n=4)
+    net = preset_configuration(1, num_classes=3, input_channels=3)
+    peaks = []
+    for iterations, resume in ((1, False), (2, True)):
+        cfg = tiny_cfg(iterations, net=net, batch_size=2, display_interval=1, shuffle_capacity=4)
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.frck") if resume else None
+            train(cfg, shards, tmp_path / "run", labels, resume_from=ckpt, log=None)
+            del ckpt
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    fresh, resumed = peaks
+    assert resumed <= fresh + 1e6, f"resumed: {resumed / 1e6:.1f} MB, fresh: {fresh / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("where", ["after_the_header", "at_the_end"])
+@pytest.mark.parametrize("row", [b"\n", b"two,0.5,0.5,0.001\r\n"], ids=["blank", "non_numeric"])
+def test_a_resume_over_a_damaged_metrics_row_is_a_format_error_at_its_offset(tmp_path, where, row):
+    shards, labels = tiny_corpus(tmp_path)
+    run = tmp_path / "run"
+    train(tiny_cfg(iterations=4), shards, run, labels, log=None)
+    raw = (run / "metrics.csv").read_bytes()
+    at = raw.index(b"\n") + 1 if where == "after_the_header" else len(raw)
+    (run / "metrics.csv").write_bytes(raw[:at] + row + raw[at:])
+    files = {path.name: path.read_bytes() for path in run.iterdir()}
+    ckpt = load_checkpoint(run / "checkpoint.frck")
+    with pytest.raises(FormatError, match="does not start with an iteration") as err:
+        train(tiny_cfg(iterations=6), shards, run, labels, resume_from=ckpt, log=None)
+    assert (err.value.path, err.value.offset) == (run / "metrics.csv", at)
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == files
+
+
+def test_a_fresh_run_over_a_damaged_metrics_file_writes_a_clean_one(tmp_path):
+    shards, labels = tiny_corpus(tmp_path)
+    train(tiny_cfg(iterations=4), shards, tmp_path / "clean", labels, log=None)
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "metrics.csv").write_bytes(b"iteration\n\ntwo,0.5\n9")
+    train(tiny_cfg(iterations=4), shards, tmp_path / "run", labels, log=None)
+    assert (tmp_path / "run" / "metrics.csv").read_bytes() == (tmp_path / "clean" / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "names, damaged", [(["ab", "cd"], b"ab"), (["ab", "cdefghi"], b"nothing")], ids=["twice", "background"]
+)
+def test_a_checkpoint_naming_a_class_twice_or_the_background_fails_at_its_label_block(tmp_path, names, damaged):
+    # a LabelMap refuses both, so the names are written over in the saved bytes
+    ckpt = make_checkpoint()
+    ckpt.labels = LabelMap.from_names(names)
+    save_checkpoint(ckpt, tmp_path / "c.frck")
+    raw = (tmp_path / "c.frck").read_bytes()
+    last = struct.pack("<I", len(names[1])) + names[1].encode()
+    (tmp_path / "c.frck").write_bytes(raw.replace(last, struct.pack("<I", len(damaged)) + damaged, 1))
+    with pytest.raises(FormatError, match="invalid label names") as err:
+        load_checkpoint(tmp_path / "c.frck")
+    assert err.value.offset == 76 + 4  # the first name, after the fixed header and the count
