@@ -142,6 +142,28 @@ def _fsync(path: Path) -> None:
         os.close(fd)
 
 
+def _read_header(fh, path: Path, layout: struct.Struct, magic: bytes, version: int, kind: str, hint: str) -> tuple:
+    """A fixed header's fields and the file size, once its magic, version and length are checked."""
+    head = fh.read(layout.size)
+    size = os.fstat(fh.fileno()).st_size
+    if head[:4] != magic:
+        raise FormatError(f"bad magic {head[:4]!r}, expected {magic!r}", path=path, offset=0)
+    found = int.from_bytes(head[4:8], "little")
+    if found != version:
+        raise FormatError(f"unsupported {kind} version {found}; {hint}", path=path, offset=4)
+    if len(head) < layout.size:
+        raise FormatError(f"truncated {kind} header", path=path, offset=len(head))
+    return layout.unpack(head), size
+
+
+def _check_size(path: Path, size: int, expected: int, kind: str, described_by: str) -> None:
+    """A FormatError at min(size, expected) unless the file holds exactly the expected bytes."""
+    if size != expected:
+        what = f"truncated {kind}" if size < expected else f"trailing bytes in {kind}"
+        msg = f"{what}: {described_by} {expected} bytes, the file holds {size}"
+        raise FormatError(msg, path=path, offset=min(size, expected))
+
+
 def write_shard(path, records: Iterable[ExampleRecord]) -> int:
     """Write records of one shape to one shard file, replacing it only once
     all are written; returns the record count."""
@@ -170,26 +192,13 @@ def _read_shard(path: Path) -> tuple:
     """Check a shard file; returns its u32 labels and a read-only map of its
     pixels, shape (count, height, width, 3)."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        size = os.fstat(fh.fileno()).st_size
-        if head[:4] != SHARD_MAGIC:
-            raise FormatError(f"bad magic {head[:4]!r}, expected {SHARD_MAGIC!r}", path=path, offset=0)
-        version = int.from_bytes(head[4:8], "little")
-        if version != SHARD_VERSION:
-            msg = f"unsupported shard version {version}; rebuild the shards with `fruitnet build-records`"
-            raise FormatError(msg, path=path, offset=4)
-        if len(head) < _HEADER.size:
-            raise FormatError("truncated shard header", path=path, offset=len(head))
-        _, _, count, h, w, c = _HEADER.unpack(head)
+        hint = "rebuild the shards with `fruitnet build-records`"
+        (_, _, count, h, w, c), size = _read_header(fh, path, _HEADER, SHARD_MAGIC, SHARD_VERSION, "shard", hint)
         if not (c == 3 and (min(h, w) >= 1 if count else h == w == 0)):
             msg = f"dims {h}x{w}x{c} do not fit {count} records: need RGB, height and width >= 1, 0x0 if empty"
             raise FormatError(msg, path=path, offset=12)
         pixel_end = _HEADER.size + count * h * w * 3
-        expected = pixel_end + 4 * count
-        if size != expected:
-            what = "truncated shard" if size < expected else "trailing bytes in shard"
-            msg = f"{what}: the header describes {expected} bytes, the file holds {size}"
-            raise FormatError(msg, path=path, offset=min(size, expected))
+        _check_size(path, size, pixel_end + 4 * count, "shard", "the header describes")
         fh.seek(pixel_end)
         labels = np.frombuffer(fh.read(4 * count), dtype="<u4")
         return labels, np.memmap(fh, dtype=np.uint8, mode="r", offset=_HEADER.size, shape=(count, h, w, 3))

@@ -27,7 +27,6 @@ without building those batches.
 
 import csv
 import math
-import os
 import struct
 import time
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from .augmentation import Scenario, augment_draws, preprocess_batch
 from .errors import ConfigurationError, FormatError, InvalidInputError, ShapeError, TrainingDivergedError
 from .layers import Tensor, cross_entropy_loss
 from .network import NetworkConfig, Params, backward, dropout_masks, forward, init_params, param_shapes
-from .records import IMAGE_SIDE, LabelMap, ShardSet, _replaced_on_success, shuffle_batches
+from .records import IMAGE_SIDE, LabelMap, ShardSet, _check_size, _read_header, _replaced_on_success, shuffle_batches
 from .seeding import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_INIT, make_rng
 
 CHECKPOINT_MAGIC = b"FRCK"
@@ -220,17 +219,9 @@ def load_checkpoint(path) -> Checkpoint:
     array; the params and both Adam moments are views of it."""
     path = Path(path)
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        size = os.fstat(fh.fileno()).st_size
-        if head[:4] != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad magic {head[:4]!r}, expected {CHECKPOINT_MAGIC!r}", path=path, offset=0)
-        version = int.from_bytes(head[4:8], "little")
-        if version != CHECKPOINT_VERSION:
-            msg = f"unsupported checkpoint version {version}; checkpoints written before version 2 cannot be loaded"
-            raise FormatError(msg, path=path, offset=4)
-        if len(head) < _HEADER.size:
-            raise FormatError("truncated checkpoint header", path=path, offset=len(head))
-        _, _, iteration, adam_t, lr, num_classes, channels, kernel, in_h, in_w, *maps = _HEADER.unpack(head)
+        hint = "checkpoints written before version 2 cannot be loaded"
+        fields, size = _read_header(fh, path, _HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint", hint)
+        _, _, iteration, adam_t, lr, num_classes, channels, kernel, in_h, in_w, *maps = fields
         try:
             cfg = NetworkConfig(
                 num_classes, input_channels=channels, conv_maps=maps[:4], fc_sizes=maps[4:],
@@ -242,11 +233,7 @@ def load_checkpoint(path) -> Checkpoint:
         sizes = [math.prod(shape) for shape in shapes.values()]  # exact ints, however large the dims
         tensor_bytes = 3 * 4 * sum(sizes)
         labels = _read_labels(fh, num_classes, size - tensor_bytes, size, path)
-        expected = fh.tell() + tensor_bytes
-        if size != expected:
-            what = "truncated checkpoint" if size < expected else "trailing bytes in checkpoint"
-            msg = f"{what}: the header and labels describe {expected} bytes, the file holds {size}"
-            raise FormatError(msg, path=path, offset=min(size, expected))
+        _check_size(path, size, fh.tell() + tensor_bytes, "checkpoint", "the header and labels describe")
         block = np.fromfile(fh, dtype="<f4", count=tensor_bytes // 4)
 
     ends = np.cumsum(sizes)[:-1]
@@ -298,6 +285,35 @@ def _keep_metrics_up_to(path: Path, iteration: int):
         fh.writelines([_METRICS_HEADER, *kept])
 
 
+def _step(cfg: TrainConfig, state: Checkpoint, run, images: np.ndarray, labels: np.ndarray, i: int) -> tuple:
+    """Iteration i on a drawn batch: augment and dropout draws from (seed, i),
+    then, as two fixed slices on run's workers, train-mode preprocessing and a
+    forward pass at keep_prob; one loss over the joined logits, one backward
+    pass per slice, gradients summed in slice order, one Adam step on state in
+    place.  Returns the preprocessed slices, which the re-score reads; the
+    caches and gradients are freed on return."""
+    draws = augment_draws(cfg.scenario, "train", make_rng(cfg.seed, STREAM_AUGMENT, i), len(images))
+    masks = dropout_masks(cfg.net, len(images), cfg.keep_prob, make_rng(cfg.seed, STREAM_DROPOUT, i))
+
+    def forward_slice(rows):
+        x = preprocess_batch(images[rows], cfg.scenario, None if draws is None else draws[rows])
+        slice_masks = tuple(None if m is None else m[rows] for m in masks)
+        logits, caches = forward(cfg.net, state.params, x, cfg.keep_prob, slice_masks)
+        return x, logits, caches
+
+    slices = batch_slices(len(images))
+    xs, logits, caches = zip(*run(forward_slice, slices))
+    loss, grad_logits = cross_entropy_loss(np.concatenate(logits), labels)
+    if not math.isfinite(loss):
+        raise TrainingDivergedError(iteration=i, loss=loss)
+    grads, *rest = run(lambda rows, cache: backward(cache, grad_logits[rows]), slices, caches)
+    for more in rest:  # in slice order, so the sum does not depend on the workers
+        for key in grads:
+            grads[key] += more[key]
+    adam_step(state.params, grads, state.adam, state.learning_rate)
+    return xs
+
+
 def train(
     cfg: TrainConfig,
     shards: ShardSet,
@@ -313,14 +329,11 @@ def train(
     refused before anything is written or changed.  If train raises, the
     object's tensors may be past its iteration: resume from the saved file.
 
-    Each iteration draws a shuffled batch, preprocesses it in train mode,
-    runs forward/backward at keep_prob and applies one Adam step.  The batch
-    runs as two fixed slices on the worker threads, with BLAS at one thread
-    until train returns: one loss over the joined logits, one backward pass
-    per slice, gradients summed in slice order.  Every display_interval
-    iterations the batch is re-scored at keep_prob 1, the learning rate is
-    re-derived from that accuracy, a metrics row is appended and the
-    checkpoint is saved.  Metrics rows past the start are dropped first.
+    Each iteration draws a shuffled batch and runs _step on it, with BLAS at
+    one thread until train returns.  Every display_interval iterations the
+    batch is re-scored at keep_prob 1, the learning rate is re-derived from
+    that accuracy, a metrics row is appended and the checkpoint is saved.
+    Metrics rows past the start are dropped first.
     """
     check_channels(cfg.scenario, cfg.net)
     check_image_side(cfg.net)
@@ -352,29 +365,7 @@ def train(
     with slice_workers() as run:
         for i in range(state.iteration + 1, cfg.iterations + 1):
             images, batch_labels = next(stream)
-            n = len(images)
-            draws = augment_draws(cfg.scenario, "train", make_rng(cfg.seed, STREAM_AUGMENT, i), n)
-            masks = dropout_masks(cfg.net, n, cfg.keep_prob, make_rng(cfg.seed, STREAM_DROPOUT, i))
-
-            def forward_slice(rows):
-                x = preprocess_batch(images[rows], cfg.scenario, None if draws is None else draws[rows])
-                slice_masks = tuple(None if m is None else m[rows] for m in masks)
-                logits, caches = forward(cfg.net, state.params, x, cfg.keep_prob, slice_masks)
-                return x, logits, caches
-
-            slices = batch_slices(n)
-            xs, logits, caches = zip(*run(forward_slice, slices))
-            loss, grad_logits = cross_entropy_loss(np.concatenate(logits), batch_labels)
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(iteration=i, loss=loss)
-            grads, *rest = run(lambda rows, cache: backward(cache, grad_logits[rows]), slices, caches)
-            del logits, caches  # freed before the next step's forward, not kept alive through it
-            for more in rest:  # in slice order, so the sum does not depend on the workers
-                for key in grads:
-                    grads[key] += more[key]
-            adam_step(state.params, grads, state.adam, state.learning_rate)
-            del grads, rest
-
+            xs = _step(cfg, state, run, images, batch_labels, i)
             if i % cfg.display_interval == 0:
                 eval_logits = np.concatenate(run(lambda x: forward(cfg.net, state.params, x, keep_prob=1.0)[0], xs))
                 eval_loss, _ = cross_entropy_loss(eval_logits, batch_labels)

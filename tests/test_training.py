@@ -1,8 +1,11 @@
+import itertools
 import math
 import re
 import struct
 import time
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -757,3 +760,78 @@ def test_a_checkpoint_naming_a_class_twice_or_the_background_fails_at_its_label_
     with pytest.raises(FormatError, match="invalid label names") as err:
         load_checkpoint(tmp_path / "c.frck")
     assert err.value.offset == 76 + 4  # the first name, after the fixed header and the count
+
+
+def test_several_preset_1_steps_peak_no_higher_than_one(tmp_path, monkeypatch):
+    # a step's caches and gradients are freed when it returns, so none of them
+    # is alive through the next step; one worker, as in the test above
+    monkeypatch.setattr(_parallel, "_worker_count", lambda: 1)
+    shards, labels = tiny_corpus(tmp_path, n=4)
+    net = preset_configuration(1, num_classes=3, input_channels=3)
+    peaks = []
+    for iterations in (1, 3):
+        cfg = tiny_cfg(iterations, net=net, batch_size=2, display_interval=1, shuffle_capacity=4)
+        tracemalloc.start()
+        try:
+            train(cfg, shards, tmp_path / f"run{iterations}", labels, log=None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one, three = peaks
+    assert three <= one + 1e6, f"3 steps: {three / 1e6:.1f} MB, 1 step: {one / 1e6:.1f} MB"
+
+
+# the names train looks up in training, at whose calls a run can be interrupted
+_INTERRUPTIBLE = ("preprocess_batch", "forward", "backward", "adam_step", "_append_metrics", "save_checkpoint")
+_RUN_FILES = (training.CHECKPOINT_NAME, training.METRICS_NAME)
+
+
+def _aug_cfg(iterations):
+    # augmented, so a resume must replay the augment draws; an odd batch, so the slices differ
+    return tiny_cfg(iterations, net=replace(TINY_NET, input_channels=4), scenario=Scenario.HSV_GRAY_AUG, batch_size=5)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """A corpus, an uninterrupted run's directory and the calls it made to each interruptible name."""
+    root = tmp_path_factory.mktemp("uninterrupted")
+    shards, labels = tiny_corpus(root)
+    calls = []  # appended to from the worker threads too, as list.append is atomic
+
+    def counted(name, real):
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return counting
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in _INTERRUPTIBLE:
+            mp.setattr(training, name, counted(name, getattr(training, name)))
+        train(_aug_cfg(6), shards, root / "run", labels, log=None)
+    return shards, labels, root / "run", Counter(calls)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_a_ctrl_c_at_any_call_then_a_resume_ends_as_the_uninterrupted_run(tmp_path_factory, uninterrupted, data):
+    shards, labels, whole, calls = uninterrupted
+    name = data.draw(st.sampled_from(_INTERRUPTIBLE), label="name")
+    call = data.draw(st.integers(1, calls[name]), label="call")
+    run = tmp_path_factory.mktemp("interrupted") / "run"
+    real, made = getattr(training, name), itertools.count(1)  # next() is atomic across the worker threads
+
+    def interrupt_at_call(*args, **kwargs):
+        if next(made) == call:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, name, interrupt_at_call)
+        with pytest.raises(KeyboardInterrupt):
+            train(_aug_cfg(6), shards, run, labels, log=None)
+    saved = run / training.CHECKPOINT_NAME
+    # resumed from the last save, or started afresh in the same directory if there is none
+    train(_aug_cfg(6), shards, run, labels, resume_from=load_checkpoint(saved) if saved.exists() else None, log=None)
+    for name in _RUN_FILES:
+        assert (run / name).read_bytes() == (whole / name).read_bytes(), name
