@@ -10,7 +10,8 @@ the size of the image, not k * k times.  Every image of a call reuses the
 same patch buffer, small enough to stay in cache; the forward cache holds the
 layer input, and the weight gradient gathers each image's patches again.
 The input gradient is the same correlation, run on the output gradient with
-the kernel flipped.
+the kernel flipped.  Max pooling also works one image at a time, in buffers
+reused across the call, and caches each window's argmax as an int8 index.
 
 Each *_forward returns (output, cache); the matching backward consumes that
 cache and produces exact gradients of the forward map.  Functions preserve
@@ -112,18 +113,44 @@ def conv2d_backward(grad_y: Tensor, cache: tuple, input_grad: bool = True) -> tu
 
 def maxpool_forward(x: Tensor) -> tuple:
     """2 x 2 max pooling at stride 2 with SAME semantics: output is ceil(h/2)
-    by ceil(w/2) and out-of-range window positions are ignored."""
+    by ceil(w/2) and out-of-range window positions are ignored.
+
+    Pools one image at a time in scratch buffers made once per call, so each
+    image is read while it is still in cache.  Each image's four window
+    cells are first copied apart into contiguous planes, so every compare
+    runs on contiguous arrays; a cell past an odd edge holds -inf, which
+    never wins.  The cache holds the input shape and the int8 index of each
+    window's first maximum, 0-3 in row-major window order (0,0), (0,1),
+    (1,0), (1,1).
+    """
     x = np.asarray(x)
     n, h, w, c = x.shape
     oh, ow = -(-h // 2), -(-w // 2)
-    if h % 2 or w % 2:
-        x = np.pad(x, ((0, 0), (0, 2 * oh - h), (0, 2 * ow - w), (0, 0)), constant_values=-np.inf)
-    a, b, d, e = x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
-    top, bottom = np.maximum(a, b), np.maximum(d, e)
-    # window position in row-major order (0,0), (0,1), (1,0), (1,1); the
-    # first maximum wins ties
-    idx = np.where(top >= bottom, b > a, (e > d) + np.int8(2))
-    return np.maximum(top, bottom), ((n, h, w, c), idx)
+    y = np.empty((n, oh, ow, c), dtype=x.dtype)
+    idx = np.empty((n, oh, ow, c), dtype=np.int8)
+    cells = np.full((4, oh, ow, c), -np.inf, dtype=x.dtype)
+    a, b, d, e = cells
+    # the part of each cell plane inside the image, with the offset it reads
+    parts = [(cell[: (h - r + 1) // 2, : (w - s + 1) // 2], r, s) for cell, (r, s) in zip(cells, np.ndindex(2, 2))]
+    bottom = np.empty((oh, ow, c), dtype=x.dtype)
+    ge, right_top, right_bottom = (np.empty((oh, ow, c), dtype=bool) for _ in range(3))
+    ge8, rt8, rb8 = ge.view(np.int8), right_top.view(np.int8), right_bottom.view(np.int8)
+    for img, top, ix in zip(x, y, idx):
+        for part, r, s in parts:
+            part[...] = img[r::2, s::2]
+        np.maximum(a, b, out=top)
+        np.maximum(d, e, out=bottom)
+        np.greater_equal(top, bottom, out=ge)
+        np.greater(b, a, out=right_top)
+        np.greater(e, d, out=right_bottom)
+        # the first maximum wins ties: (b > a) where top >= bottom, else
+        # (e > d) + 2, which is also where a NaN in the window sends it
+        rb8 += 2
+        np.subtract(rt8, rb8, out=ix)
+        ix *= ge8
+        ix += rb8
+        np.maximum(top, bottom, out=top)
+    return y, ((n, h, w, c), idx)
 
 
 def maxpool_backward(grad_y: Tensor, cache: tuple) -> Tensor:

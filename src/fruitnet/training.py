@@ -26,9 +26,12 @@ without building those batches.
 """
 
 import csv
+import fcntl
 import math
+import os
 import struct
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -285,6 +288,23 @@ def _keep_metrics_up_to(path: Path, iteration: int):
         fh.writelines([_METRICS_HEADER, *kept])
 
 
+@contextmanager
+def _sole_writer(directory: Path):
+    """Hold an exclusive flock on the directory itself for the body, or raise
+    ConfigurationError if another open of it holds one.  The kernel drops the
+    lock when the descriptor is closed or its process dies, so a killed run
+    leaves no stale lock, and no lock file is written."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigurationError(f"run directory {directory} is in use by another training run") from None
+        yield
+    finally:
+        os.close(fd)
+
+
 def _step(cfg: TrainConfig, state: Checkpoint, run, images: np.ndarray, labels: np.ndarray, i: int) -> tuple:
     """Iteration i on a drawn batch: augment and dropout draws from (seed, i),
     then, as two fixed slices on run's workers, train-mode preprocessing and a
@@ -333,7 +353,9 @@ def train(
     one thread until train returns.  Every display_interval iterations the
     batch is re-scored at keep_prob 1, the learning rate is re-derived from
     that accuracy, a metrics row is appended and the checkpoint is saved.
-    Metrics rows past the start are dropped first.
+    Metrics rows past the start are dropped first.  One train at a time
+    writes to out_dir: while it runs, a second is refused with a
+    ConfigurationError before it writes anything.
     """
     check_channels(cfg.scenario, cfg.net)
     check_image_side(cfg.net)
@@ -359,10 +381,10 @@ def train(
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / CHECKPOINT_NAME
     metrics_path = out_dir / METRICS_NAME
-    _keep_metrics_up_to(metrics_path, state.iteration)
-    stream = shuffle_batches(shards, cfg.batch_size, cfg.shuffle_capacity, cfg.seed, state.iteration)
-    tick = time.perf_counter()
-    with slice_workers() as run:
+    with _sole_writer(out_dir), slice_workers() as run:
+        _keep_metrics_up_to(metrics_path, state.iteration)
+        stream = shuffle_batches(shards, cfg.batch_size, cfg.shuffle_capacity, cfg.seed, state.iteration)
+        tick = time.perf_counter()
         for i in range(state.iteration + 1, cfg.iterations + 1):
             images, batch_labels = next(stream)
             xs = _step(cfg, state, run, images, batch_labels, i)
@@ -382,6 +404,6 @@ def train(
                     tick = time.perf_counter()
             del xs  # only the re-score reads the step's inputs
 
-    state.iteration = cfg.iterations
-    save_checkpoint(state, ckpt_path)
+        state.iteration = cfg.iterations
+        save_checkpoint(state, ckpt_path)
     return state

@@ -4,11 +4,13 @@ These are deliberately naive, straight-line implementations written before
 and apart from the library code they check: a queue BFS for flood fill, a
 six-loop direct convolution and its scatter-form input gradient, the
 whole-batch width-only patch convolution that the conv layers once used,
-loop max pooling, central finite differences, a scalar Adam recurrence, the plain
+loop max pooling and the whole-batch pooling formula the pool layer once
+used, central finite differences, a scalar Adam recurrence, the plain
 formulas of the RGB/HSV conversions, the per-image augmentation pipeline
 composed from those formulas, a list shuffle buffer over record numbers,
-and a byte-by-byte PPM header parse.  None of them calls into fruitnet.  damage() draws the damaged files that the
-format fuzz tests feed to the readers.
+and a byte-by-byte PPM header parse.  None of them calls into fruitnet.
+damage() draws the damaged files that the format fuzz tests feed to the
+readers.
 """
 
 import itertools
@@ -154,6 +156,24 @@ def maxpool_oracle(x: np.ndarray, grad_y: np.ndarray) -> tuple:
                     y[b, i, j, ch] = x[best + (ch,)]
                     gx[best + (ch,)] += grad_y[b, i, j, ch]
     return y, gx
+
+
+def maxpool_whole_batch(x: np.ndarray) -> tuple:
+    """The whole-batch 2 x 2, stride-2, SAME max pooling that the pool layer
+    once used, kept verbatim: the pooled values and the cache
+    ((n, h, w, c), idx), idx the int8 first-max position in row-major window
+    order.  A window holding NaN takes the bottom row's branch."""
+    x = np.asarray(x)
+    n, h, w, c = x.shape
+    oh, ow = -(-h // 2), -(-w // 2)
+    if h % 2 or w % 2:
+        x = np.pad(x, ((0, 0), (0, 2 * oh - h), (0, 2 * ow - w), (0, 0)), constant_values=-np.inf)
+    a, b, d, e = x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
+    top, bottom = np.maximum(a, b), np.maximum(d, e)
+    # window position in row-major order (0,0), (0,1), (1,0), (1,1); the
+    # first maximum wins ties
+    idx = np.where(top >= bottom, b > a, (e > d) + np.int8(2))
+    return np.maximum(top, bottom), ((n, h, w, c), idx)
 
 
 def finite_difference(f, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -1,4 +1,6 @@
+import fcntl
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -418,3 +420,22 @@ def test_other_train_failures_still_remove_a_fresh_run(corpus, capsys, monkeypat
     with pytest.raises(RuntimeError):
         pipeline.train(capsys, tmp_path, parts, iterations=6)
     assert not (tmp_path / "model").exists()
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+def test_a_train_into_a_run_directory_another_holds_exits_1_and_deletes_nothing(corpus, capsys, resume):
+    tmp_path, parts = corpus
+    pipeline = TestPipeline()
+    pipeline.build(capsys, tmp_path, parts)
+    assert pipeline.train(capsys, tmp_path, parts)[0] == 0
+    model = tmp_path / "model"
+    files = {path.name: path.read_bytes() for path in model.iterdir()}
+    fd = os.open(model, os.O_RDONLY)  # the exclusive flock a running train holds on its directory
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        code, _, err = pipeline.train(capsys, tmp_path, parts, iterations=4, resume=resume)
+    finally:
+        os.close(fd)
+    assert code == 1
+    assert err == f"error: run directory {model} is in use by another training run\n"
+    assert {path.name: path.read_bytes() for path in model.iterdir()} == files

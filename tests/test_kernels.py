@@ -1,7 +1,7 @@
 """Property tests of the conv and pool kernels against loop oracles and
-against the whole-batch patch convolution, of the pool-before-relu block
-order against the relu-before-pool reference, and memory ceilings for the
-preset-1 network."""
+against the whole-batch patch convolution and pooling formula they replaced,
+of the pool-before-relu block order against the relu-before-pool reference,
+and memory ceilings for the preset-1 network."""
 
 import tracemalloc
 
@@ -33,7 +33,7 @@ from fruitnet.network import (
 )
 from fruitnet.seeding import make_rng
 
-from helpers import conv2d_batch_patches, conv2d_grad_x_oracle, max_rel_err, maxpool_oracle
+from helpers import conv2d_batch_patches, conv2d_grad_x_oracle, max_rel_err, maxpool_oracle, maxpool_whole_batch
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -56,6 +56,34 @@ def test_maxpool_matches_loop_oracle(n, h, w, c, ties, seed):
     y_ref, gx_ref = maxpool_oracle(x, grad_y)
     assert np.array_equal(y, y_ref)
     assert np.array_equal(maxpool_backward(grad_y, cache), gx_ref)
+
+
+@given(
+    n=st.integers(1, 3),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    c=st.integers(1, 3),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    values=st.sampled_from(["normal", "ties", "special"]),
+    seed=SEEDS,
+)
+@settings(max_examples=120, deadline=None)
+def test_maxpool_bit_identical_to_whole_batch_formula(n, h, w, c, dtype, values, seed):
+    rng = np.random.default_rng(seed)
+    if values == "normal":
+        x = rng.normal(size=(n, h, w, c))
+    else:
+        # a few small integers tie inside most windows; "special" then puts
+        # +-inf and NaN into about a third of the cells
+        x = rng.integers(-2, 3, (n, h, w, c)).astype(np.float64)
+        if values == "special":
+            x = np.where(rng.random(x.shape) < 1 / 3, rng.choice([np.inf, -np.inf, np.nan], x.shape), x)
+    x = x.astype(dtype)
+    y_ref, (shape_ref, idx_ref) = maxpool_whole_batch(x)
+    y, (shape, idx) = maxpool_forward(x)
+    assert shape == shape_ref
+    assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref, equal_nan=True)
+    assert idx.dtype == idx_ref.dtype == np.int8 and np.array_equal(idx, idx_ref)
 
 
 @given(

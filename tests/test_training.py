@@ -1,11 +1,18 @@
+import fcntl
 import itertools
 import math
+import os
+import pickle
 import re
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -830,6 +837,90 @@ def test_a_ctrl_c_at_any_call_then_a_resume_ends_as_the_uninterrupted_run(tmp_pa
         mp.setattr(training, name, interrupt_at_call)
         with pytest.raises(KeyboardInterrupt):
             train(_aug_cfg(6), shards, run, labels, log=None)
+    saved = run / training.CHECKPOINT_NAME
+    # resumed from the last save, or started afresh in the same directory if there is none
+    train(_aug_cfg(6), shards, run, labels, resume_from=load_checkpoint(saved) if saved.exists() else None, log=None)
+    for name in _RUN_FILES:
+        assert (run / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+@contextmanager
+def _flock_held_on(directory):
+    """Hold the exclusive flock a running train holds on its run directory."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+def test_a_train_into_a_run_directory_another_holds_is_refused_and_changes_nothing(tmp_path, resume):
+    shards, labels = tiny_corpus(tmp_path)
+    run = tmp_path / "run"
+    train(_aug_cfg(2), shards, run, labels, log=None)
+    files = {path.name: path.read_bytes() for path in run.iterdir()}
+    resume_from = load_checkpoint(run / training.CHECKPOINT_NAME) if resume else None
+    with _flock_held_on(run), pytest.raises(ConfigurationError, match=re.escape(f"run directory {run} is in use")):
+        train(_aug_cfg(4), shards, run, labels, resume_from=resume_from, log=None)
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == files
+    # the lock goes with its holder, and the refused run leaves none behind
+    train(_aug_cfg(4), shards, run, labels, resume_from=resume_from, log=None)
+    assert sorted(path.name for path in run.iterdir()) == sorted(_RUN_FILES)
+
+
+# a fresh train of the pickled (cfg, shards, labels) in argv[1] into the run directory argv[2]
+_TRAIN_CHILD = """
+import pickle, sys
+from pathlib import Path
+from fruitnet.training import train
+cfg, shards, labels = pickle.loads(Path(sys.argv[1]).read_bytes())
+print("training", flush=True)
+train(cfg, shards, Path(sys.argv[2]), labels, log=None)
+"""
+
+
+def _start_train_child(args, run):
+    """A child process that trains into run; returns once it has reached train."""
+    src = str(Path(training.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _TRAIN_CHILD, str(args), str(run)], stdout=subprocess.PIPE, text=True, env=env
+    )
+    try:
+        assert child.stdout.readline() == "training\n"
+    except BaseException:
+        child.kill()
+        child.wait()
+        raise
+    return child
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_child(tmp_path_factory):
+    """A corpus, the pickled run arguments, and the directory and train time of one uninterrupted child run."""
+    root = tmp_path_factory.mktemp("child")
+    shards, labels = tiny_corpus(root)
+    args = root / "args.pickle"
+    args.write_bytes(pickle.dumps((_aug_cfg(6), shards, labels)))
+    child = _start_train_child(args, root / "run")
+    start = time.perf_counter()
+    assert child.wait(timeout=120) == 0
+    return shards, labels, args, root / "run", time.perf_counter() - start
+
+
+@given(fraction=st.floats(0.0, 1.0))
+@settings(max_examples=8, deadline=None)
+def test_a_sigkill_anywhere_then_a_resume_ends_as_the_uninterrupted_run(tmp_path_factory, uninterrupted_child, fraction):
+    shards, labels, args, whole, seconds = uninterrupted_child
+    run = tmp_path_factory.mktemp("killed") / "run"
+    child = _start_train_child(args, run)
+    try:
+        time.sleep(fraction * seconds)
+    finally:
+        child.kill()  # SIGKILL: no handler, no cleanup, the flock dropped by the kernel
+        child.wait(timeout=120)
     saved = run / training.CHECKPOINT_NAME
     # resumed from the last save, or started afresh in the same directory if there is none
     train(_aug_cfg(6), shards, run, labels, resume_from=load_checkpoint(saved) if saved.exists() else None, log=None)
