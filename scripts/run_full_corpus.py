@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from fruitnet.augmentation import Scenario
 from fruitnet.evaluation import REFERENCE_TEST_ACCURACY, evaluate
 from fruitnet.network import preset_configuration
-from fruitnet.records import LabelMap, build_shards, find_shards
+from fruitnet.records import LabelMap, _replaced_on_success, build_shards, find_shards
 from fruitnet.training import TrainConfig, load_checkpoint, train
 
 
@@ -79,7 +79,8 @@ def main() -> int:
     print(report.format_text())
     reference = REFERENCE_TEST_ACCURACY[scenario]
     print(f"reference test accuracy for {scenario.value}: {reference:.2%}")
-    (work / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    with _replaced_on_success(work / "report.json") as (tmp,):
+        tmp.write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"json report: {work / 'report.json'}")
     return 0
 

@@ -11,9 +11,10 @@ Subcommands:
 
 A key=value config file pointed to by the FRUITS_CONFIG environment variable
 supplies defaults; flags override it.  Exit code 0 means the operation
-completed; on failure its partial outputs are removed, never older files.
-Ctrl-C during train keeps the last periodic checkpoint and metrics.csv, so
-the run can continue with --resume.
+completed.  A failed command removes its partial outputs, never older files,
+and an output path that names a file is refused before anything is written.
+train is the exception: whatever stops it, its directory keeps the last
+checkpoint and the metrics rows up to it, so the run can continue with --resume.
 """
 
 import argparse
@@ -109,6 +110,13 @@ def _existing_dir(path: Path, what: str) -> Path:
     return path
 
 
+def _output_dir(path: Path, flag: str) -> Path:
+    for blocker in (path, *path.parents):
+        if blocker.exists() and not blocker.is_dir():
+            raise ConfigurationError(f"{flag} {path}: {blocker} is not a directory")
+    return path
+
+
 def _existing_file(path: Path, what: str) -> Path:
     if not path.is_file():
         raise ConfigurationError(f"{what} does not exist: {path}")
@@ -122,17 +130,14 @@ def _checkpoint_path(args, project: ProjectConfig) -> Path:
 
 
 @contextmanager
-def _removed_on_failure(out_dir: Path, kept_on_interrupt: tuple = ()):
+def _removed_on_failure(out_dir: Path):
     """Run the body; if it raises, delete what it added under out_dir, and
-    out_dir itself if it did not exist.  Nothing that existed before is removed,
-    nor, on KeyboardInterrupt, the files of out_dir named in kept_on_interrupt."""
+    out_dir itself if it did not exist.  Nothing that existed before is removed."""
     before = set(out_dir.rglob("*")) if out_dir.exists() else None
     try:
         yield
-    except BaseException as exc:
-        names = kept_on_interrupt if isinstance(exc, KeyboardInterrupt) else ()
-        kept = {out_dir / name for name in names if (out_dir / name).exists()}
-        added = [out_dir] if before is None and not kept else set(out_dir.rglob("*")) - (before or set()) - kept
+    except BaseException:
+        added = [out_dir] if before is None else set(out_dir.rglob("*")) - before
         for path in added:
             if path.is_dir():
                 shutil.rmtree(path, ignore_errors=True)
@@ -143,7 +148,7 @@ def _removed_on_failure(out_dir: Path, kept_on_interrupt: tuple = ()):
 
 def _cmd_extract_background(args, project: ProjectConfig) -> int:
     in_dir = _existing_dir(Path(args.input_directory), "--input_directory")
-    out_dir = Path(args.output_directory)
+    out_dir = _output_dir(Path(args.output_directory), "--output_directory")
     params = FloodFillParams(threshold=args.threshold)
     count = 0
     with _removed_on_failure(out_dir):
@@ -171,7 +176,9 @@ def _cmd_build_records(args, project: ProjectConfig) -> int:
     labels_file = _existing_file(
         _required(args.labels_file, "--labels_file", project.labels_file, "labels_file"), "labels file"
     )
-    out_dir = _required(args.output_directory, "--output_directory", project.data_dir, "data_dir")
+    out_dir = _output_dir(
+        _required(args.output_directory, "--output_directory", project.data_dir, "data_dir"), "--output_directory"
+    )
     train_set, test_set = build_shards(
         train_dir,
         test_dir,
@@ -194,7 +201,7 @@ def _cmd_train(args, project: ProjectConfig) -> int:
     labels_file = _existing_file(
         _required(args.labels_file, "--labels-file", project.labels_file, "labels_file"), "labels file"
     )
-    out_dir = _required(args.out, "--out", project.models_dir, "models_dir")
+    out_dir = _output_dir(_required(args.out, "--out", project.models_dir, "models_dir"), "--out")
     scenario = Scenario.from_tag(args.scenario)
     labels = LabelMap.from_file(labels_file)
     net = preset_configuration(args.config_nr, num_classes=labels.num_classes, input_channels=scenario.input_channels)
@@ -211,8 +218,7 @@ def _cmd_train(args, project: ProjectConfig) -> int:
     shards = find_shards(records_dir, "train")
     resume_from = load_checkpoint(Path(args.resume)) if args.resume else None
 
-    with _removed_on_failure(out_dir, kept_on_interrupt=(CHECKPOINT_NAME, METRICS_NAME)):
-        train(cfg, shards, out_dir, labels, resume_from=resume_from)
+    train(cfg, shards, out_dir, labels, resume_from=resume_from)
     print(f"checkpoint: {out_dir / CHECKPOINT_NAME}")
     print(f"metrics csv: {out_dir / METRICS_NAME}")
     return 0
@@ -257,7 +263,7 @@ def _cmd_predict(args, project: ProjectConfig) -> int:
 
 
 def _cmd_gen_synthetic(args, project: ProjectConfig) -> int:
-    out_dir = Path(args.output_directory)
+    out_dir = _output_dir(Path(args.output_directory), "--output_directory")
     with _removed_on_failure(out_dir):
         parts = generate_corpus(
             out_dir,

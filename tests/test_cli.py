@@ -1,12 +1,13 @@
 import fcntl
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fruitnet import training
+from fruitnet import cli, records, training
 from fruitnet.cli import main
 from fruitnet.config import ProjectConfig
 from fruitnet.imaging import read_ppm
@@ -349,8 +350,9 @@ def test_ctrl_c_during_train_keeps_the_last_checkpoint_for_resume(corpus, capsys
     def save_then_interrupt(ckpt, path):
         saves.append(ckpt.iteration)
         if len(saves) == 3:  # Ctrl-C in the middle of the third save
-            path.with_suffix(path.suffix + ".tmp").write_bytes(b"partial")
-            raise KeyboardInterrupt
+            with records._replaced_on_success(path) as (tmp,):
+                tmp.write_bytes(b"partial")
+                raise KeyboardInterrupt
         real_save(ckpt, path)
 
     monkeypatch.setattr(training, "save_checkpoint", save_then_interrupt)
@@ -404,10 +406,17 @@ def test_ctrl_c_around_a_metrics_row_leaves_each_row_once_after_resume(corpus, c
     assert (model / "metrics.csv").read_bytes() == (tmp_path / "whole" / "metrics.csv").read_bytes()
 
 
-def test_other_train_failures_still_remove_a_fresh_run(corpus, capsys, monkeypatch):
+def test_a_fresh_train_that_fails_keeps_its_last_checkpoint_and_resumes_as_the_uninterrupted_run(
+    corpus, capsys, monkeypatch
+):
+    """An error right after the second save, and a non-finite loss at
+    iteration 7: each run directory keeps the last checkpoint it saved and
+    exactly the metrics rows up to it, and a resume ends with the bytes of an
+    uninterrupted run."""
     tmp_path, parts = corpus
     pipeline = TestPipeline()
     pipeline.build(capsys, tmp_path, parts)
+    assert pipeline.train(capsys, tmp_path, parts, iterations=8, out="whole")[0] == 0
     real_save, saves = training.save_checkpoint, []
 
     def save_then_fail(ckpt, path):
@@ -417,9 +426,86 @@ def test_other_train_failures_still_remove_a_fresh_run(corpus, capsys, monkeypat
             raise RuntimeError("disk gone")
 
     monkeypatch.setattr(training, "save_checkpoint", save_then_fail)
-    with pytest.raises(RuntimeError):
-        pipeline.train(capsys, tmp_path, parts, iterations=6)
-    assert not (tmp_path / "model").exists()
+    with pytest.raises(RuntimeError, match="disk gone"):
+        pipeline.train(capsys, tmp_path, parts, iterations=8, out="failed")
+    monkeypatch.undo()
+    real_loss, losses = training.cross_entropy_loss, []
+
+    def nan_at_iteration_7(logits, labels):
+        loss, grad = real_loss(logits, labels)
+        losses.append(loss)
+        return (math.nan if len(losses) == 10 else loss), grad  # steps 1-7, re-scores at 2, 4 and 6
+
+    monkeypatch.setattr(training, "cross_entropy_loss", nan_at_iteration_7)
+    code, _, err = pipeline.train(capsys, tmp_path, parts, iterations=8, out="diverged")
+    monkeypatch.undo()
+    assert code == 1
+    assert err == "error: non-finite loss nan at iteration 7\n"
+
+    whole = tmp_path / "whole"
+    rows = (whole / "metrics.csv").read_text().splitlines()
+    for out, kept in (("failed", 4), ("diverged", 6)):
+        model = tmp_path / out
+        assert sorted(p.name for p in model.iterdir()) == ["checkpoint.frck", "metrics.csv"]
+        assert load_checkpoint(model / "checkpoint.frck").iteration == kept
+        assert (model / "metrics.csv").read_text().splitlines() == rows[: 1 + kept // 2]  # header, rows 2..kept
+        assert pipeline.train(capsys, tmp_path, parts, iterations=8, out=out, resume=True)[0] == 0
+        for name in ("checkpoint.frck", "metrics.csv"):
+            assert (model / name).read_bytes() == (whole / name).read_bytes()
+
+
+def test_a_refused_train_deletes_nothing_another_run_wrote_after_it_started(corpus, capsys, monkeypatch):
+    tmp_path, parts = corpus
+    pipeline = TestPipeline()
+    pipeline.build(capsys, tmp_path, parts)
+    model, real_train, fds = tmp_path / "model", cli.train, []
+    header = b"iteration,loss,batch_accuracy,learning_rate\n"
+
+    def another_run_takes_the_directory_first(*args, **kwargs):
+        model.mkdir()
+        fds.append(os.open(model, os.O_RDONLY))
+        fcntl.flock(fds[0], fcntl.LOCK_EX | fcntl.LOCK_NB)
+        (model / "metrics.csv").write_bytes(header)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", another_run_takes_the_directory_first)
+    try:
+        code, _, err = pipeline.train(capsys, tmp_path, parts)
+    finally:
+        for fd in fds:
+            os.close(fd)
+    assert code == 1
+    assert err == f"error: run directory {model} is in use by another training run\n"
+    assert [p.name for p in model.iterdir()] == ["metrics.csv"]
+    assert (model / "metrics.csv").read_bytes() == header
+
+
+@pytest.mark.parametrize("blocked", ["itself", "a_parent"])
+@pytest.mark.parametrize("command", ["extract-background", "build-records", "train", "gen-synthetic"])
+def test_an_output_path_that_names_a_file_is_an_error_line(corpus, capsys, command, blocked):
+    tmp_path, parts = corpus
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory")
+    out = str(taken if blocked == "itself" else taken / "sub")
+    if command == "train":
+        TestPipeline().build(capsys, tmp_path, parts)
+    argv = {
+        "extract-background": ("--input_directory", str(parts["train_dir"]), "--output_directory", out),
+        "build-records": (
+            "--train_directory", str(parts["train_dir"]), "--validation_directory", str(parts["test_dir"]),
+            "--labels_file", str(parts["labels_file"]), "--output_directory", out,
+        ),
+        "train": (
+            "--records-dir", str(tmp_path / "records"), "--labels-file", str(parts["labels_file"]),
+            "--out", out, "--iterations", "2", "--batch-size", "4",
+        ),
+        "gen-synthetic": ("--output_directory", out),
+    }[command]
+    code, _, err = run(capsys, command, *argv)
+    flag = "--out" if command == "train" else "--output_directory"
+    assert code == 1
+    assert err == f"error: {flag} {out}: {taken} is not a directory\n"
+    assert taken.read_bytes() == b"not a directory"
 
 
 @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])

@@ -1,8 +1,11 @@
 """Smoke tests: the experiment scripts run end to end as their users call them."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from fruitnet.synthetic import generate_corpus
 from fruitnet.training import load_checkpoint
@@ -50,3 +53,30 @@ def test_run_full_corpus_resumes_from_its_checkpoint(tmp_path):
     assert "reusing shards: 6 train / 4 test" in again.stdout
     assert "resuming from iteration 2" in again.stdout
     assert load_checkpoint(tmp_path / "work" / "model" / "checkpoint.frck").iteration == 4
+
+
+def test_run_full_corpus_keeps_its_old_report_when_a_report_write_fails(tmp_path, monkeypatch):
+    generate_corpus(tmp_path / "corpus", num_classes=2, train_per_class=3, test_per_class=2, seed=4)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/ on import
+    spec = importlib.util.spec_from_file_location("run_full_corpus", SCRIPTS / "run_full_corpus.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["run_full_corpus.py", "--corpus-dir", str(tmp_path / "corpus"), "--workdir", str(tmp_path / "work"),
+            "--batch-size", "2", "--num-threads", "1", "--iterations", "2"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert script.main() == 0
+    report = tmp_path / "work" / "report.json"
+    before = report.read_bytes()
+
+    def half_then_fail(path, text, encoding=None):
+        with open(path, "w", encoding=encoding) as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "argv", [*argv, "--resume"])
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    with pytest.raises(OSError):
+        script.main()
+    monkeypatch.undo()
+    assert report.read_bytes() == before
+    assert not list((tmp_path / "work").glob("*.tmp"))
