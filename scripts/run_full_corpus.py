@@ -18,6 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fruitnet.augmentation import Scenario
+from fruitnet.errors import ConfigurationError
 from fruitnet.evaluation import REFERENCE_TEST_ACCURACY, evaluate
 from fruitnet.network import preset_configuration
 from fruitnet.records import LabelMap, _replaced_on_success, build_shards, find_shards
@@ -50,16 +51,15 @@ def main() -> int:
     print(f"{labels.num_classes - 1} classes (+ background)")
 
     records_dir = work / "records"
-    if records_dir.is_dir() and list(records_dir.glob("train-*.rec")):
-        train_set = find_shards(records_dir, "train")
-        test_set = find_shards(records_dir, "test")
-        print(f"reusing shards: {train_set.count} train / {test_set.count} test")
-    else:
+    try:
+        train_set, test_set = find_shards(records_dir, "train"), find_shards(records_dir, "test")
+    except ConfigurationError:  # a split's shard is missing
         train_set, test_set = build_shards(
-            corpus / "Training", corpus / "Test", labels_file, records_dir,
-            train_shards=4, test_shards=2, num_threads=args.num_threads,
+            corpus / "Training", corpus / "Test", labels_file, records_dir, num_threads=args.num_threads
         )
         print(f"wrote shards: {train_set.count} train / {test_set.count} test")
+    else:
+        print(f"reusing shards: {train_set.count} train / {test_set.count} test")
 
     net = preset_configuration(
         args.config_nr, num_classes=labels.num_classes, input_channels=scenario.input_channels
@@ -79,7 +79,7 @@ def main() -> int:
     print(report.format_text())
     reference = REFERENCE_TEST_ACCURACY[scenario]
     print(f"reference test accuracy for {scenario.value}: {reference:.2%}")
-    with _replaced_on_success(work / "report.json") as (tmp,):
+    with _replaced_on_success(work / "report.json") as tmp:
         tmp.write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"json report: {work / 'report.json'}")
     return 0

@@ -54,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validation_directory", default=None, help="directory with the test images")
     p.add_argument("--output_directory", default=None)
     p.add_argument("--labels_file", default=None)
-    p.add_argument("--train_shards", type=int, default=1)
-    p.add_argument("--test_shards", type=int, default=1)
     p.add_argument("--num_threads", type=int, default=1)
 
     p = sub.add_parser("train", help="train a network")
@@ -131,13 +129,15 @@ def _checkpoint_path(args, project: ProjectConfig) -> Path:
 
 @contextmanager
 def _removed_on_failure(out_dir: Path):
-    """Run the body; if it raises, delete what it added under out_dir, and
-    out_dir itself if it did not exist.  Nothing that existed before is removed."""
-    before = set(out_dir.rglob("*")) if out_dir.exists() else None
+    """Run the body; if it raises, delete what it added under out_dir, and the
+    first directory on the way to out_dir that did not exist, with all below it.
+    Nothing that existed before is removed."""
+    created = next((d for d in reversed((out_dir, *out_dir.parents)) if not d.exists()), None)
+    before = None if created else set(out_dir.rglob("*"))
     try:
         yield
     except BaseException:
-        added = [out_dir] if before is None else set(out_dir.rglob("*")) - before
+        added = [created] if created else set(out_dir.rglob("*")) - before
         for path in added:
             if path.is_dir():
                 shutil.rmtree(path, ignore_errors=True)
@@ -179,17 +179,9 @@ def _cmd_build_records(args, project: ProjectConfig) -> int:
     out_dir = _output_dir(
         _required(args.output_directory, "--output_directory", project.data_dir, "data_dir"), "--output_directory"
     )
-    train_set, test_set = build_shards(
-        train_dir,
-        test_dir,
-        labels_file,
-        out_dir,
-        train_shards=args.train_shards,
-        test_shards=args.test_shards,
-        num_threads=args.num_threads,
-    )
-    print(f"wrote {train_set.count} train records across {len(train_set.paths)} shards")
-    print(f"wrote {test_set.count} test records across {len(test_set.paths)} shards")
+    train_set, test_set = build_shards(train_dir, test_dir, labels_file, out_dir, num_threads=args.num_threads)
+    print(f"wrote {train_set.count} train records to {train_set.path.name}")
+    print(f"wrote {test_set.count} test records to {test_set.path.name}")
     print(f"records directory: {out_dir}")
     return 0
 
@@ -230,10 +222,9 @@ def _cmd_test(args, project: ProjectConfig) -> int:
         _required(args.records_dir, "--records-dir", project.data_dir, "data_dir"), "records directory"
     )
     split = "train" if args.use_train else "test"
-    expected = project.number_train_images if args.use_train else project.number_test_images
     shards = find_shards(records_dir, split)
-    if expected is not None:
-        print(f"expecting {expected} images in the {split} split, shards hold {shards.count}")
+    json_path = Path(args.json_out) if args.json_out else ckpt_path.parent / f"report-{split}.json"
+    _output_dir(json_path.parent, "--json-out")
 
     ckpt = load_checkpoint(ckpt_path)
     scenario = Scenario.from_tag(args.scenario)
@@ -241,9 +232,8 @@ def _cmd_test(args, project: ProjectConfig) -> int:
     print(f"final accuracy on the {split} set: {report.accuracy:.4f}")
     print(report.format_text())
 
-    json_path = Path(args.json_out) if args.json_out else ckpt_path.parent / f"report-{split}.json"
     json_path.parent.mkdir(parents=True, exist_ok=True)
-    with _replaced_on_success(json_path) as (tmp,):
+    with _replaced_on_success(json_path) as tmp:
         tmp.write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"json report: {json_path}")
     return 0

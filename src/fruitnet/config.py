@@ -11,8 +11,6 @@ Recognized keys (all optional):
     labels_file          path to the labels file
     training_images_dir  image tree for the train split
     test_images_dir      image tree for the test split
-    number_train_images  expected train-record count (reporting only)
-    number_test_images   expected test-record count (reporting only)
 """
 
 import os
@@ -24,7 +22,6 @@ from .errors import ConfigurationError, read_utf8
 ENV_VAR = "FRUITS_CONFIG"
 
 _PATH_KEYS = ("data_dir", "models_dir", "labels_file", "training_images_dir", "test_images_dir")
-_COUNT_KEYS = ("number_train_images", "number_test_images")
 
 
 @dataclass(frozen=True)
@@ -35,8 +32,6 @@ class ProjectConfig:
     labels_file: Path | None = None
     training_images_dir: Path | None = None
     test_images_dir: Path | None = None
-    number_train_images: int | None = None
-    number_test_images: int | None = None
 
     @classmethod
     def load(cls, path) -> "ProjectConfig":
@@ -59,12 +54,6 @@ class ProjectConfig:
             if key in raw:
                 p = Path(raw[key]).expanduser()
                 kwargs[key] = p if (p.is_absolute() or root is None) else root / p
-        for key in _COUNT_KEYS:
-            if key in raw:
-                try:
-                    kwargs[key] = int(raw[key])
-                except ValueError:
-                    raise ConfigurationError(f"{path}: {key} must be an integer, got {raw[key]!r}") from None
         return cls(**kwargs)
 
     @classmethod

@@ -14,10 +14,9 @@ file to disk and renames it over the target, so a mapped shard is never
 truncated and a crash leaves the old or the new file.  Version 1
 shards are not read: rebuild them with `fruitnet build-records`.
 
-A build writes a split's shards as `<split>-00000-of-N.rec` onwards, first
-under temporary names that are renamed over the old shards only once the last
-is written, so a failed build keeps the split it was replacing; it then deletes
-the split's shards of other counts.  find_shards reads only a complete set.
+A build writes each split to one shard file, `<split>-00000-of-00001.rec`,
+first under a temporary name that is renamed over the old shard only once it
+is written, so a failed build keeps the split it was replacing.
 
 A labels file is UTF-8 text, one class name per line; line order defines ids
 1..N and id 0 is reserved for the "nothing" background class, so a network
@@ -107,30 +106,26 @@ class LabelMap:
 
 @dataclass(frozen=True)
 class ShardSet:
-    """The shard files of one split and the number of records they hold."""
+    """The shard file of one split and the number of records it holds."""
 
-    paths: tuple
+    path: Path
     split: str
     count: int
 
 
 @contextmanager
-def _replaced_on_success(*paths: Path):
-    """Yield the list of the paths' ".tmp" siblings to write: each renamed
-    over its path once the block completes, all deleted when it raises
-    (Ctrl-C too), so every path keeps its bytes.  The paths share a directory;
-    each file is synced before the renames, and the directory once after them."""
-    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+def _replaced_on_success(path: Path):
+    """Yield the path's ".tmp" sibling to write: renamed over the path once
+    the block completes, deleted when it raises (Ctrl-C too), so the path
+    keeps its bytes.  The file is synced before the rename, its directory after."""
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        yield tmps
-        for tmp in tmps:
-            _fsync(tmp)
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
-        _fsync(paths[0].parent)
+        yield tmp
+        _fsync(tmp)
+        os.replace(tmp, path)
+        _fsync(path.parent)
     except BaseException:
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -167,7 +162,7 @@ def _check_size(path: Path, size: int, expected: int, kind: str, described_by: s
 def write_shard(path, records: Iterable[ExampleRecord]) -> int:
     """Write records of one shape to one shard file, replacing it only once
     all are written; returns the record count."""
-    with _replaced_on_success(Path(path)) as (tmp,):
+    with _replaced_on_success(Path(path)) as tmp:
         return _write_records(tmp, ((rec.label, rec.pixels) for rec in records))
 
 
@@ -225,10 +220,9 @@ def _image_shard(path: Path) -> tuple:
 
 
 def read_examples(shards: ShardSet) -> Iterator[ExampleRecord]:
-    """Stream records across shards, files in given order, records in file order;
-    each shard is checked once to hold 100 x 100 x 3 images."""
-    for path in shards.paths:
-        yield from _records(*_image_shard(path))
+    """Stream a split's records in file order, once the shard is checked to
+    hold 100 x 100 x 3 images."""
+    yield from _records(*_image_shard(shards.path))
 
 
 def _decode_for_shard(path: Path) -> np.ndarray:
@@ -259,21 +253,16 @@ def _decoded_records(examples: list, pool) -> Iterator[tuple]:
         yield from zip((label for _, label in chunk), pixels)
 
 
-def _shard_names(split: str, n_shards: int) -> list:
-    return [f"{split}-{i:05d}-of-{n_shards:05d}.rec" for i in range(n_shards)]
+def _shard_name(split: str) -> str:
+    return f"{split}-00000-of-00001.rec"
 
 
-def _build_split(split: str, split_dir: Path, labels, out_dir: Path, n_shards: int, pool) -> ShardSet:
+def _build_split(split: str, split_dir: Path, labels, out_dir: Path, pool) -> ShardSet:
     examples = _collect_examples(split_dir, labels)
-    bounds = np.linspace(0, len(examples), n_shards + 1).astype(int)
-    paths = [out_dir / name for name in _shard_names(split, n_shards)]
-    with _replaced_on_success(*paths) as tmps:
-        for tmp, low, high in zip(tmps, bounds, bounds[1:]):
-            _write_records(tmp, _decoded_records(examples[low:high], pool))
-    digits = "[0-9]" * 5
-    for stale in set(out_dir.glob(f"{split}-{digits}-of-{digits}.rec")) - set(paths):  # an earlier build's
-        stale.unlink()
-    return ShardSet(paths=tuple(paths), split=split, count=len(examples))
+    path = out_dir / _shard_name(split)
+    with _replaced_on_success(path) as tmp:
+        _write_records(tmp, _decoded_records(examples, pool))
+    return ShardSet(path=path, split=split, count=len(examples))
 
 
 def build_shards(
@@ -281,46 +270,38 @@ def build_shards(
     test_dir,
     labels_file,
     out_dir,
-    train_shards: int = 1,
-    test_shards: int = 1,
     num_threads: int = 1,
 ) -> tuple:
-    """Serialize two image trees (one subdirectory per class) into shard files.
+    """Serialize two image trees (one subdirectory per class) into one shard
+    file per split.
 
     Returns (train ShardSet, test ShardSet).  Images that are not already
     100 x 100 are resized on ingest.  File order is deterministic: classes in
-    label order, files sorted by name, shards filled contiguously.
+    label order, files sorted by name.
     """
-    if train_shards < 1 or test_shards < 1:
-        raise InvalidInputError("shard counts must be >= 1")
     if num_threads < 1:
         raise InvalidInputError("num_threads must be >= 1")
     labels = LabelMap.from_file(labels_file)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=num_threads) as pool:
-        train_set = _build_split("train", Path(train_dir), labels, out_dir, train_shards, pool)
-        test_set = _build_split("test", Path(test_dir), labels, out_dir, test_shards, pool)
+        train_set = _build_split("train", Path(train_dir), labels, out_dir, pool)
+        test_set = _build_split("test", Path(test_dir), labels, out_dir, pool)
     return train_set, test_set
 
 
 def find_shards(records_dir, split: str) -> ShardSet:
-    """Locate a split's shard files under a directory and count their records.
-    The files must be one complete set, `<split>-00000-of-N.rec` onwards."""
-    found = sorted(path.name for path in Path(records_dir).glob(f"{split}-*.rec"))
-    if not found:
-        raise ConfigurationError(f"no {split!r} shards found in {records_dir}")
-    if found != _shard_names(split, len(found)):
-        msg = f"{split!r} shards in {records_dir} are not one complete set: {', '.join(found)}"
-        raise ConfigurationError(msg + "; rebuild them with `fruitnet build-records`")
-    paths = tuple(Path(records_dir) / name for name in found)
-    count = sum(len(_read_shard(path)[0]) for path in paths)
-    return ShardSet(paths=paths, split=split, count=count)
+    """Locate a split's shard file, `<split>-00000-of-00001.rec`, under a
+    directory and count its records."""
+    path = Path(records_dir) / _shard_name(split)
+    if not path.is_file():
+        raise ConfigurationError(f"no {split!r} shard {path.name} in {records_dir}; run `fruitnet build-records`")
+    return ShardSet(path=path, split=split, count=len(_read_shard(path)[0]))
 
 
 def _batch(pixels, labels) -> tuple:
-    """Stack uint8 images into one float32 batch in [0, 1], with int64 labels."""
-    images = np.stack(pixels).astype(np.float32) / np.float32(255.0)
+    """Turn uint8 images into one float32 batch in [0, 1], with int64 labels."""
+    images = np.asarray(pixels).astype(np.float32) / np.float32(255.0)
     return images, np.array(labels, dtype=np.int64)
 
 
@@ -328,22 +309,19 @@ def shuffle_batches(shards: ShardSet, batch_size: int, capacity: int, seed: int,
     """Yield batches through a fixed-capacity shuffle buffer, without end.
 
     The buffer holds numbers of elements of an endless file-order cycle over
-    the set's records (element e is record e mod count), and starts with the
+    the shard's records (element e is record e mod count), and starts with the
     first `capacity` of them.  Each emission draws a uniformly random slot and
     refills it with the next element.  `start` skips that many batches by
-    their draws alone.  Equal seeds give bit-identical batches; an empty set
+    their draws alone.  Equal seeds give bit-identical batches; an empty shard
     yields nothing.
     """
     lows = (("batch_size", batch_size, 1), ("capacity", capacity, 1), ("seed", seed, 0), ("start", start, 0))
     for name, value, low in lows:
         if value < low:
             raise InvalidInputError(f"{name} must be >= {low}, got {value}")
-    shard_data = [_image_shard(path) for path in shards.paths]
-    first = np.cumsum([0] + [len(labels) for labels, _ in shard_data])  # each shard's first record number
-    if first[-1] == 0:
+    labels, pixels = _image_shard(shards.path)
+    if not labels.size:
         return
-    labels = np.concatenate([labels for labels, _ in shard_data])
-    maps = [np.asarray(pixels) for _, pixels in shard_data]
     rng = make_rng(seed, STREAM_SHUFFLE)
     buf = np.arange(capacity)
     nxt = capacity
@@ -357,9 +335,8 @@ def shuffle_batches(shards: ShardSet, batch_size: int, capacity: int, seed: int,
         for j in rng.integers(capacity, size=batch_size).tolist():
             taken.append(buf[j])
             buf[j], nxt = nxt, nxt + 1
-        records = np.array(taken) % first[-1]
-        shard = np.searchsorted(first, records, side="right") - 1
-        yield _batch([maps[s][r - first[s]] for s, r in zip(shard.tolist(), records.tolist())], labels[records])
+        records = np.array(taken) % labels.size
+        yield _batch(pixels[records], labels[records])
 
 
 def sequential_batches(stream: Iterable[ExampleRecord], batch_size: int) -> Iterator[tuple]:

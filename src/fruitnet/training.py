@@ -180,7 +180,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     )
     names = [name.encode("utf-8") for name in ckpt.labels.names]
     head += struct.pack("<I", len(names)) + b"".join(struct.pack("<I", len(raw)) + raw for raw in names)
-    with _replaced_on_success(Path(path)) as (tmp,), open(tmp, "wb") as f:
+    with _replaced_on_success(Path(path)) as tmp, open(tmp, "wb") as f:
         f.write(head)
         for group in groups:
             for key in shapes:
@@ -284,7 +284,7 @@ def _keep_metrics_up_to(path: Path, iteration: int):
             if int(first) <= iteration:
                 kept.append(line)
         at += len(line)
-    with _replaced_on_success(path) as (tmp,), open(tmp, "wb") as fh:
+    with _replaced_on_success(path) as tmp, open(tmp, "wb") as fh:
         fh.writelines([_METRICS_HEADER, *kept])
 
 

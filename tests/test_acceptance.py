@@ -312,7 +312,7 @@ def test_criterion_6_serialization(tmp_path):
         # resume equals uninterrupted training, parameter-exact
         tiny = NetworkConfig(num_classes=3, input_channels=3, conv_maps=(2, 2, 2, 2), fc_sizes=(8, 6))
         labels = LabelMap.from_names(["x", "y"])
-        shards = ShardSet(paths=(shard,), split="train", count=len(records))
+        shards = ShardSet(path=shard, split="train", count=len(records))
 
         def config(iterations):
             return TrainConfig(
@@ -356,7 +356,7 @@ def test_criterion_8_evaluation_reconciliation(tmp_path):
         ]
         shard = tmp_path / "test-00000-of-00001.rec"
         write_shard(shard, records)
-        shards = ShardSet(paths=(shard,), split="test", count=1000)
+        shards = ShardSet(path=shard, split="test", count=1000)
 
         net = NetworkConfig(num_classes=5, input_channels=3, conv_maps=(2, 2, 2, 2), fc_sizes=(8, 6))
         labels = LabelMap.from_names(["w", "x", "y", "z"])
@@ -411,10 +411,7 @@ def test_criterion_9_full_corpus_reproduction(tmp_path):
         names = sorted(p.name for p in train_dir.iterdir() if p.is_dir())
         labels_file.write_text("".join(n + "\n" for n in names), encoding="utf-8")
 
-        train_set, test_set = build_shards(
-            train_dir, test_dir, labels_file, tmp_path / "records",
-            train_shards=4, test_shards=2, num_threads=4,
-        )
+        train_set, test_set = build_shards(train_dir, test_dir, labels_file, tmp_path / "records", num_threads=4)
         labels = LabelMap.from_file(labels_file)
         scenario = Scenario.HSV_GRAY_AUG
         cfg = TrainConfig(

@@ -168,16 +168,28 @@ class TestPipeline:
         config.write_text(
             f"data_dir={tmp_path / 'records'}\n"
             f"models_dir={tmp_path / 'model'}\n"
-            f"labels_file={parts['labels_file']}\n"
-            "number_train_images=12\n"
-            "number_test_images=6\n",
+            f"labels_file={parts['labels_file']}\n",
             encoding="utf-8",
         )
         monkeypatch.setenv("FRUITS_CONFIG", str(config))
         code, out, _ = run(capsys, "test", "--use-train", "--scenario", "hsv_gray_aug")
         assert code == 0
-        assert "expecting 12 images in the train split, shards hold 12" in out
         assert "final accuracy on the train set" in out
+
+    def test_a_json_out_under_a_file_is_an_error_line_before_the_evaluation(self, corpus, capsys):
+        tmp_path, parts = corpus
+        self.build(capsys, tmp_path, parts)
+        self.train(capsys, tmp_path, parts)
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory")
+        code, out, err = run(
+            capsys, "test", "--checkpoint", str(tmp_path / "model" / "checkpoint.frck"),
+            "--records-dir", str(tmp_path / "records"), "--json-out", str(taken / "report.json"),
+        )
+        assert code == 1
+        assert err == f"error: --json-out {taken}: {taken} is not a directory\n"
+        assert "final accuracy" not in out
+        assert taken.read_bytes() == b"not a directory"
 
     def test_resume_flag(self, corpus, capsys):
         tmp_path, parts = corpus
@@ -292,13 +304,11 @@ class TestProjectConfig:
         cfg_file = tmp_path / "p.cfg"
         cfg_file.write_text(
             f"root_dir={tmp_path}\n"
-            "data_dir=data  # relative to root\n"
-            "number_train_images=46371\n",
+            "data_dir=data  # relative to root\n",
             encoding="utf-8",
         )
         cfg = ProjectConfig.load(cfg_file)
         assert cfg.data_dir == tmp_path / "data"
-        assert cfg.number_train_images == 46371
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "p.cfg"
@@ -319,13 +329,15 @@ class TestFailureCleanup:
         assert [p.name for p in out.iterdir()] == ["mine.txt"]
         assert (out / "mine.txt").read_text() == "keep me"
 
-    @pytest.mark.parametrize("existed", [True, False])
-    def test_extract_background_failure_removes_only_what_it_wrote(self, tmp_path, capsys, existed):
+    @pytest.mark.parametrize(
+        "existed, out_name", [(True, "clean"), (False, "clean"), (False, "a/b/c")], ids=["True", "False", "nested"]
+    )
+    def test_extract_background_failure_removes_only_what_it_wrote(self, tmp_path, capsys, existed, out_name):
         generate_corpus(tmp_path / "raw", num_classes=1, train_per_class=2, test_per_class=1,
                         seed=2, image_size=120, style="raw")
         in_dir = tmp_path / "raw" / "Training"
         (in_dir / "class_01" / "zzz.ppm").write_bytes(b"P6 broken")  # decoded last, after two good images
-        out = tmp_path / "clean"
+        out = tmp_path / out_name
         if existed:
             (out / "class_01").mkdir(parents=True)
             (out / "class_01" / "mine.txt").write_text("keep me")
@@ -338,7 +350,7 @@ class TestFailureCleanup:
             left = sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
             assert left == ["class_01", "class_01/mine.txt"]
         else:
-            assert not out.exists()
+            assert [p.name for p in tmp_path.iterdir()] == ["raw"]  # nor the directories made on the way to out
 
 
 def test_ctrl_c_during_train_keeps_the_last_checkpoint_for_resume(corpus, capsys, monkeypatch):
@@ -350,7 +362,7 @@ def test_ctrl_c_during_train_keeps_the_last_checkpoint_for_resume(corpus, capsys
     def save_then_interrupt(ckpt, path):
         saves.append(ckpt.iteration)
         if len(saves) == 3:  # Ctrl-C in the middle of the third save
-            with records._replaced_on_success(path) as (tmp,):
+            with records._replaced_on_success(path) as tmp:
                 tmp.write_bytes(b"partial")
                 raise KeyboardInterrupt
         real_save(ckpt, path)

@@ -45,7 +45,7 @@ def random_checkpoint(seed=0) -> Checkpoint:
 def shard_records(tmp_path, records, name="test-00000-of-00001.rec") -> ShardSet:
     path = tmp_path / name
     write_shard(path, records)
-    return ShardSet(paths=(path,), split="test", count=len(records))
+    return ShardSet(path=path, split="test", count=len(records))
 
 
 def random_records(n, seed=0):

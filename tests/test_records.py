@@ -42,7 +42,7 @@ def make_records(n, seed=0, side=100):
 def shard_of(tmp_path, records, name="train-00000-of-00001.rec") -> ShardSet:
     path = tmp_path / name
     count = write_shard(path, records)
-    return ShardSet(paths=(path,), split="train", count=count)
+    return ShardSet(path=path, split="train", count=count)
 
 
 class TestLabelMap:
@@ -126,19 +126,10 @@ class TestShardFormat:
         rng = np.random.default_rng(4)
         path = tmp_path / "small.rec"
         write_shard(path, [make_record(rng, 1, side=50)])
-        shards = ShardSet(paths=(path,), split="train", count=1)
+        shards = ShardSet(path=path, split="train", count=1)
         with pytest.raises(FormatError) as err:
             list(read_examples(shards))
         assert "50x50" in str(err.value)
-
-    def test_multi_shard_order_is_concatenation(self, tmp_path):
-        a, b = make_records(3, seed=5), make_records(4, seed=6)
-        pa, pb = tmp_path / "train-0.rec", tmp_path / "train-1.rec"
-        write_shard(pa, a)
-        write_shard(pb, b)
-        shards = ShardSet(paths=(pa, pb), split="train", count=7)
-        labels = [r.label for r in read_examples(shards)]
-        assert labels == [r.label for r in a + b]
 
 
 class TestBuildShards:
@@ -161,6 +152,10 @@ class TestBuildShards:
         assert train_set.count == 6 and test_set.count == 6
         labels = Counter(r.label for r in read_examples(train_set))
         assert labels == Counter({1: 3, 2: 3})
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert names == ["test-00000-of-00001.rec", "train-00000-of-00001.rec"]
+        assert find_shards(tmp_path / "out", "train") == train_set
+        assert find_shards(tmp_path / "out", "test") == test_set
 
     def test_round_trip_pixels_bit_exact(self, tmp_path):
         train_dir, test_dir, labels_file = self.corpus(tmp_path, per_class=1)
@@ -189,60 +184,32 @@ class TestBuildShards:
             build_shards(train_dir, test_dir, labels_file, tmp_path / "out")
         assert not list((tmp_path / "out").glob("*.rec"))  # partial outputs removed
 
-    def test_a_rebuild_with_other_shard_counts_leaves_one_set(self, tmp_path):
-        train_dir, test_dir, labels_file = self.corpus(tmp_path, per_class=4)
-        build_shards(train_dir, test_dir, labels_file, tmp_path / "out", train_shards=4, test_shards=3)
-        train_set, test_set = build_shards(train_dir, test_dir, labels_file, tmp_path / "out", train_shards=2)
-        names = sorted(p.name for p in (tmp_path / "out").iterdir())
-        assert names == ["test-00000-of-00001.rec", "train-00000-of-00002.rec", "train-00001-of-00002.rec"]
-        assert find_shards(tmp_path / "out", "train") == train_set
-        assert find_shards(tmp_path / "out", "test") == test_set
-        assert train_set.count == test_set.count == 8
-
     def test_a_failed_rebuild_keeps_the_split_it_was_replacing(self, tmp_path):
         train_dir, test_dir, labels_file = self.corpus(tmp_path)
         out = tmp_path / "out"
-        _, test_set = build_shards(train_dir, test_dir, labels_file, out, test_shards=2)
-        before = {path.name: path.read_bytes() for path in test_set.paths}
-        bad = test_dir / "beta" / "2.ppm"  # in the second test shard, after the first is written
+        _, test_set = build_shards(train_dir, test_dir, labels_file, out)
+        before = test_set.path.read_bytes()
+        bad = test_dir / "beta" / "2.ppm"  # the split's last image, after the others are written
         bad.write_bytes(bad.read_bytes()[:-1])
         with pytest.raises(FormatError):
-            build_shards(train_dir, test_dir, labels_file, out, test_shards=2)
-        assert {path.name: path.read_bytes() for path in test_set.paths} == before
+            build_shards(train_dir, test_dir, labels_file, out)
+        assert test_set.path.read_bytes() == before
         assert not list(out.glob("*.tmp"))
         assert find_shards(out, "test") == test_set
 
-    def test_find_shards_refuses_shards_of_two_builds(self, tmp_path):
-        train_dir, test_dir, labels_file = self.corpus(tmp_path)
-        train_set, _ = build_shards(train_dir, test_dir, labels_file, tmp_path / "out", train_shards=2)
-        stray = tmp_path / "out" / "train-00000-of-00004.rec"
-        stray.write_bytes(train_set.paths[0].read_bytes())
-        with pytest.raises(ConfigurationError, match="not one complete set") as err:
-            find_shards(tmp_path / "out", "train")
-        for path in train_set.paths + (stray,):
-            assert path.name in str(err.value)
-
-    def test_find_shards_refuses_a_set_with_a_shard_missing(self, tmp_path):
-        train_dir, test_dir, labels_file = self.corpus(tmp_path)
-        train_set, _ = build_shards(train_dir, test_dir, labels_file, tmp_path / "out", train_shards=3)
-        train_set.paths[1].unlink()
-        with pytest.raises(ConfigurationError, match="not one complete set") as err:
-            find_shards(tmp_path / "out", "train")
-        assert train_set.paths[0].name in str(err.value) and train_set.paths[2].name in str(err.value)
-
-    def test_multiple_shards_partition_all_examples(self, tmp_path):
-        train_dir, test_dir, labels_file = self.corpus(tmp_path, per_class=5)
-        train_set, _ = build_shards(train_dir, test_dir, labels_file, tmp_path / "out", train_shards=3)
-        assert len(train_set.paths) == 3
-        assert sum(1 for _ in read_examples(train_set)) == 10
-        found = find_shards(tmp_path / "out", "train")
-        assert found.count == 10 and found.paths == train_set.paths
+    def test_find_shards_refuses_a_directory_of_a_multi_shard_layout(self, tmp_path):
+        records = make_records(4, seed=5)
+        write_shard(tmp_path / "train-00000-of-00002.rec", records[:2])
+        write_shard(tmp_path / "train-00001-of-00002.rec", records[2:])
+        with pytest.raises(ConfigurationError) as err:
+            find_shards(tmp_path, "train")
+        assert "train-00000-of-00001.rec" in str(err.value) and "build-records" in str(err.value)
 
     def test_threaded_build_is_identical(self, tmp_path):
         train_dir, test_dir, labels_file = self.corpus(tmp_path, per_class=4)
         a, _ = build_shards(train_dir, test_dir, labels_file, tmp_path / "one", num_threads=1)
         b, _ = build_shards(train_dir, test_dir, labels_file, tmp_path / "four", num_threads=4)
-        assert a.paths[0].read_bytes() == b.paths[0].read_bytes()
+        assert a.path.read_bytes() == b.path.read_bytes()
 
 
 class TestShuffleBatches:
@@ -277,11 +244,12 @@ class TestShuffleBatches:
             seq[seed] = [l for _, lbl in itertools.islice(shuffle_batches(shards, 12, 50, seed), 10) for l in lbl]
         assert seq[0] != seq[1]
 
-    def test_invalid_params_rejected(self):
+    def test_invalid_params_rejected(self, tmp_path):
+        shards = shard_of(tmp_path, [])
         with pytest.raises(InvalidInputError, match="capacity must be >= 1, got 0"):
-            next(shuffle_batches(ShardSet((), "train", 0), 1, 0, 0))
+            next(shuffle_batches(shards, 1, 0, 0))
         with pytest.raises(InvalidInputError):
-            next(shuffle_batches(ShardSet((), "train", 0), 0, 35060, 0))
+            next(shuffle_batches(shards, 0, 35060, 0))
 
 
 class TestSequentialBatches:
@@ -450,13 +418,9 @@ def test_record_label_must_fit_the_u32_field(label):
 
 
 def test_train_batch_stream_matches_the_pinned_digest(tmp_path):
-    # the batches train() draws for a fixed seed, 57 records from two shards
+    # the batches train() draws for a fixed seed, 57 records from one shard
     # cycled; the digest was computed with shard format v1 and must not change
-    records = make_records(10, seed=21)
-    a, b = tmp_path / "train-00000-of-00002.rec", tmp_path / "train-00001-of-00002.rec"
-    write_shard(a, records[:6])
-    write_shard(b, records[6:])
-    shards = ShardSet(paths=(a, b), split="train", count=10)
+    shards = shard_of(tmp_path, make_records(10, seed=21))
     stream = shuffle_batches(shards, 4, 25, 7)
     digest = hashlib.sha256()
     for images, labels in itertools.islice(stream, 8):
@@ -467,35 +431,30 @@ def test_train_batch_stream_matches_the_pinned_digest(tmp_path):
 
 @pytest.fixture(scope="module")
 def numbered_shard_sets(tmp_path_factory):
-    """Shard sets of n = 1..12 records labeled 0..n-1, so a label is its
-    record number, split over 1 to 3 shards the way build_shards splits
-    them (empty shards included); each with the pixels of its records."""
+    """Shards of n = 1..12 records labeled 0..n-1, so a label is its record
+    number; each with the pixels of its records."""
     root = tmp_path_factory.mktemp("numbered")
     rng = np.random.default_rng(35)
     sets = {}
     for n in range(1, 13):
         records = [make_record(rng, label) for label in range(n)]
-        for n_shards in (1, 2, 3):
-            bounds = np.linspace(0, n, n_shards + 1).astype(int)
-            paths = tuple(root / f"n{n}-{i:05d}-of-{n_shards:05d}.rec" for i in range(n_shards))
-            for i, path in enumerate(paths):
-                write_shard(path, records[bounds[i] : bounds[i + 1]])
-            sets[n, n_shards] = ShardSet(paths, "train", n), np.stack([r.pixels for r in records])
+        path = root / f"n{n}.rec"
+        write_shard(path, records)
+        sets[n] = ShardSet(path, "train", n), np.stack([r.pixels for r in records])
     return sets
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 12),
-    n_shards=st.integers(1, 3),
     capacity=st.integers(1, 40),
     batch_size=st.integers(1, 7),
     start=st.integers(0, 30),
     seed=st.integers(min_value=0),
     m=st.integers(1, 4),
 )
-def test_shuffle_batches_match_the_list_buffer_oracle(numbered_shard_sets, n, n_shards, capacity, batch_size, start, seed, m):
-    shards, pixels = numbered_shard_sets[n, n_shards]
+def test_shuffle_batches_match_the_list_buffer_oracle(numbered_shard_sets, n, capacity, batch_size, start, seed, m):
+    shards, pixels = numbered_shard_sets[n]
     got = list(itertools.islice(shuffle_batches(shards, batch_size, capacity, seed, start), m))
     oracle = shuffle_oracle(n, capacity, batch_size, make_rng(seed, STREAM_SHUFFLE))
     want = list(itertools.islice(oracle, start, start + m))
@@ -526,4 +485,3 @@ def test_shuffle_refuses_a_negative_seed_or_start(tmp_path):
 
 def test_an_empty_shard_set_yields_no_batch(tmp_path):
     assert list(shuffle_batches(shard_of(tmp_path, []), 3, 4, 0, start=2)) == []
-    assert list(shuffle_batches(ShardSet((), "train", 0), 3, 35060, 0)) == []

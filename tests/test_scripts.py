@@ -53,6 +53,10 @@ def test_run_full_corpus_resumes_from_its_checkpoint(tmp_path):
     assert "reusing shards: 6 train / 4 test" in again.stdout
     assert "resuming from iteration 2" in again.stdout
     assert load_checkpoint(tmp_path / "work" / "model" / "checkpoint.frck").iteration == 4
+    (tmp_path / "work" / "records" / "test-00000-of-00001.rec").unlink()
+    rebuilt = run_script("run_full_corpus.py", *common, "--iterations", "4", "--resume")
+    assert rebuilt.returncode == 0, rebuilt.stderr
+    assert "wrote shards: 6 train / 4 test" in rebuilt.stdout
 
 
 def test_run_full_corpus_keeps_its_old_report_when_a_report_write_fails(tmp_path, monkeypatch):

@@ -55,7 +55,7 @@ def tiny_corpus(tmp_path, n=12, seed=0) -> tuple:
     path = tmp_path / "train-00000-of-00001.rec"
     write_shard(path, records)
     labels = LabelMap.from_names(["first", "second"])
-    return ShardSet(paths=(path,), split="train", count=n), labels
+    return ShardSet(path=path, split="train", count=n), labels
 
 
 def tiny_cfg(iterations, seed=5, **kw) -> TrainConfig:
@@ -326,7 +326,7 @@ class TestTrainLoop:
     def test_empty_shards_rejected(self, tmp_path):
         path = tmp_path / "train-00000-of-00001.rec"
         write_shard(path, [])
-        shards = ShardSet(paths=(path,), split="train", count=0)
+        shards = ShardSet(path=path, split="train", count=0)
         labels = LabelMap.from_names(["first", "second"])
         with pytest.raises(ConfigurationError):
             train(tiny_cfg(iterations=1), shards, tmp_path / "x", labels, log=None)
