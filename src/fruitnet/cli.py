@@ -225,6 +225,8 @@ def _cmd_test(args, project: ProjectConfig) -> int:
     shards = find_shards(records_dir, split)
     json_path = Path(args.json_out) if args.json_out else ckpt_path.parent / f"report-{split}.json"
     _output_dir(json_path.parent, "--json-out")
+    if json_path.is_dir():
+        raise ConfigurationError(f"--json-out {json_path} is a directory")
 
     ckpt = load_checkpoint(ckpt_path)
     scenario = Scenario.from_tag(args.scenario)

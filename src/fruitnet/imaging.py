@@ -11,7 +11,10 @@ return the same float64 bits.  All operations here are pure functions of
 their inputs and can be called concurrently from any number of threads.
 
 Standalone I/O uses binary PPM (P6, 8-bit, maxval 255); byte values map to
-floats as v / 255 and back as round(v * 255) clamped to [0, 255].
+floats as v / 255 and back as round(v * 255) clamped to [0, 255], which
+returns every byte unchanged.  read_ppm scales the raster to floats; a shard
+build reads the raster bytes themselves (_read_ppm_raster), with the same
+checks.
 """
 
 import itertools
@@ -267,8 +270,9 @@ def rgb_to_gray_pixels(px: np.ndarray) -> np.ndarray:
 _PPM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 
-def read_ppm(path) -> RasterImage:
-    """Read a binary PPM (P6, maxval 255) as an RGB image."""
+def _read_ppm_raster(path) -> np.ndarray:
+    """The raster of a binary PPM (P6, maxval 255): a read-only uint8
+    (height, width, 3) view of the file's bytes, not a copy."""
     path = Path(path)
     data = path.read_bytes()
     pos = 0
@@ -297,15 +301,14 @@ def read_ppm(path) -> RasterImage:
         raise FormatError(f"image dims must be positive, got {width}x{height}", path=path, offset=pos)
     pos = min(pos + 1, len(data))  # single whitespace byte separates header from raster; it may be cut off
     need = width * height * 3
-    raster = data[pos : pos + need]
-    if len(raster) != need:
-        raise FormatError(
-            f"truncated raster: expected {need} bytes, got {len(raster)}", path=path, offset=pos
-        )
-    arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
-    px = arr.astype(np.float64)
-    px /= 255.0
-    return RasterImage._adopt(px)
+    if len(data) - pos < need:
+        raise FormatError(f"truncated raster: expected {need} bytes, got {len(data) - pos}", path=path, offset=pos)
+    return np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).reshape(height, width, 3)
+
+
+def read_ppm(path) -> RasterImage:
+    """Read a binary PPM (P6, maxval 255) as an RGB image."""
+    return RasterImage._adopt(_read_ppm_raster(path) / 255.0)
 
 
 def to_u8(img: RasterImage) -> np.ndarray:

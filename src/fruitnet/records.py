@@ -16,7 +16,9 @@ shards are not read: rebuild them with `fruitnet build-records`.
 
 A build writes each split to one shard file, `<split>-00000-of-00001.rec`,
 first under a temporary name that is renamed over the old shard only once it
-is written, so a failed build keeps the split it was replacing.
+is written, so a failed build keeps the split it was replacing.  A 100 x 100
+PPM's raster bytes go into the shard as the file holds them; an image of any
+other size is read as floats, resized to 100 x 100 and quantized back.
 
 A labels file is UTF-8 text, one class name per line; line order defines ids
 1..N and id 0 is reserved for the "nothing" background class, so a network
@@ -36,7 +38,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, InvalidInputError, read_utf8
-from .imaging import read_ppm, resize_bilinear, to_u8
+from .imaging import RasterImage, _read_ppm_raster, resize_bilinear, to_u8
 from .seeding import STREAM_SHUFFLE, make_rng
 
 SHARD_MAGIC = b"FRRC"
@@ -226,10 +228,11 @@ def read_examples(shards: ShardSet) -> Iterator[ExampleRecord]:
 
 
 def _decode_for_shard(path: Path) -> np.ndarray:
-    img = read_ppm(path)
-    if (img.height, img.width) != (IMAGE_SIDE, IMAGE_SIDE):
-        img = resize_bilinear(img, IMAGE_SIDE, IMAGE_SIDE)
-    return to_u8(img)
+    """A PPM's shard record: a 100 x 100 raster as the file holds it, any other size resized through floats."""
+    raster = _read_ppm_raster(path)
+    if raster.shape[:2] != (IMAGE_SIDE, IMAGE_SIDE):
+        raster = to_u8(resize_bilinear(RasterImage._adopt(raster / 255.0), IMAGE_SIDE, IMAGE_SIDE))
+    return raster
 
 
 def _collect_examples(split_dir: Path, labels: LabelMap) -> list:

@@ -8,7 +8,9 @@ loop max pooling and the whole-batch pooling formula the pool layer once
 used, central finite differences, a scalar Adam recurrence, the plain
 formulas of the RGB/HSV conversions, the per-image augmentation pipeline
 composed from those formulas, a list shuffle buffer over record numbers,
-and a byte-by-byte PPM header parse.  None of them calls into fruitnet.
+and a byte-by-byte PPM header parse.  None of them calls into fruitnet,
+except the float decode that shard builds once made of every PPM, which is
+kept as the library's own float functions composed.
 damage() draws the damaged files that the format fuzz tests feed to the
 readers.
 """
@@ -19,6 +21,8 @@ from collections import deque
 
 import numpy as np
 from hypothesis import strategies as st
+
+from fruitnet.imaging import read_ppm, resize_bilinear, to_u8
 
 
 def floodfill_bfs_oracle(pixels: np.ndarray, threshold: float) -> np.ndarray:
@@ -347,6 +351,16 @@ def read_ppm_oracle(data: bytes) -> np.ndarray:
     if len(raster) != need:
         raise PpmOracleError(f"truncated raster: expected {need} bytes, got {len(raster)}", pos)
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
+
+
+def decode_for_shard_float_oracle(path) -> np.ndarray:
+    """The shard record that a build once made of a PPM: the float image
+    read_ppm gives, resized to 100 x 100 when it is another size, quantized
+    with to_u8."""
+    img = read_ppm(path)
+    if (img.height, img.width) != (100, 100):
+        img = resize_bilinear(img, 100, 100)
+    return to_u8(img)
 
 
 def damage(data, raw: bytes) -> bytes:

@@ -191,6 +191,23 @@ class TestPipeline:
         assert "final accuracy" not in out
         assert taken.read_bytes() == b"not a directory"
 
+    def test_a_json_out_that_is_a_directory_is_an_error_line_before_the_evaluation(self, corpus, capsys):
+        tmp_path, parts = corpus
+        self.build(capsys, tmp_path, parts)
+        self.train(capsys, tmp_path, parts)
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        (taken / "kept.txt").write_bytes(b"kept")
+        code, out, err = run(
+            capsys, "test", "--checkpoint", str(tmp_path / "model" / "checkpoint.frck"),
+            "--records-dir", str(tmp_path / "records"), "--json-out", str(taken),
+        )
+        assert code == 1
+        assert err == f"error: --json-out {taken} is a directory\n"
+        assert "final accuracy" not in out
+        assert [p.name for p in taken.iterdir()] == ["kept.txt"]
+        assert (taken / "kept.txt").read_bytes() == b"kept"
+
     def test_resume_flag(self, corpus, capsys):
         tmp_path, parts = corpus
         self.build(capsys, tmp_path, parts)

@@ -406,3 +406,8 @@ def test_read_ppm_agrees_with_the_byte_by_byte_oracle(tmp_path_factory, data):
         assert str(got.value) == str(FormatError(want.message, path=path, offset=want.offset))
         return
     assert np.array_equal(read_ppm(path).pixels, raster.astype(np.float64) / 255.0)
+
+
+def test_every_byte_value_round_trips_through_the_float_scale():
+    v = np.repeat(np.arange(256, dtype=np.uint8).reshape(1, 256, 1), 3, axis=2)
+    assert np.array_equal(to_u8(RasterImage(v / 255.0)), v)

@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fruitnet.errors import ConfigurationError, FormatError, InvalidInputError
-from fruitnet.imaging import RasterImage, write_ppm
+from fruitnet.imaging import RasterImage, read_ppm, write_ppm
 from fruitnet.records import (
+    IMAGE_SIDE,
     ExampleRecord,
     LabelMap,
     ShardSet,
+    _decode_for_shard,
     build_shards,
     find_shards,
     iter_shard,
@@ -27,7 +29,7 @@ from fruitnet.records import (
 )
 from fruitnet.seeding import STREAM_SHUFFLE, make_rng
 
-from helpers import damage, shuffle_oracle
+from helpers import damage, decode_for_shard_float_oracle, shuffle_oracle
 
 
 def make_record(rng, label, side=100) -> ExampleRecord:
@@ -210,6 +212,30 @@ class TestBuildShards:
         a, _ = build_shards(train_dir, test_dir, labels_file, tmp_path / "one", num_threads=1)
         b, _ = build_shards(train_dir, test_dir, labels_file, tmp_path / "four", num_threads=4)
         assert a.path.read_bytes() == b.path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "damaged",
+        [
+            lambda raw: raw[:-1],  # truncated raster
+            lambda raw: b"P3" + raw[2:],  # bad magic
+            lambda raw: raw.replace(b"100 100", b"1e2 100", 1),  # non-decimal dimension
+        ],
+        ids=["truncated", "magic", "dimension"],
+    )
+    def test_a_damaged_ppm_fails_the_build_as_it_fails_read_ppm(self, tmp_path, damaged):
+        train_dir, test_dir, labels_file = self.corpus(tmp_path)
+        out = tmp_path / "out"
+        train_set, test_set = build_shards(train_dir, test_dir, labels_file, out)
+        before = {s.path: s.path.read_bytes() for s in (train_set, test_set)}
+        bad = train_dir / "alpha" / "1.ppm"
+        bad.write_bytes(damaged(bad.read_bytes()))
+        with pytest.raises(FormatError) as want:
+            read_ppm(bad)
+        with pytest.raises(FormatError) as got:
+            build_shards(train_dir, test_dir, labels_file, out)
+        assert (str(got.value), got.value.path, got.value.offset) == (str(want.value), bad, want.value.offset)
+        assert {path: path.read_bytes() for path in before} == before
+        assert not list(out.glob("*.tmp"))
 
 
 class TestShuffleBatches:
@@ -485,3 +511,47 @@ def test_shuffle_refuses_a_negative_seed_or_start(tmp_path):
 
 def test_an_empty_shard_set_yields_no_batch(tmp_path):
     assert list(shuffle_batches(shard_of(tmp_path, []), 3, 4, 0, start=2)) == []
+
+
+# header separators: a whitespace byte, then whitespace or comments ended by LF or CR
+_PPM_SEPARATOR = st.tuples(
+    st.sampled_from(b" \t\n\r\x0b\x0c"),
+    st.lists(st.sampled_from([b" ", b"\t", b"\r\n", b"\x0b", b"\x0c", b"# note\n", b"#\r", b"#P6 1 1\n"]), max_size=3),
+).map(lambda t: bytes([t[0]]) + b"".join(t[1]))
+
+
+@given(
+    dims=st.one_of(st.just((IMAGE_SIDE, IMAGE_SIDE)), st.tuples(st.integers(1, 12), st.integers(1, 12))),
+    seps=st.lists(_PPM_SEPARATOR, min_size=3, max_size=3),
+    last=st.sampled_from(b" \t\n\r\x0b\x0c"),
+    zeros=st.integers(0, 2),
+    trailing=st.binary(max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_build_decode_equals_the_float_path(tmp_path_factory, dims, seps, last, zeros, trailing, seed):
+    height, width = dims
+    raster = np.random.default_rng(seed).integers(0, 256, (height, width, 3), dtype=np.uint8)
+    fields = [b"P6", b"0" * zeros + str(width).encode(), str(height).encode(), b"255"]
+    header = b"".join(f + s for f, s in zip(fields, seps + [bytes([last])]))
+    path = tmp_path_factory.mktemp("decode") / "img.ppm"
+    path.write_bytes(header + raster.tobytes() + trailing)
+    decoded = _decode_for_shard(path)
+    assert decoded.dtype == np.uint8 and decoded.shape == (IMAGE_SIDE, IMAGE_SIDE, 3)
+    assert np.array_equal(decoded, decode_for_shard_float_oracle(path))
+    if dims == (IMAGE_SIDE, IMAGE_SIDE):
+        assert np.array_equal(decoded, raster)
+
+
+def test_decoding_a_100x100_ppm_makes_no_float_array(tmp_path):
+    path = tmp_path / "img.ppm"
+    write_ppm(RasterImage(np.random.default_rng(3).random((IMAGE_SIDE, IMAGE_SIDE, 3))), path)
+    _decode_for_shard(path)
+    tracemalloc.start()
+    try:
+        _decode_for_shard(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes, about 30 KB; one float64 raster would be 240 KB
+    assert peak < IMAGE_SIDE * IMAGE_SIDE * 3 * 2
