@@ -12,6 +12,14 @@ exports scipy_openblas_{get,set}_num_threads64_; they are looked up in the
 libraries the process has mapped.  Without them the slices run one after the
 other on the caller's thread and BLAS is left alone, because two slice
 threads on a two-thread BLAS oversubscribe the cores.
+
+Importing this module also sets glibc's malloc thresholds once for the whole
+process: blocks up to 32 MiB come from the heap instead of their own mmap, and
+the heap keeps up to 4 MiB of free space at its top instead of returning it.
+glibc's default rule sets both from the largest block freed so far, so with
+float64 image arrays near 1 MB it hands the heap back at about 2 MB free, and
+each image of background extraction faults about 2 MB of fresh pages back in.
+Where libc has no mallopt the allocator is left alone.
 """
 
 import contextvars
@@ -53,6 +61,20 @@ def _blas_threads():
             put.argtypes, put.restype = [ctypes.c_int], None
             return get, put
     return None
+
+
+def _set_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds; a no-op where libc has no mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # malloc.h
+    mallopt(m_mmap_threshold, 32 << 20)  # the ceiling of glibc's own dynamic threshold on 64-bit
+    mallopt(m_trim_threshold, 4 << 20)
+
+
+_set_malloc_thresholds()
 
 
 def _worker_count() -> int:

@@ -193,6 +193,7 @@ def _cmd_train(args, project: ProjectConfig) -> int:
     labels_file = _existing_file(
         _required(args.labels_file, "--labels-file", project.labels_file, "labels_file"), "labels file"
     )
+    resume_path = _existing_file(Path(args.resume), "--resume checkpoint") if args.resume else None
     out_dir = _output_dir(_required(args.out, "--out", project.models_dir, "models_dir"), "--out")
     scenario = Scenario.from_tag(args.scenario)
     labels = LabelMap.from_file(labels_file)
@@ -208,7 +209,7 @@ def _cmd_train(args, project: ProjectConfig) -> int:
         shuffle_capacity=args.shuffle_capacity,
     )
     shards = find_shards(records_dir, "train")
-    resume_from = load_checkpoint(Path(args.resume)) if args.resume else None
+    resume_from = load_checkpoint(resume_path) if resume_path else None
 
     train(cfg, shards, out_dir, labels, resume_from=resume_from)
     print(f"checkpoint: {out_dir / CHECKPOINT_NAME}")

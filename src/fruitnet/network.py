@@ -125,12 +125,15 @@ def param_shapes(cfg: NetworkConfig) -> dict:
 
 
 def truncated_normal(rng: RngStream, shape, stddev: float = INIT_STDDEV, dtype=np.float32) -> Tensor:
-    """Normal draws with |x| > 2 stddev resampled."""
+    """Normal draws with |x| > 2 stddev resampled: each pass redraws the
+    out-of-range entries in flat index order and tests only the redraws."""
     out = rng.normal(0.0, stddev, size=shape)
-    bad = np.abs(out) > 2.0 * stddev
-    while bad.any():
-        out[bad] = rng.normal(0.0, stddev, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * stddev
+    flat = out.reshape(-1)
+    idx = np.flatnonzero(np.abs(flat) > 2.0 * stddev)
+    while idx.size:
+        redraw = rng.normal(0.0, stddev, size=idx.size)
+        flat[idx] = redraw
+        idx = idx[np.abs(redraw) > 2.0 * stddev]
     return out.astype(dtype)
 
 

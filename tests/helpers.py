@@ -8,7 +8,8 @@ loop max pooling and the whole-batch pooling formula the pool layer once
 used, central finite differences, a scalar Adam recurrence, the plain
 formulas of the RGB/HSV conversions, the per-image augmentation pipeline
 composed from those formulas, a list shuffle buffer over record numbers,
-and a byte-by-byte PPM header parse.  None of them calls into fruitnet,
+a byte-by-byte PPM header parse, and the whole-array truncated-normal
+resampling that weight init once used.  None of them calls into fruitnet,
 except the float decode that shard builds once made of every PPM, which is
 kept as the library's own float functions composed.
 damage() draws the damaged files that the format fuzz tests feed to the
@@ -361,6 +362,18 @@ def decode_for_shard_float_oracle(path) -> np.ndarray:
     if (img.height, img.width) != (100, 100):
         img = resize_bilinear(img, 100, 100)
     return to_u8(img)
+
+
+def truncated_normal_oracle(rng, shape, stddev, dtype) -> np.ndarray:
+    """Normal draws with |x| > 2 stddev resampled, every pass re-testing the
+    whole array: the formula weight init used before it redrew only the
+    rejected entries."""
+    out = rng.normal(0.0, stddev, size=shape)
+    bad = np.abs(out) > 2.0 * stddev
+    while bad.any():
+        out[bad] = rng.normal(0.0, stddev, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * stddev
+    return out.astype(dtype)
 
 
 def damage(data, raw: bytes) -> bytes:

@@ -228,6 +228,25 @@ class TestPipeline:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_a_resume_path_that_is_no_file_is_an_error_line(self, corpus, capsys, kind):
+        tmp_path, parts = corpus
+        self.build(capsys, tmp_path, parts)
+        resume = tmp_path / "elsewhere"
+        if kind == "directory":
+            resume.mkdir()
+        code, _, err = run(
+            capsys, "train",
+            "--records-dir", str(tmp_path / "records"),
+            "--labels-file", str(parts["labels_file"]),
+            "--out", str(tmp_path / "model"),
+            "--iterations", "2",
+            "--batch-size", "4",
+            "--resume", str(resume),
+        )
+        assert code == 1
+        assert err == f"error: --resume checkpoint does not exist: {resume}\n"
+        assert not (tmp_path / "model").exists()
 
     def test_a_failed_report_write_keeps_the_old_report(self, corpus, capsys, monkeypatch):
         tmp_path, parts = corpus

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fruitnet.errors import InvalidInputError, ShapeError
 from fruitnet.layers import cross_entropy_loss
@@ -15,7 +17,7 @@ from fruitnet.network import (
 )
 from fruitnet.seeding import make_rng
 
-from helpers import finite_difference, max_rel_err
+from helpers import finite_difference, max_rel_err, truncated_normal_oracle
 
 TINY = NetworkConfig(
     num_classes=3,
@@ -77,6 +79,24 @@ class TestInitParams:
         draws = truncated_normal(make_rng(1), (100_000,), stddev=0.05, dtype=np.float64)
         assert np.abs(draws).max() <= 0.1  # resampled outside two stddev
         assert 0.04 <= draws.std() <= 0.05
+
+    @given(
+        shape=st.lists(st.integers(0, 40), min_size=0, max_size=3).map(tuple),
+        stddev=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_truncated_normal_equals_the_whole_array_resampling(self, shape, stddev, seed, dtype):
+        """Redrawing only the rejected entries makes the same draws in the same
+        order as re-testing the whole array each pass: same bits, same dtype,
+        and the stream left in the same state."""
+        got_rng, want_rng = make_rng(seed), make_rng(seed)
+        got = truncated_normal(got_rng, shape, stddev=stddev, dtype=dtype)
+        want = truncated_normal_oracle(want_rng, shape, stddev, dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_same_seed_same_params(self):
         a = init_params(TINY, make_rng(3))
