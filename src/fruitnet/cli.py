@@ -149,6 +149,8 @@ def _removed_on_failure(out_dir: Path):
 def _cmd_extract_background(args, project: ProjectConfig) -> int:
     in_dir = _existing_dir(Path(args.input_directory), "--input_directory")
     out_dir = _output_dir(Path(args.output_directory), "--output_directory")
+    if out_dir.resolve().is_relative_to(in_dir.resolve()):  # would overwrite, or on a rerun re-read, its own input
+        raise ConfigurationError(f"--output_directory {out_dir} is inside --input_directory {in_dir}")
     params = FloodFillParams(threshold=args.threshold)
     count = 0
     with _removed_on_failure(out_dir):

@@ -9,16 +9,16 @@ Shard format v2 (little-endian, bit-exact round trip):
 
 All records of a shard share its dims (height, width >= 1; an empty shard
 has 0x0), so the header fixes the file size.  Records are views of a
-read-only map of the pixel block; write_shard syncs a finished temporary
-file to disk and renames it over the target, so a mapped shard is never
-truncated and a crash leaves the old or the new file.  Version 1
-shards are not read: rebuild them with `fruitnet build-records`.
+read-only map of the pixel block.  write_shard is the one shard writer: it
+syncs a finished temporary file to disk and renames it over the target, so a
+mapped shard is never truncated and a crash leaves the old or the new file.
+Version 1 shards are not read: rebuild them with `fruitnet build-records`.
 
-A build writes each split to one shard file, `<split>-00000-of-00001.rec`,
-first under a temporary name that is renamed over the old shard only once it
-is written, so a failed build keeps the split it was replacing.  A 100 x 100
-PPM's raster bytes go into the shard as the file holds them; an image of any
-other size is read as floats, resized to 100 x 100 and quantized back.
+A build writes each split through write_shard to one shard file,
+`<split>-00000-of-00001.rec`, so a failed build keeps the split it was
+replacing.  A 100 x 100 PPM's raster bytes go into the shard as the file
+holds them; an image of any other size is read as floats, resized to
+100 x 100 and quantized back.
 
 A labels file is UTF-8 text, one class name per line; line order defines ids
 1..N and id 0 is reserved for the "nothing" background class, so a network
@@ -51,16 +51,16 @@ BACKGROUND_NAME = "nothing"
 
 @dataclass(frozen=True)
 class ExampleRecord:
-    """One labeled image: class id plus raw uint8 pixels (h, w, 3)."""
+    """One labeled image: class id plus raw uint8 pixels (h, w, 3); no other dtype is cast to uint8."""
 
     label: int
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.uint8)
+        px = np.asarray(self.pixels)
+        if px.dtype != np.uint8 or px.ndim != 3 or px.shape[2] != 3:
+            raise InvalidInputError(f"record pixels must be (h, w, 3) uint8, got {px.dtype} of shape {px.shape}")
         object.__setattr__(self, "pixels", px)
-        if px.ndim != 3 or px.shape[2] != 3:
-            raise InvalidInputError(f"record pixels must be (h, w, 3) uint8, got shape {px.shape}")
         if not 0 <= self.label < 2**32:  # stored as u32
             raise InvalidInputError(f"label must be in [0, 2^32), got {self.label}")
 
@@ -164,21 +164,15 @@ def _check_size(path: Path, size: int, expected: int, kind: str, described_by: s
 def write_shard(path, records: Iterable[ExampleRecord]) -> int:
     """Write records of one shape to one shard file, replacing it only once
     all are written; returns the record count."""
-    with _replaced_on_success(Path(path)) as tmp:
-        return _write_records(tmp, ((rec.label, rec.pixels) for rec in records))
-
-
-def _write_records(path: Path, pairs: Iterable[tuple]) -> int:
-    """Write (label, uint8 pixels) pairs of one shape to a new shard file."""
     labels, dims = [], None
-    with open(path, "wb") as fh:
+    with _replaced_on_success(Path(path)) as tmp, open(tmp, "wb") as fh:
         fh.write(bytes(_HEADER.size))  # patched once the count and dims are known
-        for label, pixels in pairs:
-            dims = dims or pixels.shape
-            if pixels.shape != dims:
-                raise InvalidInputError(f"record {len(labels)} has shape {pixels.shape}, shard has {dims}")
-            fh.write(pixels.tobytes())
-            labels.append(label)
+        for rec in records:
+            dims = dims or rec.pixels.shape
+            if rec.pixels.shape != dims:
+                raise InvalidInputError(f"record {len(labels)} has shape {rec.pixels.shape}, shard has {dims}")
+            fh.write(rec.pixels.tobytes())
+            labels.append(rec.label)
         fh.write(np.array(labels, dtype="<u4").tobytes())
         fh.seek(0)
         fh.write(_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, len(labels), *(dims or (0, 0, 3))))
@@ -246,14 +240,15 @@ def _collect_examples(split_dir: Path, labels: LabelMap) -> list:
     return out
 
 
-def _decoded_records(examples: list, pool) -> Iterator[tuple]:
-    """(label, pixels) per (path, label) example, in order."""
+def _decoded_records(examples: list, pool) -> Iterator[ExampleRecord]:
+    """One record per (path, label) example, in order."""
     # schedule decoding in bounded slices so results never pile up in memory
     step = 64
     for start in range(0, len(examples), step):
         chunk = examples[start : start + step]
         pixels = pool.map(_decode_for_shard, [p for p, _ in chunk])
-        yield from zip((label for _, label in chunk), pixels)
+        for (_, label), px in zip(chunk, pixels):
+            yield ExampleRecord(label=label, pixels=px)
 
 
 def _shard_name(split: str) -> str:
@@ -261,11 +256,9 @@ def _shard_name(split: str) -> str:
 
 
 def _build_split(split: str, split_dir: Path, labels, out_dir: Path, pool) -> ShardSet:
-    examples = _collect_examples(split_dir, labels)
     path = out_dir / _shard_name(split)
-    with _replaced_on_success(path) as tmp:
-        _write_records(tmp, _decoded_records(examples, pool))
-    return ShardSet(path=path, split=split, count=len(examples))
+    records = _decoded_records(_collect_examples(split_dir, labels), pool)
+    return ShardSet(path=path, split=split, count=write_shard(path, records))
 
 
 def build_shards(

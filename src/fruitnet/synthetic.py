@@ -66,8 +66,11 @@ def generate_corpus(
     style: str = "clean",
 ) -> dict:
     """Write a labeled synthetic corpus; returns the paths of its pieces."""
-    if num_classes < 1:
-        raise InvalidInputError(f"num_classes must be >= 1, got {num_classes}")
+    lows = (("num_classes", num_classes, 1), ("train_per_class", train_per_class, 0),
+            ("test_per_class", test_per_class, 0), ("image_size", image_size, 1))
+    for name, value, low in lows:
+        if value < low:
+            raise InvalidInputError(f"{name} must be >= {low}, got {value}")
     if style not in ("clean", "raw"):
         raise InvalidInputError(f"style must be 'clean' or 'raw', got {style!r}")
     out_dir = Path(out_dir)

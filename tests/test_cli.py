@@ -58,6 +58,17 @@ class TestGenSynthetic:
         assert err == "error: seed must be non-negative, got -1\n"
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--train-per-class", "-1", "train_per_class must be >= 0, got -1"),
+        ("--test-per-class", "-2", "test_per_class must be >= 0, got -2"),
+        ("--image-size", "0", "image_size must be >= 1, got 0"),
+    ])
+    def test_a_negative_count_or_a_size_below_1_is_an_error_line(self, tmp_path, capsys, flag, value, message):
+        code, _, err = run(capsys, "gen-synthetic", "--output_directory", str(tmp_path / "c"), flag, value)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "c").exists()
+
 
 class TestExtractBackground:
     def test_raw_corpus_is_whitened_and_rescaled(self, tmp_path, capsys):
@@ -77,6 +88,26 @@ class TestExtractBackground:
         corners = img.pixels[[0, 0, -1, -1], [0, -1, 0, -1]]
         assert np.allclose(corners, 1.0)  # background became white
         assert img.pixels.min() < 0.9  # the blob survived
+
+    @pytest.mark.parametrize("out_of", [
+        lambda in_dir: in_dir,
+        lambda in_dir: in_dir / "clean",
+        lambda in_dir: in_dir / "class_01" / "clean",
+        lambda in_dir: in_dir.parent.parent / "link",  # a symlink to the input directory
+    ], ids=["itself", "inside", "deeper", "symlink"])
+    def test_an_output_inside_the_input_is_refused_before_anything_is_written(self, tmp_path, capsys, out_of):
+        generate_corpus(tmp_path / "raw", num_classes=1, train_per_class=2, test_per_class=1,
+                        seed=2, image_size=120, style="raw")
+        in_dir = tmp_path / "raw" / "Training"
+        (tmp_path / "link").symlink_to(in_dir, target_is_directory=True)
+        before = {p: p.read_bytes() if p.is_file() else None for p in in_dir.rglob("*")}
+        out = out_of(in_dir)
+        code, _, err = run(
+            capsys, "extract-background", "--input_directory", str(in_dir), "--output_directory", str(out),
+        )
+        assert code == 1
+        assert err == f"error: --output_directory {out} is inside --input_directory {in_dir}\n"
+        assert {p: p.read_bytes() if p.is_file() else None for p in in_dir.rglob("*")} == before
 
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run(

@@ -207,6 +207,20 @@ class TestBuildShards:
             find_shards(tmp_path, "train")
         assert "train-00000-of-00001.rec" in str(err.value) and "build-records" in str(err.value)
 
+    def test_the_build_writes_each_split_through_write_shard(self, tmp_path, monkeypatch):
+        train_dir, test_dir, labels_file = self.corpus(tmp_path)
+        plain = build_shards(train_dir, test_dir, labels_file, tmp_path / "plain")
+        calls = []
+
+        def counted(path, records):
+            calls.append(path.name)
+            return write_shard(path, records)
+
+        monkeypatch.setattr("fruitnet.records.write_shard", counted)
+        built = build_shards(train_dir, test_dir, labels_file, tmp_path / "counted")
+        assert calls == ["train-00000-of-00001.rec", "test-00000-of-00001.rec"]
+        assert [s.path.read_bytes() for s in built] == [s.path.read_bytes() for s in plain]
+
     def test_threaded_build_is_identical(self, tmp_path):
         train_dir, test_dir, labels_file = self.corpus(tmp_path, per_class=4)
         a, _ = build_shards(train_dir, test_dir, labels_file, tmp_path / "one", num_threads=1)
@@ -441,6 +455,13 @@ def test_shuffle_buffer_over_cycled_records_holds_references(tmp_path):
 def test_record_label_must_fit_the_u32_field(label):
     with pytest.raises(InvalidInputError, match="label"):
         ExampleRecord(label=label, pixels=np.zeros((2, 2, 3), np.uint8))
+
+
+@pytest.mark.parametrize("value, dtype", [(0.9, np.float64), (300, np.int64), (-1, np.int8), (5, np.uint16)])
+def test_record_pixels_of_another_dtype_are_refused_not_cast(value, dtype):
+    with pytest.raises(InvalidInputError) as err:
+        ExampleRecord(label=1, pixels=np.full((2, 2, 3), value, dtype))
+    assert str(err.value) == f"record pixels must be (h, w, 3) uint8, got {np.dtype(dtype)} of shape (2, 2, 3)"
 
 
 def test_train_batch_stream_matches_the_pinned_digest(tmp_path):

@@ -42,6 +42,12 @@ class TestGenerateCorpus:
         assert class_hues(2) == [0.0, 0.5]
         assert class_hues(4) == [0.0, 0.25, 0.5, 0.75]
 
+    def test_zero_images_per_class_is_an_empty_split(self, tmp_path):
+        parts = generate_corpus(tmp_path, num_classes=2, train_per_class=0, test_per_class=1)
+        assert sorted(p.name for p in parts["train_dir"].iterdir()) == ["class_01", "class_02"]
+        assert not list(parts["train_dir"].rglob("*.ppm"))
+        assert len(list(parts["test_dir"].rglob("*.ppm"))) == 2
+
     def test_invalid_style_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
             generate_corpus(tmp_path, style="noisy")
