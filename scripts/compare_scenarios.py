@@ -61,7 +61,6 @@ def main() -> int:
             batch_size=args.batch_size,
             display_interval=max(1, args.iterations // 6),
             seed=args.seed,
-            shuffle_capacity=4 * max(args.batch_size, train_set.count),
         )
         out = work / f"model-{scenario.value}"
         started = time.time()

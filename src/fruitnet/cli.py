@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--keep-prob", type=float, default=TrainConfig.keep_prob)
     p.add_argument("--display-interval", type=int, default=TrainConfig.display_interval)
-    p.add_argument("--shuffle-capacity", type=int, default=None)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
 
     p = sub.add_parser("test", help="evaluate a checkpoint")
@@ -208,7 +207,6 @@ def _cmd_train(args, project: ProjectConfig) -> int:
         keep_prob=args.keep_prob,
         display_interval=args.display_interval,
         seed=args.seed,
-        shuffle_capacity=args.shuffle_capacity,
     )
     shards = find_shards(records_dir, "train")
     resume_from = load_checkpoint(resume_path) if resume_path else None
@@ -230,6 +228,9 @@ def _cmd_test(args, project: ProjectConfig) -> int:
     _output_dir(json_path.parent, "--json-out")
     if json_path.is_dir():
         raise ConfigurationError(f"--json-out {json_path} is a directory")
+    for what, read in (("checkpoint", ckpt_path), (f"{split} shard", shards.path)):
+        if json_path.is_file() and json_path.samefile(read):
+            raise ConfigurationError(f"--json-out {json_path} is the {what} the evaluation reads")
 
     ckpt = load_checkpoint(ckpt_path)
     scenario = Scenario.from_tag(args.scenario)

@@ -1,9 +1,9 @@
 """Loss-driven optimization: Adam, the accuracy-driven learning-rate rule,
 the training loop and binary checkpoints.
 
-The rule's published bounds are the constants LR_INITIAL and LR_FINAL: the
-rate starts at LR_INITIAL and never falls below LR_FINAL.  TrainConfig holds
-the run's other settings, and its field defaults are the published protocol.
+The rule's bounds LR_INITIAL and LR_FINAL and the shuffle buffer's size,
+SHUFFLE_RESERVE + batch_size, are the protocol's, not settings; TrainConfig
+holds the run's settings, and its field defaults are the published protocol.
 
 Checkpoint format v2 (little-endian):
 
@@ -43,7 +43,8 @@ from .augmentation import Scenario, augment_draws, preprocess_batch
 from .errors import ConfigurationError, FormatError, InvalidInputError, ShapeError, TrainingDivergedError
 from .layers import Tensor, cross_entropy_loss
 from .network import NetworkConfig, Params, backward, dropout_masks, forward, init_params, param_shapes
-from .records import IMAGE_SIDE, LabelMap, ShardSet, _check_size, _read_header, _replaced_on_success, shuffle_batches
+from .records import IMAGE_SIDE, LabelMap, ShardSet, _check_size, _image_shard, _read_header, _replaced_on_success
+from .records import shuffle_batches
 from .seeding import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_INIT, make_rng
 
 CHECKPOINT_MAGIC = b"FRCK"
@@ -57,6 +58,7 @@ METRICS_NAME = "metrics.csv"
 _METRICS_HEADER = b"iteration,loss,batch_accuracy,learning_rate\r\n"  # csv.writer's line end, as the rows
 _ADAM_BLOCK = 1 << 15  # elements per block of the in-place Adam update
 LR_INITIAL, LR_FINAL = 0.001, 0.00001
+SHUFFLE_RESERVE = 35000  # train shuffles through SHUFFLE_RESERVE + batch_size record numbers
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,9 @@ class TrainConfig:
     keep_prob: float = 0.8
     display_interval: int = 50
     seed: int = 0
-    shuffle_capacity: int | None = None  # None becomes 35000 + batch_size
 
     def __post_init__(self):
-        if self.shuffle_capacity is None:
-            object.__setattr__(self, "shuffle_capacity", 35000 + self.batch_size)
-        lows = (("batch_size", 1), ("iterations", 0), ("display_interval", 1), ("seed", 0), ("shuffle_capacity", 1))
+        lows = (("batch_size", 1), ("iterations", 0), ("display_interval", 1), ("seed", 0))
         for name, low in lows:
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -168,11 +167,13 @@ def batch_accuracy(logits: Tensor, labels: Tensor) -> float:
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write the full training state; the write is atomic (tmp + rename).
-    The file holds no shapes, so each tensor must have its config's shape."""
+    The file holds no shapes, so each tensor must have its config's shape,
+    and one label name per class, as load_checkpoint requires."""
     cfg, shapes = ckpt.config, param_shapes(ckpt.config)
     groups = (ckpt.params, ckpt.adam.m, ckpt.adam.v)
     if any(group[key].shape != shape for group in groups for key, shape in shapes.items()):
         raise ShapeError("checkpoint tensors do not have the shapes of the network config")
+    check_label_count(ckpt.labels, cfg)
     head = _HEADER.pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION, ckpt.iteration, ckpt.adam.t, ckpt.learning_rate,
         cfg.num_classes, cfg.input_channels, cfg.kernel_size, cfg.input_height, cfg.input_width,
@@ -255,6 +256,12 @@ def check_channels(scenario: Scenario, net: NetworkConfig, owner: str = "network
             f"scenario {scenario.value} feeds {scenario.input_channels} channels, "
             f"{owner} expects {net.input_channels}"
         )
+
+
+def check_label_count(labels: LabelMap, net: NetworkConfig) -> None:
+    """Raise ConfigurationError unless the label map names one class per network output."""
+    if labels.num_classes != net.num_classes:
+        raise ConfigurationError(f"label map has {labels.num_classes} classes, network has {net.num_classes}")
 
 
 def check_image_side(net: NetworkConfig, owner: str = "network") -> None:
@@ -345,9 +352,10 @@ def train(
     """Run the training protocol on one Checkpoint, advanced in place, and
     return it: a fresh run builds it at iteration 0, a resume continues
     `resume_from` itself, whose arrays must be writable (load_checkpoint's
-    are).  A resume of another network or labels, or past cfg.iterations, is
-    refused before anything is written or changed.  If train raises, the
-    object's tensors may be past its iteration: resume from the saved file.
+    are).  A resume of another network or labels, or past cfg.iterations, and
+    a shard label the network has no output for, are refused before anything
+    is written or changed.  If train raises, the object's tensors may be past
+    its iteration: resume from the saved file.
 
     Each iteration draws a shuffled batch and runs _step on it, with BLAS at
     one thread until train returns.  Every display_interval iterations the
@@ -359,10 +367,12 @@ def train(
     """
     check_channels(cfg.scenario, cfg.net)
     check_image_side(cfg.net)
-    if labels.num_classes != cfg.net.num_classes:
-        raise ConfigurationError(f"label map has {labels.num_classes} classes, network has {cfg.net.num_classes}")
-    if shards.count < 1:
+    check_label_count(labels, cfg.net)
+    ids = _image_shard(shards.path)[0]  # the class id of every record
+    if not ids.size:
         raise ConfigurationError(f"shard set {shards.split!r} is empty")
+    if ids.max() >= cfg.net.num_classes:
+        raise ConfigurationError(f"shard label {ids.max()} is out of range for a {cfg.net.num_classes}-class network")
 
     state = resume_from
     if state is None:
@@ -383,7 +393,7 @@ def train(
     metrics_path = out_dir / METRICS_NAME
     with _sole_writer(out_dir), slice_workers() as run:
         _keep_metrics_up_to(metrics_path, state.iteration)
-        stream = shuffle_batches(shards, cfg.batch_size, cfg.shuffle_capacity, cfg.seed, state.iteration)
+        stream = shuffle_batches(shards, cfg.batch_size, SHUFFLE_RESERVE + cfg.batch_size, cfg.seed, state.iteration)
         tick = time.perf_counter()
         for i in range(state.iteration + 1, cfg.iterations + 1):
             images, batch_labels = next(stream)

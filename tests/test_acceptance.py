@@ -236,7 +236,7 @@ def test_criterion_4_overfit_sanity(tmp_path):
         def config(iterations):
             return TrainConfig(
                 net=net, scenario=scenario, iterations=iterations, batch_size=60, keep_prob=0.8,
-                display_interval=10, seed=11, shuffle_capacity=240,
+                display_interval=10, seed=11,
             )
 
         def best_accuracy(out_dir):
@@ -317,7 +317,7 @@ def test_criterion_6_serialization(tmp_path):
         def config(iterations):
             return TrainConfig(
                 net=tiny, scenario=Scenario.RGB, iterations=iterations, batch_size=4,
-                keep_prob=0.8, display_interval=2, seed=17, shuffle_capacity=8,
+                keep_prob=0.8, display_interval=2, seed=17,
             )
 
         train(config(4), shards, tmp_path / "full", labels, log=None)

@@ -41,9 +41,9 @@ def test_exported_names_are_exactly_the_public_api():
 
 
 # the run's settings; the published protocol's fixed values (augmentation
-# ranges, learning-rate bounds) are module constants, not fields
+# ranges, learning-rate bounds, shuffle buffer size) are module constants, not fields
 TRAIN_CONFIG_FIELDS = [
-    "net", "scenario", "iterations", "batch_size", "keep_prob", "display_interval", "seed", "shuffle_capacity",
+    "net", "scenario", "iterations", "batch_size", "keep_prob", "display_interval", "seed",
 ]
 
 

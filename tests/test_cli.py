@@ -141,7 +141,6 @@ class TestPipeline:
             "--iterations", str(iterations),
             "--batch-size", "4",
             "--display-interval", "2",
-            "--shuffle-capacity", "12",
             "--seed", "3",
             *resume_argv,
         )
@@ -239,6 +238,28 @@ class TestPipeline:
         assert [p.name for p in taken.iterdir()] == ["kept.txt"]
         assert (taken / "kept.txt").read_bytes() == b"kept"
 
+    @pytest.mark.parametrize("target", ["checkpoint", "shard", "symlink"])
+    def test_a_json_out_that_is_the_checkpoint_or_the_shard_is_an_error_line_before_the_evaluation(
+        self, corpus, capsys, target
+    ):
+        tmp_path, parts = corpus
+        self.build(capsys, tmp_path, parts)
+        self.train(capsys, tmp_path, parts)
+        ckpt, shard = tmp_path / "model" / "checkpoint.frck", tmp_path / "records" / "test-00000-of-00001.rec"
+        before = {path: path.read_bytes() for path in (ckpt, shard)}
+        link = tmp_path / "link.json"
+        link.symlink_to(ckpt)
+        targets = {"checkpoint": (ckpt, "checkpoint"), "shard": (shard, "test shard"), "symlink": (link, "checkpoint")}
+        taken, what = targets[target]
+        code, out, err = run(
+            capsys, "test", "--checkpoint", str(ckpt),
+            "--records-dir", str(tmp_path / "records"), "--json-out", str(taken),
+        )
+        assert code == 1
+        assert err == f"error: --json-out {taken} is the {what} the evaluation reads\n"
+        assert "final accuracy" not in out
+        assert {path: path.read_bytes() for path in before} == before
+
     def test_resume_flag(self, corpus, capsys):
         tmp_path, parts = corpus
         self.build(capsys, tmp_path, parts)
@@ -253,7 +274,6 @@ class TestPipeline:
             "--iterations", "4",
             "--batch-size", "4",
             "--display-interval", "2",
-            "--shuffle-capacity", "12",
             "--seed", "3",
             "--resume", str(tmp_path / "model" / "checkpoint.frck"),
         )

@@ -67,7 +67,6 @@ def tiny_cfg(iterations, seed=5, **kw) -> TrainConfig:
         keep_prob=0.8,
         display_interval=2,
         seed=seed,
-        shuffle_capacity=8,
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -360,10 +359,6 @@ class TestLossDescent:
 
 
 class TestTrainConfig:
-    def test_default_shuffle_capacity_tracks_batch_size(self):
-        cfg = tiny_cfg(iterations=1, shuffle_capacity=None)
-        assert cfg.shuffle_capacity == 35000 + cfg.batch_size
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             tiny_cfg(iterations=1, batch_size=0)
@@ -382,10 +377,6 @@ class TestTrainConfig:
     def test_a_bad_field_is_refused_at_construction_by_name_and_value(self, field, value, bound):
         with pytest.raises(ConfigurationError, match=re.escape(f"{field} must be {bound}, got {value}")):
             tiny_cfg(**{"iterations": 1, field: value})
-
-    def test_a_shuffle_capacity_below_one_is_refused_at_construction(self):
-        with pytest.raises(ConfigurationError, match=re.escape("shuffle_capacity must be >= 1, got 0")):
-            tiny_cfg(iterations=1, shuffle_capacity=0)
 
 
 class _FailingWrites:
@@ -432,11 +423,13 @@ def test_a_failed_checkpoint_save_leaves_no_tmp_and_the_old_checkpoint(tmp_path,
 
 
 def test_label_count_must_match_num_classes(tmp_path):
-    ckpt = make_checkpoint()
-    ckpt.labels = LabelMap(ckpt.labels.names[:2])  # 2 names for 3 classes
+    # save_checkpoint refuses 2 names for 3 classes, so the last name is cut from the saved bytes
     path = tmp_path / "labels.frck"
-    save_checkpoint(ckpt, path)
-    raw = path.read_bytes()
+    save_checkpoint(make_checkpoint(), path)
+    block = [struct.pack("<I", len(name)) + name.encode() for name in ("nothing", "first", "second")]
+    three, two = (struct.pack("<I", n) + b"".join(block[:n]) for n in (3, 2))
+    raw = path.read_bytes().replace(three, two, 1)
+    path.write_bytes(raw)
     labels_at = raw.index(struct.pack("<I", 2) + struct.pack("<I", len("nothing")) + b"nothing")
     with pytest.raises(FormatError) as err:
         load_checkpoint(path)
@@ -457,6 +450,53 @@ def test_a_network_not_taking_the_shard_images_is_refused_before_anything_is_wri
     with pytest.raises(ConfigurationError, match="shards hold 100x100 images, network expects 12x12"):
         train(tiny_cfg(iterations=1, net=net), shards, tmp_path / "run", labels, log=None)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "side, classes, error, message",
+    [
+        # shards built for 3 classes, a run of 2 of them: label 3 has no network output
+        (100, 3, ConfigurationError, "shard label 3 is out of range for a 3-class network"),
+        (12, 2, FormatError, "shard holds 12x12x3 images, expected 100x100x3"),
+    ],
+    ids=["label", "dims"],
+)
+def test_a_shard_the_network_cannot_take_is_refused_before_anything_is_written(
+    tmp_path, side, classes, error, message
+):
+    path = tmp_path / "train-00000-of-00001.rec"
+    pixels = [np.full((side, side, 3), i, np.uint8) for i in range(6)]
+    write_shard(path, [ExampleRecord(label=1 + i % classes, pixels=px) for i, px in enumerate(pixels)])
+    shards, labels = ShardSet(path=path, split="train", count=6), LabelMap.from_names(["first", "second"])
+    with pytest.raises(error, match=re.escape(message)) as err:
+        train(tiny_cfg(iterations=1), shards, tmp_path / "run", labels, log=None)
+    if error is FormatError:
+        assert (err.value.path, err.value.offset) == (path, 12)
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_draws_through_a_buffer_of_35000_plus_the_batch(tmp_path, monkeypatch):
+    shards, labels = tiny_corpus(tmp_path)
+    capacities, shuffle_batches = [], training.shuffle_batches
+
+    def recording(shards, batch_size, capacity, *rest):
+        capacities.append(capacity)
+        return shuffle_batches(shards, batch_size, capacity, *rest)
+
+    monkeypatch.setattr(training, "shuffle_batches", recording)
+    for batch_size in (4, 7):
+        train(tiny_cfg(iterations=1, batch_size=batch_size), shards, tmp_path / f"run{batch_size}", labels, log=None)
+    assert capacities == [35004, 35007]
+
+
+@pytest.mark.parametrize("names", [["first"], ["first", "second", "third"]], ids=["fewer", "more"])
+def test_saving_labels_of_another_class_count_is_refused_before_the_file_is_opened(tmp_path, names):
+    ckpt = make_checkpoint()  # 3 classes
+    ckpt.labels = LabelMap.from_names(names)
+    path = tmp_path / "c.frck"
+    with pytest.raises(ConfigurationError, match=re.escape(f"label map has {len(names) + 1} classes, network has 3")):
+        save_checkpoint(ckpt, path)
+    assert not path.exists() and not path.with_name("c.frck.tmp").exists()
 
 
 # header: magic 4 | version 4 | iteration, adam step, rate 24 | then the network block
@@ -714,7 +754,7 @@ def test_a_resumed_preset_1_run_peaks_no_higher_than_a_fresh_one(tmp_path, monke
     net = preset_configuration(1, num_classes=3, input_channels=3)
     peaks = []
     for iterations, resume in ((1, False), (2, True)):
-        cfg = tiny_cfg(iterations, net=net, batch_size=2, display_interval=1, shuffle_capacity=4)
+        cfg = tiny_cfg(iterations, net=net, batch_size=2, display_interval=1)
         tracemalloc.start()
         try:
             ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.frck") if resume else None
@@ -777,7 +817,7 @@ def test_several_preset_1_steps_peak_no_higher_than_one(tmp_path, monkeypatch):
     net = preset_configuration(1, num_classes=3, input_channels=3)
     peaks = []
     for iterations in (1, 3):
-        cfg = tiny_cfg(iterations, net=net, batch_size=2, display_interval=1, shuffle_capacity=4)
+        cfg = tiny_cfg(iterations, net=net, batch_size=2, display_interval=1)
         tracemalloc.start()
         try:
             train(cfg, shards, tmp_path / f"run{iterations}", labels, log=None)
