@@ -8,12 +8,12 @@ held only in the module constants HUE_MAX_DELTA, SAT_LOWER, SAT_UPPER and
 FLIP_PROB.
 
 One private pipeline on plain float64 (h, w, 3) arrays serves preprocess
-(one RasterImage in, its float64 (h, w, channels) array out) and
+(one RasterImage in, its test-mode float64 (h, w, channels) array out) and
 preprocess_batch (float arrays in and out, checked once per batch).  The
 jitter shifts hue and scales saturation in one HSV round trip.  Only
-augment_draws draws: preprocess calls it for its one image, and
-preprocess_batch takes the batch's block as an array, never a generator, so
-a batch slice runs with its rows of the whole batch's draws.
+augment_draws draws, and preprocess_batch takes the batch's block as an
+array, never a generator, so a batch slice runs with its rows of the whole
+batch's draws.
 """
 
 from enum import Enum
@@ -66,20 +66,18 @@ def _jitter(px: np.ndarray, delta: float, factor: float) -> np.ndarray:
     return hsv_to_rgb_pixels(hsv)
 
 
-def augment_draws(scenario: Scenario, mode: str, rng: RngStream | None, n: int) -> np.ndarray | None:
-    """The random draws that preprocessing n images takes: one (n, 4) block
-    of uniforms in [0, 1), per image hue, saturation, horizontal flip,
+def augment_draws(scenario: Scenario, rng: RngStream | None, n: int) -> np.ndarray | None:
+    """The random draws that augmenting n training images takes: one (n, 4)
+    block of uniforms in [0, 1), per image hue, saturation, horizontal flip,
     vertical flip.  None, drawing nothing, when the pipeline is not random.
 
     Row i holds what the per-image sequence uniform, uniform, random, random
     would draw for image i, and rng ends in the same state.
     """
-    if mode not in ("train", "test"):
-        raise InvalidInputError(f"mode must be 'train' or 'test', got {mode!r}")
-    if scenario is not Scenario.HSV_GRAY_AUG or mode == "test":
+    if scenario is not Scenario.HSV_GRAY_AUG:
         return None
     if rng is None:
-        raise InvalidInputError("train-mode hsv_gray_aug preprocessing needs an rng")
+        raise InvalidInputError("hsv_gray_aug augmentation needs an rng")
     return rng.random((n, 4))
 
 
@@ -107,17 +105,10 @@ def _pipeline(px: np.ndarray, scenario: Scenario, draws: np.ndarray | None):
     return np.concatenate([rgb_to_hsv_pixels(px), rgb_to_gray_pixels(px)], axis=-1)
 
 
-def preprocess(img: RasterImage, scenario: Scenario, mode: str, rng: RngStream | None = None) -> np.ndarray:
-    """Apply one scenario's pipeline to an RGB image; returns the float64
-    (h, w, scenario.input_channels) array that the network sees, in [0, 1].
-
-    Only HSV_GRAY_AUG in train mode is random; its draw order is fixed as
-    hue, saturation, horizontal flip, vertical flip so that equal seeds give
-    equal outputs.  In test mode it degenerates to the HSV_GRAY pipeline.
-    For the RGB scenario the result is img.pixels itself, which is read-only.
-    """
-    draws = augment_draws(scenario, mode, rng, 1)
-    return _pipeline(img.pixels, scenario, None if draws is None else draws[0])
+def preprocess(img: RasterImage, scenario: Scenario) -> np.ndarray:
+    """Test-mode preprocessing of one RGB image: the float64 array the network
+    sees, never augmented; for the RGB scenario, img.pixels itself (read-only)."""
+    return _pipeline(img.pixels, scenario, None)
 
 
 def preprocess_batch(images: np.ndarray, scenario: Scenario, draws: np.ndarray | None = None) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Test-set accuracy with per-class mislabel accounting, plus single-image
 prediction.
 
-evaluate reads 8-bit records from shards and preprocesses them a batch at a
-time; predict_image takes one RGB RasterImage of any size (the type has
-already checked it), resizes it to the network's input and preprocesses it
-alone.  Both use test mode, so neither draws random numbers."""
+evaluate checks a split's labels once, then reads its 8-bit records and
+preprocesses them a batch at a time; predict_image takes one RGB RasterImage
+of any size (the type has already checked it), resizes it to the network's
+input and runs preprocess on it.  Neither augments or draws random numbers."""
 
 import json
 from dataclasses import dataclass
@@ -13,12 +13,11 @@ import numpy as np
 
 from ._parallel import batch_slices, slice_workers
 from .augmentation import Scenario, preprocess, preprocess_batch
-from .errors import ConfigurationError
 from .imaging import RasterImage, resize_bilinear
 from .layers import softmax
 from .network import forward
 from .records import ShardSet, read_examples, sequential_batches
-from .training import Checkpoint, check_channels, check_image_side
+from .training import Checkpoint, check_channels, check_image_side, check_split_labels
 
 # published benchmark test accuracies on the full fruit corpus (46371 train /
 # 15563 test images, 75000 iterations); documentation only, never asserted
@@ -80,13 +79,13 @@ def evaluate(
     log=print,
 ) -> EvalReport:
     """Classify every record once (sequential batches, keep_prob 1, test-mode
-    preprocessing) and tally accuracy plus per-class mislabel counts.  Each
-    batch runs as two slices on the worker threads, with BLAS at one thread
-    until evaluate returns."""
+    preprocessing) and tally accuracy and per-class mislabels, after refusing
+    an empty split or a label past the checkpoint.  Batches run as two slices
+    on the worker threads, with BLAS at one thread until evaluate returns."""
     check_channels(scenario, ckpt.config, "checkpoint network")
     check_image_side(ckpt.config, "checkpoint network")
-    n = ckpt.config.num_classes
-    misses = np.zeros(n, dtype=np.int64)  # per true class
+    check_split_labels(shards, ckpt.config, "checkpoint")
+    misses = np.zeros(ckpt.config.num_classes, dtype=np.int64)  # per true class
     total = correct = 0
 
     def logits_of(images):
@@ -95,8 +94,6 @@ def evaluate(
 
     with slice_workers() as run:
         for images, labels in sequential_batches(read_examples(shards), batch_size):
-            if labels.max() >= n:
-                raise ConfigurationError(f"shard label {labels.max()} is out of range for a {n}-class checkpoint")
             logits = np.concatenate(run(logits_of, [images[rows] for rows in batch_slices(len(images))]))
             picks = np.argmax(logits, axis=1)  # lowest index wins on ties
             np.add.at(misses, labels[picks != labels], 1)
@@ -105,8 +102,7 @@ def evaluate(
             if log is not None:
                 log(f"evaluated {total} images, running accuracy {correct / total:.4f}")
     mislabeled = {ckpt.labels.name_of(class_id): int(misses[class_id]) for class_id in np.flatnonzero(misses).tolist()}
-    accuracy = correct / total if total else 0.0
-    return EvalReport(total_images=total, correct=correct, accuracy=accuracy, mislabeled=mislabeled)
+    return EvalReport(total_images=total, correct=correct, accuracy=correct / total, mislabeled=mislabeled)
 
 
 def predict_image(ckpt: Checkpoint, image: RasterImage, scenario: Scenario) -> Prediction:
@@ -116,7 +112,7 @@ def predict_image(ckpt: Checkpoint, image: RasterImage, scenario: Scenario) -> P
     side = (ckpt.config.input_height, ckpt.config.input_width)
     if (image.height, image.width) != side:
         image = resize_bilinear(image, *side)
-    x = preprocess(image, scenario, "test")[None].astype(np.float32)
+    x = preprocess(image, scenario)[None].astype(np.float32)
     logits, _ = forward(ckpt.config, ckpt.params, x, keep_prob=1.0)
     probs = softmax(logits)[0]
     class_id = int(np.argmax(probs))

@@ -258,6 +258,15 @@ def check_channels(scenario: Scenario, net: NetworkConfig, owner: str = "network
         )
 
 
+def check_split_labels(shards: ShardSet, net: NetworkConfig, owner: str = "network") -> None:
+    """Raise ConfigurationError unless the split has records and the network an output for each label."""
+    ids = _image_shard(shards.path)[0]  # the class id of every record
+    if not ids.size:
+        raise ConfigurationError(f"shard set {shards.split!r} is empty")
+    if ids.max() >= net.num_classes:
+        raise ConfigurationError(f"shard label {ids.max()} is out of range for a {net.num_classes}-class {owner}")
+
+
 def check_label_count(labels: LabelMap, net: NetworkConfig) -> None:
     """Raise ConfigurationError unless the label map names one class per network output."""
     if labels.num_classes != net.num_classes:
@@ -319,7 +328,7 @@ def _step(cfg: TrainConfig, state: Checkpoint, run, images: np.ndarray, labels: 
     pass per slice, gradients summed in slice order, one Adam step on state in
     place.  Returns the preprocessed slices, which the re-score reads; the
     caches and gradients are freed on return."""
-    draws = augment_draws(cfg.scenario, "train", make_rng(cfg.seed, STREAM_AUGMENT, i), len(images))
+    draws = augment_draws(cfg.scenario, make_rng(cfg.seed, STREAM_AUGMENT, i), len(images))
     masks = dropout_masks(cfg.net, len(images), cfg.keep_prob, make_rng(cfg.seed, STREAM_DROPOUT, i))
 
     def forward_slice(rows):
@@ -360,19 +369,15 @@ def train(
     Each iteration draws a shuffled batch and runs _step on it, with BLAS at
     one thread until train returns.  Every display_interval iterations the
     batch is re-scored at keep_prob 1, the learning rate is re-derived from
-    that accuracy, a metrics row is appended and the checkpoint is saved.
-    Metrics rows past the start are dropped first.  One train at a time
-    writes to out_dir: while it runs, a second is refused with a
-    ConfigurationError before it writes anything.
+    that accuracy, a metrics row is appended and the checkpoint is saved, as
+    it is at the end unless the last iteration saved it.  Metrics rows past
+    the start are dropped first.  One train at a time writes to out_dir: a
+    second is refused with a ConfigurationError before it writes anything.
     """
     check_channels(cfg.scenario, cfg.net)
     check_image_side(cfg.net)
     check_label_count(labels, cfg.net)
-    ids = _image_shard(shards.path)[0]  # the class id of every record
-    if not ids.size:
-        raise ConfigurationError(f"shard set {shards.split!r} is empty")
-    if ids.max() >= cfg.net.num_classes:
-        raise ConfigurationError(f"shard label {ids.max()} is out of range for a {cfg.net.num_classes}-class network")
+    check_split_labels(shards, cfg.net)
 
     state = resume_from
     if state is None:
@@ -394,8 +399,8 @@ def train(
     with _sole_writer(out_dir), slice_workers() as run:
         _keep_metrics_up_to(metrics_path, state.iteration)
         stream = shuffle_batches(shards, cfg.batch_size, SHUFFLE_RESERVE + cfg.batch_size, cfg.seed, state.iteration)
-        tick = time.perf_counter()
-        for i in range(state.iteration + 1, cfg.iterations + 1):
+        tick, first = time.perf_counter(), state.iteration + 1
+        for i in range(first, cfg.iterations + 1):
             images, batch_labels = next(stream)
             xs = _step(cfg, state, run, images, batch_labels, i)
             if i % cfg.display_interval == 0:
@@ -414,6 +419,7 @@ def train(
                     tick = time.perf_counter()
             del xs  # only the re-score reads the step's inputs
 
-        state.iteration = cfg.iterations
-        save_checkpoint(state, ckpt_path)
+        if first > cfg.iterations or cfg.iterations % cfg.display_interval:  # else the last iteration saved it
+            state.iteration = cfg.iterations
+            save_checkpoint(state, ckpt_path)
     return state

@@ -3,6 +3,7 @@ TrainConfig.  A name added here is a decision, not a side effect of an import
 or a new knob."""
 
 import dataclasses
+import inspect
 import types
 
 import fruitnet
@@ -49,3 +50,9 @@ TRAIN_CONFIG_FIELDS = [
 
 def test_train_config_fields_are_exactly_the_run_settings():
     assert [f.name for f in dataclasses.fields(fruitnet.TrainConfig)] == TRAIN_CONFIG_FIELDS
+
+
+def test_preprocessing_takes_no_mode():
+    # one image is only ever preprocessed for testing; augmentation is a training batch's draws
+    assert list(inspect.signature(fruitnet.preprocess).parameters) == ["img", "scenario"]
+    assert list(inspect.signature(fruitnet.augmentation.augment_draws).parameters) == ["scenario", "rng", "n"]

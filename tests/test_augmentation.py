@@ -14,6 +14,7 @@ from fruitnet.seeding import make_rng
 STILL = (0.5, 1 / 3, 0.9, 0.9)
 SAT_HIGH = (0.5, 1.0, 0.9, 0.9)  # saturation factor 1.2, the top of the range
 H_FLIP, V_FLIP, BOTH_FLIPS = (0.5, 1 / 3, 0.0, 0.9), (0.5, 1 / 3, 0.9, 0.0), (0.5, 1 / 3, 0.0, 0.0)
+AUG = Scenario.HSV_GRAY_AUG
 
 
 def rgb(pixels) -> RasterImage:
@@ -26,13 +27,13 @@ def random_rgb(seed, h=6, w=5) -> RasterImage:
 
 def augmented(img: RasterImage, row=STILL) -> np.ndarray:
     """Train-mode hsv_gray_aug of img with one chosen row of draws."""
-    return augmentation._pipeline(img.pixels, Scenario.HSV_GRAY_AUG, np.array(row))
+    return augmentation._pipeline(img.pixels, AUG, np.array(row))
 
 
 class TestAdjustHue:
     def test_zero_delta_is_identity(self):
         img = random_rgb(0)
-        assert np.abs(augmented(img) - preprocess(img, Scenario.HSV_GRAY, "test")).max() < 1e-6
+        assert np.abs(augmented(img) - preprocess(img, Scenario.HSV_GRAY)).max() < 1e-6
 
     def test_red_plus_half_turn_is_cyan(self):
         hsv = rgb_to_hsv_pixels(np.array([[[1.0, 0.0, 0.0]]]))
@@ -57,11 +58,11 @@ class TestAdjustHue:
 class TestAdjustSaturation:
     def test_factor_one_is_identity(self):
         img = random_rgb(2)
-        assert np.abs(augmented(img) - preprocess(img, Scenario.HSV_GRAY, "test")).max() < 1e-6
+        assert np.abs(augmented(img) - preprocess(img, Scenario.HSV_GRAY)).max() < 1e-6
 
     def test_gray_pixel_is_fixed_point(self):
         img = rgb([[[0.4, 0.4, 0.4]]])
-        assert np.allclose(augmented(img, SAT_HIGH), preprocess(img, Scenario.HSV_GRAY, "test"), atol=1e-12)
+        assert np.allclose(augmented(img, SAT_HIGH), preprocess(img, Scenario.HSV_GRAY), atol=1e-12)
 
     def test_saturation_clamps_at_one(self):
         out = augmented(rgb([[[1.0, 0.0, 0.0]]]), SAT_HIGH)
@@ -100,55 +101,50 @@ class TestFlip:
 class TestPreprocess:
     def test_rgb_scenario_is_identity(self):
         img = random_rgb(7)
-        for mode in ("train", "test"):
-            out = preprocess(img, Scenario.RGB, mode)
-            assert np.array_equal(out, img.pixels)
+        assert np.array_equal(preprocess(img, Scenario.RGB), img.pixels)
 
     def test_hsv_gray_on_pure_red(self):
-        out = preprocess(rgb([[[1.0, 0.0, 0.0]]]), Scenario.HSV_GRAY, "test")
+        out = preprocess(rgb([[[1.0, 0.0, 0.0]]]), Scenario.HSV_GRAY)
         assert np.allclose(out[0, 0], [0.0, 1.0, 1.0, 0.299])
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_channel_counts_match_scenario(self, scenario):
         img = random_rgb(8)
-        out = preprocess(img, scenario, "test")
+        out = preprocess(img, scenario)
         assert out.shape == (6, 5, scenario.input_channels) and out.dtype == np.float64
 
     def test_augmented_is_deterministic_under_seed(self):
-        img = random_rgb(9)
-        a = preprocess(img, Scenario.HSV_GRAY_AUG, "train", make_rng(123, 2))
-        b = preprocess(img, Scenario.HSV_GRAY_AUG, "train", make_rng(123, 2))
+        images = random_rgb(9).pixels[None]
+        a = preprocess_batch(images, AUG, augment_draws(AUG, make_rng(123, 2), 1))
+        b = preprocess_batch(images, AUG, augment_draws(AUG, make_rng(123, 2), 1))
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("scenario", list(Scenario))
-    def test_test_mode_consumes_zero_draws(self, scenario):
-        img = random_rgb(10)
+    @pytest.mark.parametrize("scenario", [s for s in Scenario if s is not AUG])
+    def test_a_pipeline_that_is_not_random_draws_nothing(self, scenario):
         rng = make_rng(99)
-        preprocess(img, scenario, "test", rng)
+        assert augment_draws(scenario, rng, 3) is None
         assert rng.bit_generator.state == make_rng(99).bit_generator.state
 
     def test_test_mode_aug_equals_hsv_gray(self):
         img = random_rgb(11)
-        a = preprocess(img, Scenario.HSV_GRAY_AUG, "test")
-        b = preprocess(img, Scenario.HSV_GRAY, "test")
-        assert np.array_equal(a, b)
+        assert np.array_equal(preprocess(img, AUG), preprocess(img, Scenario.HSV_GRAY))
 
-    def test_train_aug_without_rng_rejected(self):
+    def test_aug_without_rng_rejected(self):
         with pytest.raises(InvalidInputError):
-            preprocess(random_rgb(12), Scenario.HSV_GRAY_AUG, "train")
+            preprocess_batch(random_rgb(12).pixels[None], AUG, augment_draws(AUG, None, 1))
 
     def test_non_rgb_input_rejected(self):
         # the image type refuses one channel, so preprocess never sees it
         with pytest.raises(InvalidInputError):
-            preprocess(RasterImage(np.zeros((2, 2, 1))), Scenario.GRAY, "test")
+            preprocess(RasterImage(np.zeros((2, 2, 1))), Scenario.GRAY)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_augmented_output_stays_in_unit_range(self, seed):
-        img = random_rgb(13)
-        out = preprocess(img, Scenario.HSV_GRAY_AUG, "train", make_rng(seed, 2))
+        images = random_rgb(13).pixels[None]
+        out = preprocess_batch(images, AUG, augment_draws(AUG, make_rng(seed, 2), 1))
         assert out.min() >= 0.0 and out.max() <= 1.0
-        assert out.shape[2] == 4
+        assert out.shape[3] == 4
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -159,9 +155,8 @@ class TestPreprocess:
 
     def test_batch_preprocess_shapes_and_determinism(self):
         images = np.random.default_rng(14).random((3, 8, 8, 3)).astype(np.float32)
-        aug = Scenario.HSV_GRAY_AUG
-        a = preprocess_batch(images, aug, augment_draws(aug, "train", make_rng(5, 2, 1), 3))
-        b = preprocess_batch(images, aug, augment_draws(aug, "train", make_rng(5, 2, 1), 3))
+        a = preprocess_batch(images, AUG, augment_draws(AUG, make_rng(5, 2, 1), 3))
+        b = preprocess_batch(images, AUG, augment_draws(AUG, make_rng(5, 2, 1), 3))
         assert a.shape == (3, 8, 8, 4) and a.dtype == np.float32
         assert np.array_equal(a, b)
 

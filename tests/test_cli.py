@@ -260,6 +260,19 @@ class TestPipeline:
         assert "final accuracy" not in out
         assert {path: path.read_bytes() for path in before} == before
 
+    def test_an_empty_split_is_an_error_line_and_writes_no_report(self, tmp_path, capsys):
+        parts = generate_corpus(tmp_path / "corpus", num_classes=2, train_per_class=6, test_per_class=0, seed=1)
+        assert self.build(capsys, tmp_path, parts)[0] == 0
+        assert self.train(capsys, tmp_path, parts)[0] == 0
+        code, out, err = run(
+            capsys, "test", "--checkpoint", str(tmp_path / "model" / "checkpoint.frck"),
+            "--records-dir", str(tmp_path / "records"), "--scenario", "hsv_gray_aug",
+        )
+        assert code == 1
+        assert err == "error: shard set 'test' is empty\n"
+        assert "final accuracy" not in out
+        assert sorted(p.name for p in (tmp_path / "model").iterdir()) == ["checkpoint.frck", "metrics.csv"]
+
     def test_resume_flag(self, corpus, capsys):
         tmp_path, parts = corpus
         self.build(capsys, tmp_path, parts)

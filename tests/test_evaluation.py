@@ -86,7 +86,7 @@ class TestEvaluate:
         mislabeled = {}
         for rec in records:
             img = RasterImage(rec.pixels.astype(np.float64) / 255.0)
-            x = preprocess(img, Scenario.RGB, "test")[None].astype(np.float32)
+            x = preprocess(img, Scenario.RGB)[None].astype(np.float32)
             logits, _ = forward(ckpt.config, ckpt.params, x, 1.0)
             pick = int(np.argmax(logits[0]))
             if pick == rec.label:
@@ -141,7 +141,7 @@ class TestPredictImage:
         img = RasterImage(rng.random((100, 100, 3)))
         ckpt = random_checkpoint(9)
         prediction = predict_image(ckpt, img, Scenario.RGB)
-        x = preprocess(resize_bilinear(img, 100, 100), Scenario.RGB, "test")[None].astype(np.float32)
+        x = preprocess(resize_bilinear(img, 100, 100), Scenario.RGB)[None].astype(np.float32)
         logits, _ = forward(ckpt.config, ckpt.params, x, 1.0)
         probs = softmax(logits)[0]
         assert abs(probs.sum() - 1.0) < 1e-6
@@ -180,7 +180,7 @@ class TestPredictImage:
         img = RasterImage(np.random.default_rng(14).random((100, 100, 3)))
         prediction = predict_image(ckpt, img, Scenario.RGB)
         assert resized == []
-        x = preprocess(resize_bilinear(img, 100, 100), Scenario.RGB, "test")[None].astype(np.float32)
+        x = preprocess(resize_bilinear(img, 100, 100), Scenario.RGB)[None].astype(np.float32)
         probs = softmax(forward(ckpt.config, ckpt.params, x, 1.0)[0])[0]
         assert prediction.class_id == int(np.argmax(probs))
         assert prediction.probability == float(probs.max())
@@ -195,7 +195,7 @@ class TestPredictImage:
         ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, LABELS)
         for img in (RasterImage(rng.random((12, 12, 3))), RasterImage(rng.random((30, 20, 3)))):
             prediction = predict_image(ckpt, img, Scenario.RGB)
-            x = preprocess(resize_bilinear(img, 12, 12), Scenario.RGB, "test")[None].astype(np.float32)
+            x = preprocess(resize_bilinear(img, 12, 12), Scenario.RGB)[None].astype(np.float32)
             probs = softmax(forward(net, params, x, 1.0)[0])[0]
             assert (prediction.class_id, prediction.probability) == (int(np.argmax(probs)), float(probs.max()))
 
@@ -238,4 +238,27 @@ def test_a_network_not_taking_the_shard_images_is_refused(tmp_path):
     lines = []
     with pytest.raises(ConfigurationError, match="shards hold 100x100 images, checkpoint network expects 12x12"):
         evaluate(ckpt, shard_records(tmp_path, random_records(2)), Scenario.RGB, log=lines.append)
+    assert lines == []
+
+
+def test_a_label_past_the_checkpoint_is_refused_before_the_first_forward_pass(tmp_path, monkeypatch):
+    # a build sorts records by class, so the label the network lacks comes last
+    records = random_records(24)
+    records = [ExampleRecord(label=1 + i // 8, pixels=rec.pixels) for i, rec in enumerate(records)]
+    forwards, lines, real_forward = [], [], evaluation.forward
+
+    def counted_forward(*args, **kwargs):
+        forwards.append(1)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "forward", counted_forward)
+    with pytest.raises(ConfigurationError, match="shard label 3 is out of range for a 3-class checkpoint"):
+        evaluate(random_checkpoint(), shard_records(tmp_path, records), Scenario.RGB, batch_size=4, log=lines.append)
+    assert forwards == [] and lines == []
+
+
+def test_an_empty_split_is_refused(tmp_path):
+    lines = []
+    with pytest.raises(ConfigurationError, match="shard set 'test' is empty"):
+        evaluate(random_checkpoint(), shard_records(tmp_path, []), Scenario.RGB, log=lines.append)
     assert lines == []

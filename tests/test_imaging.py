@@ -53,7 +53,7 @@ class TestRasterImage:
         img = RasterImage(source)
         source[0, 0, 0] = 2.0  # the caller's array stays the caller's
         assert not np.shares_memory(img.pixels, source)
-        out = preprocess(img, Scenario.RGB, "test")  # the RGB scenario hands out img.pixels
+        out = preprocess(img, Scenario.RGB)  # the RGB scenario hands out img.pixels
         with pytest.raises(ValueError):
             out[0, 0, 0] = 2.0
         with pytest.raises(ValueError):
@@ -285,20 +285,20 @@ class TestConcat:
     """The hsv_gray scenario: HSV with the luma appended as channel 3."""
 
     def test_red_pixel_composition(self):
-        merged = preprocess(rgb([[[1.0, 0.0, 0.0]]]), Scenario.HSV_GRAY, "test")
+        merged = preprocess(rgb([[[1.0, 0.0, 0.0]]]), Scenario.HSV_GRAY)
         assert np.allclose(merged[0, 0], [0.0, 1.0, 1.0, 0.299])
 
     def test_shapes_propagate(self):
         rng = np.random.default_rng(5)
-        merged = preprocess(random_rgb(rng, 100, 100), Scenario.HSV_GRAY, "test")
+        merged = preprocess(random_rgb(rng, 100, 100), Scenario.HSV_GRAY)
         assert merged.shape == (100, 100, 4)
 
     def test_channel_projections_reproduce_inputs(self):
         rng = np.random.default_rng(6)
         img = random_rgb(rng, 7, 3)
-        merged = preprocess(img, Scenario.HSV_GRAY, "test")
-        assert np.array_equal(merged[..., :3], preprocess(img, Scenario.HSV, "test"))
-        assert np.array_equal(merged[..., 3:], preprocess(img, Scenario.GRAY, "test"))
+        merged = preprocess(img, Scenario.HSV_GRAY)
+        assert np.array_equal(merged[..., :3], preprocess(img, Scenario.HSV))
+        assert np.array_equal(merged[..., 3:], preprocess(img, Scenario.GRAY))
 
 
 class TestPpm:

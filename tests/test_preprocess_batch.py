@@ -42,7 +42,7 @@ def u8_batch(seed: int, b: int, h: int, w: int) -> np.ndarray:
 def test_batched_augmentation_matches_per_image_oracle(seed, b, h, w):
     images = u8_batch(seed, b, h, w)
     rng, oracle_rng = make_rng(seed, 2), make_rng(seed, 2)
-    draws = augment_draws(Scenario.HSV_GRAY_AUG, "train", rng, b)
+    draws = augment_draws(Scenario.HSV_GRAY_AUG, rng, b)
     got = preprocess_batch(images, Scenario.HSV_GRAY_AUG, draws)
     want = hsv_gray_aug_oracle(images, oracle_rng)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state  # same draws, same count
@@ -55,7 +55,7 @@ def test_batched_augmentation_matches_per_image_oracle(seed, b, h, w):
 @settings(max_examples=100, deadline=None)
 def test_block_draw_equals_the_per_image_draw_sequence(seed, n):
     rng, per_image = make_rng(seed, 2), make_rng(seed, 2)
-    block = augment_draws(Scenario.HSV_GRAY_AUG, "train", rng, n)
+    block = augment_draws(Scenario.HSV_GRAY_AUG, rng, n)
     assert block.shape == (n, 4)
     for u_hue, u_sat, u_hflip, u_vflip in block:
         # the mapping the pipeline applies to each row, with the published values
@@ -68,7 +68,7 @@ def test_block_draw_equals_the_per_image_draw_sequence(seed, n):
 
 def test_slices_with_their_rows_of_the_block_equal_the_whole_batch():
     images = u8_batch(4, 5, 6, 7)
-    block = augment_draws(Scenario.HSV_GRAY_AUG, "train", make_rng(4, 2), len(images))
+    block = augment_draws(Scenario.HSV_GRAY_AUG, make_rng(4, 2), len(images))
     whole = preprocess_batch(images, Scenario.HSV_GRAY_AUG, block)
     for rows in (slice(0, 3), slice(3, 5)):
         got = preprocess_batch(images[rows], Scenario.HSV_GRAY_AUG, block[rows])
@@ -77,17 +77,14 @@ def test_slices_with_their_rows_of_the_block_equal_the_whole_batch():
         preprocess_batch(images, Scenario.HSV_GRAY_AUG, block[:3])
 
 
-@pytest.mark.parametrize("mode", ["train", "test"])
 @pytest.mark.parametrize("scenario", list(Scenario))
-def test_preprocess_and_preprocess_batch_agree(scenario, mode):
+def test_preprocess_and_preprocess_batch_agree(scenario):
     images = u8_batch(3, 4, 5, 7)
-    rng, single_rng = make_rng(8, 2), make_rng(8, 2)
-    batch = preprocess_batch(images, scenario, augment_draws(scenario, mode, rng, len(images)))
+    batch = preprocess_batch(images, scenario)
     for i, px in enumerate(images):
-        out = preprocess(RasterImage(px.astype(np.float64)), scenario, mode, single_rng)
+        out = preprocess(RasterImage(px.astype(np.float64)), scenario)
         assert out.dtype == np.float64
         assert np.array_equal(out.astype(np.float32), batch[i])
-    assert rng.bit_generator.state == single_rng.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -107,20 +104,18 @@ def test_batch_input_is_checked_once_for_the_whole_batch(shape, value):
         images.flat[-1] = value
     for scenario in (Scenario.RGB, Scenario.HSV_GRAY_AUG):
         with pytest.raises(InvalidInputError):
-            preprocess_batch(images, scenario, augment_draws(scenario, "train", make_rng(0), len(images)))
+            preprocess_batch(images, scenario, augment_draws(scenario, make_rng(0), len(images)))
 
 
-def test_batch_rejects_bad_mode_and_missing_rng():
+def test_batch_rejects_a_missing_rng():
     images = np.full((1, 2, 2, 3), 0.5, dtype=np.float32)
-    with pytest.raises(InvalidInputError, match="mode must be"):
-        preprocess_batch(images, Scenario.GRAY, augment_draws(Scenario.GRAY, "eval", None, 1))
     with pytest.raises(InvalidInputError, match="needs an rng"):
-        preprocess_batch(images, Scenario.HSV_GRAY_AUG, augment_draws(Scenario.HSV_GRAY_AUG, "train", None, 1))
+        preprocess_batch(images, Scenario.HSV_GRAY_AUG, augment_draws(Scenario.HSV_GRAY_AUG, None, 1))
 
 
 def test_a_pipeline_that_is_not_random_refuses_augment_draws():
     images = u8_batch(5, 2, 3, 3)
-    draws = augment_draws(Scenario.HSV_GRAY_AUG, "train", make_rng(5, 2), len(images))
+    draws = augment_draws(Scenario.HSV_GRAY_AUG, make_rng(5, 2), len(images))
     for scenario in (Scenario.GRAY, Scenario.RGB, Scenario.HSV, Scenario.HSV_GRAY):
         with pytest.raises(InvalidInputError, match="hsv_gray_aug takes"):
             preprocess_batch(images, scenario, draws)
@@ -149,5 +144,6 @@ def test_batch_outputs_match_their_pinned_digests(scenario, mode):
     images[:, 0, :, 1] = images[:, 0, :, 0]  # r = g
     images[:, 1, :, 2] = images[:, 1, :, 1]  # g = b
     images[:, 2, :, 2] = images[:, 2, :, 0]  # r = b
-    out = preprocess_batch(images, scenario, augment_draws(scenario, mode, make_rng(9, 2), len(images)))
+    draws = augment_draws(scenario, make_rng(9, 2), len(images)) if mode == "train" else None
+    out = preprocess_batch(images, scenario, draws)
     assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == PINNED_BATCH_DIGESTS[scenario.value, mode]

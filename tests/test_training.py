@@ -262,6 +262,33 @@ class TestTrainLoop:
             assert np.array_equal(full.adam.m[key], resumed.adam.m[key]), key
         assert full.learning_rate == resumed.learning_rate
 
+    @pytest.mark.parametrize("iterations, saves", [(4, [2, 4]), (5, [2, 4, 5])])
+    def test_the_run_ends_with_a_save_only_if_its_last_iteration_made_none(
+        self, tmp_path, monkeypatch, iterations, saves
+    ):
+        shards, labels = tiny_corpus(tmp_path)
+        real_save, saved = training.save_checkpoint, []
+
+        def counting_save(ckpt, path):
+            saved.append(ckpt.iteration)
+            real_save(ckpt, path)
+
+        monkeypatch.setattr(training, "save_checkpoint", counting_save)
+        run, other = tmp_path / "run", tmp_path / "other"
+        state = train(tiny_cfg(iterations), shards, run, labels, log=None)  # display interval 2
+        assert saved == saves
+        # what an unconditional end-of-run save of the returned state writes
+        real_save(state, tmp_path / "end.frck")
+        assert (run / training.CHECKPOINT_NAME).read_bytes() == (tmp_path / "end.frck").read_bytes()
+        rows = (run / training.METRICS_NAME).read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "4"]
+
+        # a resume with nothing left to run still writes its checkpoint into another run directory
+        resumed = load_checkpoint(run / training.CHECKPOINT_NAME)
+        train(tiny_cfg(iterations), shards, other, labels, resume_from=resumed, log=None)
+        assert saved == [*saves, iterations]
+        assert (other / training.CHECKPOINT_NAME).read_bytes() == (tmp_path / "end.frck").read_bytes()
+
     def test_resume_past_the_target_rejected(self, tmp_path):
         shards, labels = tiny_corpus(tmp_path)
         train(tiny_cfg(iterations=4), shards, tmp_path / "long", labels, log=None)
