@@ -5,7 +5,9 @@ Generates a synthetic corpus, trains one network per scenario and prints a
 train/test accuracy table.  With default sizes this takes a few minutes per
 scenario on a laptop CPU; it is a scaled-down rehearsal of the full-corpus
 protocol, not a reproduction of the published numbers (see
-scripts/run_full_corpus.py for that).
+scripts/run_full_corpus.py for that).  Each model is trained into
+<workdir>/model-<scenario>, and train refuses a fresh run into a directory
+that holds a checkpoint, so a second run needs a new --workdir.
 """
 
 import argparse

@@ -35,7 +35,9 @@ def main() -> int:
     parser.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     parser.add_argument("--seed", type=int, default=TrainConfig.seed)
     parser.add_argument("--num-threads", type=int, default=4)
-    parser.add_argument("--resume", action="store_true", help="continue from the saved checkpoint")
+    parser.add_argument(
+        "--resume", action="store_true", help="continue from the saved checkpoint; without it, one there is refused"
+    )
     args = parser.parse_args()
 
     corpus = Path(args.corpus_dir)

@@ -1,10 +1,11 @@
 """Test-set accuracy with per-class mislabel accounting, plus single-image
 prediction.
 
-evaluate checks a split's labels once, then reads its 8-bit records and
-preprocesses them a batch at a time; predict_image takes one RGB RasterImage
-of any size (the type has already checked it), resizes it to the network's
-input and runs preprocess on it.  Neither augments or draws random numbers."""
+evaluate checks once that a split fits the checkpoint's network, then reads
+its 8-bit records and preprocesses them a batch at a time; predict_image
+takes one RGB RasterImage of any size (the type has already checked it),
+resizes it to the network's input and runs preprocess on it.  Neither
+augments or draws random numbers."""
 
 import json
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from .imaging import RasterImage, resize_bilinear
 from .layers import softmax
 from .network import forward
 from .records import ShardSet, read_examples, sequential_batches
-from .training import Checkpoint, check_channels, check_image_side, check_split_labels
+from .training import Checkpoint, check_channels, check_split
 
 # published benchmark test accuracies on the full fruit corpus (46371 train /
 # 15563 test images, 75000 iterations); documentation only, never asserted
@@ -80,11 +81,11 @@ def evaluate(
 ) -> EvalReport:
     """Classify every record once (sequential batches, keep_prob 1, test-mode
     preprocessing) and tally accuracy and per-class mislabels, after refusing
-    an empty split or a label past the checkpoint.  Batches run as two slices
-    on the worker threads, with BLAS at one thread until evaluate returns."""
+    an empty split, images of other dims than the checkpoint network's input,
+    or a label past its outputs.  Batches run as two slices on the worker
+    threads, with BLAS at one thread until evaluate returns."""
     check_channels(scenario, ckpt.config, "checkpoint network")
-    check_image_side(ckpt.config, "checkpoint network")
-    check_split_labels(shards, ckpt.config, "checkpoint")
+    check_split(shards, ckpt.config, "checkpoint network")
     misses = np.zeros(ckpt.config.num_classes, dtype=np.int64)  # per true class
     total = correct = 0
 

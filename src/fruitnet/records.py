@@ -9,16 +9,19 @@ Shard format v2 (little-endian, bit-exact round trip):
 
 All records of a shard share its dims (height, width >= 1; an empty shard
 has 0x0), so the header fixes the file size.  Records are views of a
-read-only map of the pixel block.  write_shard is the one shard writer: it
-syncs a finished temporary file to disk and renames it over the target, so a
-mapped shard is never truncated and a crash leaves the old or the new file.
-Version 1 shards are not read: rebuild them with `fruitnet build-records`.
+read-only map of the pixel block.  _read_shard is the one reader, and it
+takes any dims: a split fits a network when its images have the network's
+input dims, which training.check_split checks.  write_shard is the one shard
+writer: it syncs a finished temporary file to disk and renames it over the
+target, so a mapped shard is never truncated and a crash leaves the old or
+the new file.  Version 1 shards are not read: rebuild them with `fruitnet
+build-records`.
 
 A build writes each split through write_shard to one shard file,
 `<split>-00000-of-00001.rec`, so a failed build keeps the split it was
-replacing.  A 100 x 100 PPM's raster bytes go into the shard as the file
-holds them; an image of any other size is read as floats, resized to
-100 x 100 and quantized back.
+replacing.  A 100 x 100 (IMAGE_SIDE) PPM's raster bytes go into the shard as
+the file holds them; an image of any other size is read as floats, resized
+to 100 x 100 and quantized back.
 
 A labels file is UTF-8 text, one class name per line; line order defines ids
 1..N and id 0 is reserved for the "nothing" background class, so a network
@@ -195,30 +198,12 @@ def _read_shard(path: Path) -> tuple:
         return labels, np.memmap(fh, dtype=np.uint8, mode="r", offset=_HEADER.size, shape=(count, h, w, 3))
 
 
-def _records(labels: np.ndarray, pixels: np.ndarray) -> Iterator[ExampleRecord]:
+def read_examples(shards: ShardSet) -> Iterator[ExampleRecord]:
+    """Stream a split's records in file order; their pixels are views of a
+    read-only map of the shard."""
+    labels, pixels = _read_shard(shards.path)
     for label, px in zip(labels.tolist(), pixels):
         yield ExampleRecord(label=label, pixels=px)
-
-
-def iter_shard(path) -> Iterator[ExampleRecord]:
-    """Yield the records of one shard file in order; their pixels are views
-    of a read-only map of the file."""
-    yield from _records(*_read_shard(Path(path)))
-
-
-def _image_shard(path: Path) -> tuple:
-    """_read_shard, then a check that the shard holds 100 x 100 x 3 images."""
-    labels, pixels = _read_shard(path)
-    if labels.size and pixels.shape[1:] != (IMAGE_SIDE, IMAGE_SIDE, 3):
-        msg = f"shard holds {pixels.shape[1]}x{pixels.shape[2]}x3 images, expected {IMAGE_SIDE}x{IMAGE_SIDE}x3"
-        raise FormatError(msg, path=path, offset=12)
-    return labels, pixels
-
-
-def read_examples(shards: ShardSet) -> Iterator[ExampleRecord]:
-    """Stream a split's records in file order, once the shard is checked to
-    hold 100 x 100 x 3 images."""
-    yield from _records(*_image_shard(shards.path))
 
 
 def _decode_for_shard(path: Path) -> np.ndarray:
@@ -255,10 +240,9 @@ def _shard_name(split: str) -> str:
     return f"{split}-00000-of-00001.rec"
 
 
-def _build_split(split: str, split_dir: Path, labels, out_dir: Path, pool) -> ShardSet:
+def _build_split(split: str, examples: list, out_dir: Path, pool) -> ShardSet:
     path = out_dir / _shard_name(split)
-    records = _decoded_records(_collect_examples(split_dir, labels), pool)
-    return ShardSet(path=path, split=split, count=write_shard(path, records))
+    return ShardSet(path=path, split=split, count=write_shard(path, _decoded_records(examples, pool)))
 
 
 def build_shards(
@@ -273,17 +257,17 @@ def build_shards(
 
     Returns (train ShardSet, test ShardSet).  Images that are not already
     100 x 100 are resized on ingest.  File order is deterministic: classes in
-    label order, files sorted by name.
+    label order, files sorted by name.  Both trees are listed before either
+    shard is written, so an unknown class directory changes neither.
     """
     if num_threads < 1:
         raise InvalidInputError("num_threads must be >= 1")
     labels = LabelMap.from_file(labels_file)
+    splits = [(split, _collect_examples(Path(d), labels)) for split, d in (("train", train_dir), ("test", test_dir))]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=num_threads) as pool:
-        train_set = _build_split("train", Path(train_dir), labels, out_dir, pool)
-        test_set = _build_split("test", Path(test_dir), labels, out_dir, pool)
-    return train_set, test_set
+        return tuple(_build_split(split, examples, out_dir, pool) for split, examples in splits)
 
 
 def find_shards(records_dir, split: str) -> ShardSet:
@@ -315,7 +299,7 @@ def shuffle_batches(shards: ShardSet, batch_size: int, capacity: int, seed: int,
     for name, value, low in lows:
         if value < low:
             raise InvalidInputError(f"{name} must be >= {low}, got {value}")
-    labels, pixels = _image_shard(shards.path)
+    labels, pixels = _read_shard(shards.path)
     if not labels.size:
         return
     rng = make_rng(seed, STREAM_SHUFFLE)

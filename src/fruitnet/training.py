@@ -4,6 +4,9 @@ the training loop and binary checkpoints.
 The rule's bounds LR_INITIAL and LR_FINAL and the shuffle buffer's size,
 SHUFFLE_RESERVE + batch_size, are the protocol's, not settings; TrainConfig
 holds the run's settings, and its field defaults are the published protocol.
+A split fits a network when it has records, their images have the network's
+input dims and each label has an output; check_split, which train and
+evaluate call before any work, is where that rule lives.
 
 Checkpoint format v2 (little-endian):
 
@@ -43,7 +46,7 @@ from .augmentation import Scenario, augment_draws, preprocess_batch
 from .errors import ConfigurationError, FormatError, InvalidInputError, ShapeError, TrainingDivergedError
 from .layers import Tensor, cross_entropy_loss
 from .network import NetworkConfig, Params, backward, dropout_masks, forward, init_params, param_shapes
-from .records import IMAGE_SIDE, LabelMap, ShardSet, _check_size, _image_shard, _read_header, _replaced_on_success
+from .records import LabelMap, ShardSet, _check_size, _read_header, _read_shard, _replaced_on_success
 from .records import shuffle_batches
 from .seeding import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_INIT, make_rng
 
@@ -258,11 +261,15 @@ def check_channels(scenario: Scenario, net: NetworkConfig, owner: str = "network
         )
 
 
-def check_split_labels(shards: ShardSet, net: NetworkConfig, owner: str = "network") -> None:
-    """Raise ConfigurationError unless the split has records and the network an output for each label."""
-    ids = _image_shard(shards.path)[0]  # the class id of every record
+def check_split(shards: ShardSet, net: NetworkConfig, owner: str = "network") -> None:
+    """Raise ConfigurationError unless the split has records, they have the
+    network's input dims, and the network has an output for each label."""
+    ids, pixels = _read_shard(shards.path)
     if not ids.size:
         raise ConfigurationError(f"shard set {shards.split!r} is empty")
+    (h, w), (net_h, net_w) = pixels.shape[1:3], (net.input_height, net.input_width)
+    if (h, w) != (net_h, net_w):
+        raise ConfigurationError(f"shards hold {h}x{w} images, {owner} expects {net_h}x{net_w}")
     if ids.max() >= net.num_classes:
         raise ConfigurationError(f"shard label {ids.max()} is out of range for a {net.num_classes}-class {owner}")
 
@@ -271,14 +278,6 @@ def check_label_count(labels: LabelMap, net: NetworkConfig) -> None:
     """Raise ConfigurationError unless the label map names one class per network output."""
     if labels.num_classes != net.num_classes:
         raise ConfigurationError(f"label map has {labels.num_classes} classes, network has {net.num_classes}")
-
-
-def check_image_side(net: NetworkConfig, owner: str = "network") -> None:
-    """Raise ConfigurationError unless the network takes the shards' images."""
-    if (net.input_height, net.input_width) != (IMAGE_SIDE, IMAGE_SIDE):
-        raise ConfigurationError(
-            f"shards hold {IMAGE_SIDE}x{IMAGE_SIDE} images, {owner} expects {net.input_height}x{net.input_width}"
-        )
 
 
 def _append_metrics(path, rows):
@@ -362,9 +361,9 @@ def train(
     return it: a fresh run builds it at iteration 0, a resume continues
     `resume_from` itself, whose arrays must be writable (load_checkpoint's
     are).  A resume of another network or labels, or past cfg.iterations, and
-    a shard label the network has no output for, are refused before anything
-    is written or changed.  If train raises, the object's tensors may be past
-    its iteration: resume from the saved file.
+    a split that check_split refuses, are refused before anything is written
+    or changed.  If train raises, the object's tensors may be past its
+    iteration: resume from the saved file.
 
     Each iteration draws a shuffled batch and runs _step on it, with BLAS at
     one thread until train returns.  Every display_interval iterations the
@@ -372,12 +371,12 @@ def train(
     that accuracy, a metrics row is appended and the checkpoint is saved, as
     it is at the end unless the last iteration saved it.  Metrics rows past
     the start are dropped first.  One train at a time writes to out_dir: a
-    second is refused with a ConfigurationError before it writes anything.
+    second is refused with a ConfigurationError before it writes anything, as
+    is a fresh run into a directory that holds a checkpoint.
     """
     check_channels(cfg.scenario, cfg.net)
-    check_image_side(cfg.net)
     check_label_count(labels, cfg.net)
-    check_split_labels(shards, cfg.net)
+    check_split(shards, cfg.net)
 
     state = resume_from
     if state is None:
@@ -397,6 +396,8 @@ def train(
     ckpt_path = out_dir / CHECKPOINT_NAME
     metrics_path = out_dir / METRICS_NAME
     with _sole_writer(out_dir), slice_workers() as run:
+        if resume_from is None and ckpt_path.exists():
+            raise ConfigurationError(f"run directory {out_dir} holds a checkpoint: resume from it, or train elsewhere")
         _keep_metrics_up_to(metrics_path, state.iteration)
         stream = shuffle_batches(shards, cfg.batch_size, SHUFFLE_RESERVE + cfg.batch_size, cfg.seed, state.iteration)
         tick, first = time.perf_counter(), state.iteration + 1

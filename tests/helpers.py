@@ -8,8 +8,8 @@ loop max pooling and the whole-batch pooling formula the pool layer once
 used, central finite differences, a scalar Adam recurrence, the plain
 formulas of the RGB/HSV conversions, the per-image augmentation pipeline
 composed from those formulas, a list shuffle buffer over record numbers,
-a byte-by-byte PPM header parse, and the whole-array truncated-normal
-resampling that weight init once used.  None of them calls into fruitnet,
+a byte-by-byte PPM header parse, a struct-only shard parse, and the
+whole-array truncated-normal resampling that weight init once used.  None of them calls into fruitnet,
 except the float decode that shard builds once made of every PPM, which is
 kept as the library's own float functions composed.
 damage() draws the damaged files that the format fuzz tests feed to the
@@ -18,6 +18,7 @@ readers.
 
 import itertools
 import math
+import struct
 from collections import deque
 
 import numpy as np
@@ -352,6 +353,29 @@ def read_ppm_oracle(data: bytes) -> np.ndarray:
     if len(raster) != need:
         raise PpmOracleError(f"truncated raster: expected {need} bytes, got {len(raster)}", pos)
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
+
+
+def shard_oracle(data: bytes) -> list:
+    """Parse a v2 shard's bytes field by field; returns its (label, uint8
+    (height, width, 3) pixels) pairs in file order.  Raises ValueError on a
+    header of another magic, version or channel count, dims that are not
+    both >= 1 (both 0 when the shard is empty), or a length other than the
+    header describes."""
+    if len(data) < 24:
+        raise ValueError("truncated header")
+    magic, version, count, height, width, channels = struct.unpack_from("<4sIIIII", data)
+    if magic != b"FRRC" or version != 2 or channels != 3:
+        raise ValueError(f"not a v2 RGB shard: {magic!r}, version {version}, {channels} channels")
+    if (height < 1 or width < 1) if count else (height, width) != (0, 0):
+        raise ValueError(f"dims {height}x{width} for {count} records")
+    size = height * width * 3
+    if len(data) != 24 + count * (size + 4):
+        raise ValueError(f"{len(data)} bytes, the header describes {24 + count * (size + 4)}")
+    labels = struct.unpack_from(f"<{count}I", data, 24 + count * size)
+    return [
+        (labels[i], np.frombuffer(data, np.uint8, size, 24 + i * size).reshape(height, width, 3))
+        for i in range(count)
+    ]
 
 
 def decode_for_shard_float_oracle(path) -> np.ndarray:

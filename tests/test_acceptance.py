@@ -44,7 +44,7 @@ from fruitnet.records import (
     LabelMap,
     ShardSet,
     build_shards,
-    iter_shard,
+    read_examples,
     write_shard,
 )
 from fruitnet.seeding import make_rng
@@ -290,7 +290,7 @@ def test_criterion_6_serialization(tmp_path):
         ]
         shard = tmp_path / "train-00000-of-00001.rec"
         write_shard(shard, records)
-        back = list(iter_shard(shard))
+        back = list(read_examples(ShardSet(path=shard, split="train", count=len(records))))
         assert all(np.array_equal(a.pixels, b.pixels) and a.label == b.label for a, b in zip(records, back))
         copy = tmp_path / "copy.rec"
         write_shard(copy, back)

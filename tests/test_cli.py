@@ -620,6 +620,19 @@ def test_an_output_path_that_names_a_file_is_an_error_line(corpus, capsys, comma
     assert taken.read_bytes() == b"not a directory"
 
 
+def test_a_fresh_train_into_an_older_run_exits_1_and_keeps_it(corpus, capsys):
+    tmp_path, parts = corpus
+    pipeline = TestPipeline()
+    pipeline.build(capsys, tmp_path, parts)
+    assert pipeline.train(capsys, tmp_path, parts)[0] == 0
+    model = tmp_path / "model"
+    files = {path.name: path.read_bytes() for path in model.iterdir()}
+    code, _, err = pipeline.train(capsys, tmp_path, parts, iterations=4)
+    assert code == 1
+    assert err.startswith(f"error: run directory {model} holds a checkpoint")
+    assert {path.name: path.read_bytes() for path in model.iterdir()} == files
+
+
 @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
 def test_a_train_into_a_run_directory_another_holds_exits_1_and_deletes_nothing(corpus, capsys, resume):
     tmp_path, parts = corpus

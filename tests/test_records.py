@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fruitnet import evaluation
+from fruitnet.augmentation import Scenario
 from fruitnet.errors import ConfigurationError, FormatError, InvalidInputError
+from fruitnet.evaluation import evaluate
 from fruitnet.imaging import RasterImage, read_ppm, write_ppm
 from fruitnet.records import (
     IMAGE_SIDE,
@@ -21,15 +24,16 @@ from fruitnet.records import (
     _decode_for_shard,
     build_shards,
     find_shards,
-    iter_shard,
     read_examples,
     sequential_batches,
     shuffle_batches,
     write_shard,
 )
+from fruitnet.network import NetworkConfig, init_params
 from fruitnet.seeding import STREAM_SHUFFLE, make_rng
+from fruitnet.training import AdamState, Checkpoint
 
-from helpers import damage, decode_for_shard_float_oracle, shuffle_oracle
+from helpers import damage, decode_for_shard_float_oracle, shard_oracle, shuffle_oracle
 
 
 def make_record(rng, label, side=100) -> ExampleRecord:
@@ -39,6 +43,12 @@ def make_record(rng, label, side=100) -> ExampleRecord:
 def make_records(n, seed=0, side=100):
     rng = np.random.default_rng(seed)
     return [make_record(rng, label=1 + i % 3, side=side) for i in range(n)]
+
+
+def read_back(path) -> list:
+    """The records of one shard file, through read_examples, which reads the
+    file and not the count it is given."""
+    return list(read_examples(ShardSet(path=path, split="train", count=0)))
 
 
 def shard_of(tmp_path, records, name="train-00000-of-00001.rec") -> ShardSet:
@@ -86,22 +96,23 @@ class TestShardFormat:
         records = make_records(7, seed=1)
         path = tmp_path / "t.rec"
         assert write_shard(path, records) == 7
-        back = list(iter_shard(path))
-        assert len(back) == 7
-        for a, b in zip(records, back):
-            assert a.label == b.label
-            assert np.array_equal(a.pixels, b.pixels)
+        back = read_back(path)
+        parsed = shard_oracle(path.read_bytes())
+        assert len(back) == len(parsed) == 7
+        for a, b, (label, pixels) in zip(records, back, parsed):
+            assert a.label == b.label == label
+            assert np.array_equal(a.pixels, b.pixels) and np.array_equal(a.pixels, pixels)
 
     def test_empty_shard_yields_nothing(self, tmp_path):
         path = tmp_path / "empty.rec"
         write_shard(path, [])
-        assert list(iter_shard(path)) == []
+        assert read_back(path) == [] and shard_oracle(path.read_bytes()) == []
 
     def test_bad_magic_reports_offset(self, tmp_path):
         path = tmp_path / "bad.rec"
         path.write_bytes(b"NOPE" + bytes(8))
         with pytest.raises(FormatError) as err:
-            list(iter_shard(path))
+            read_back(path)
         assert err.value.offset == 0
 
     def test_truncated_record_reports_offset(self, tmp_path):
@@ -111,7 +122,7 @@ class TestShardFormat:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 10])
         with pytest.raises(FormatError) as err:
-            list(iter_shard(path))
+            read_back(path)
         assert "truncated" in str(err.value)
         assert err.value.path == path
         assert err.value.offset == len(raw) - 10  # the file ends before the size its header describes
@@ -122,16 +133,21 @@ class TestShardFormat:
         with open(path, "ab") as fh:
             fh.write(b"\xff")
         with pytest.raises(FormatError):
-            list(iter_shard(path))
+            read_back(path)
 
-    def test_read_examples_validates_dims(self, tmp_path):
-        rng = np.random.default_rng(4)
+    def test_a_50x50_shard_reads_back_exactly_and_a_100x100_checkpoint_refuses_it(self, tmp_path, monkeypatch):
+        records = make_records(3, seed=4, side=50)
         path = tmp_path / "small.rec"
-        write_shard(path, [make_record(rng, 1, side=50)])
-        shards = ShardSet(path=path, split="train", count=1)
-        with pytest.raises(FormatError) as err:
-            list(read_examples(shards))
-        assert "50x50" in str(err.value)
+        write_shard(path, records)
+        shards = ShardSet(path=path, split="test", count=3)
+        back = list(read_examples(shards))
+        assert [(r.label, r.pixels.tobytes()) for r in back] == [(r.label, r.pixels.tobytes()) for r in records]
+        net = NetworkConfig(num_classes=4, input_channels=3, conv_maps=(2, 2, 2, 2), fc_sizes=(3, 3))
+        params = init_params(net, make_rng(4))
+        ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, LabelMap.from_names(["a", "b", "c"]))
+        monkeypatch.setattr(evaluation, "forward", lambda *a, **k: pytest.fail("forward pass on a refused split"))
+        with pytest.raises(ConfigurationError, match="shards hold 50x50 images, checkpoint network expects 100x100"):
+            evaluate(ckpt, shards, Scenario.RGB, log=None)
 
 
 class TestBuildShards:
@@ -185,6 +201,18 @@ class TestBuildShards:
         with pytest.raises(InvalidInputError, match="mystery"):
             build_shards(train_dir, test_dir, labels_file, tmp_path / "out")
         assert not list((tmp_path / "out").glob("*.rec"))  # partial outputs removed
+
+    def test_an_unknown_class_in_the_test_tree_changes_neither_shard(self, tmp_path):
+        train_dir, test_dir, labels_file = self.corpus(tmp_path)
+        out = tmp_path / "out"
+        shards = build_shards(train_dir, test_dir, labels_file, out)
+        before = [s.path.read_bytes() for s in shards]
+        write_ppm(RasterImage(np.zeros((100, 100, 3))), train_dir / "alpha" / "new.ppm")  # a train shard to rewrite
+        (test_dir / "stray").mkdir()
+        with pytest.raises(InvalidInputError, match="unknown class name 'stray'"):
+            build_shards(train_dir, test_dir, labels_file, out)
+        assert [s.path.read_bytes() for s in shards] == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(s.path.name for s in shards)
 
     def test_a_failed_rebuild_keeps_the_split_it_was_replacing(self, tmp_path):
         train_dir, test_dir, labels_file = self.corpus(tmp_path)
@@ -321,7 +349,7 @@ def test_record_dims_beyond_the_file_are_a_format_error(tmp_path):
     path = tmp_path / "huge.rec"
     path.write_bytes(b"FRRC" + struct.pack("<IIIII", 2, 1, 2**31, 2**31, 3) + bytes(8))
     with pytest.raises(FormatError) as err:
-        list(iter_shard(path))
+        read_back(path)
     assert err.value.path == path
     assert err.value.offset == 32  # the end of the file, far short of the pixels the header claims
 
@@ -335,7 +363,7 @@ def test_record_dims_must_describe_an_rgb_image(tmp_path, dims):
     path = tmp_path / "dims.rec"
     one_record_shard(path, *dims)
     with pytest.raises(FormatError) as err:
-        list(iter_shard(path))
+        read_back(path)
     assert err.value.path == path
     assert err.value.offset == 12  # the dims fields of the shard header
 
@@ -347,7 +375,7 @@ def test_empty_shard_must_have_zero_dims(tmp_path, dims):
     path = tmp_path / "empty.rec"
     path.write_bytes(b"FRRC" + struct.pack("<IIIII", 2, 0, *dims, 3))
     with pytest.raises(FormatError) as err:
-        list(iter_shard(path))
+        read_back(path)
     assert err.value.path == path
     assert err.value.offset == 12
 
@@ -361,10 +389,10 @@ def test_find_shards_reports_magic_and_version_where_they_are(tmp_path, at, offs
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError) as find_err:
         find_shards(tmp_path, "train")
-    with pytest.raises(FormatError) as iter_err:
-        list(iter_shard(path))
-    assert find_err.value.offset == iter_err.value.offset == offset
-    assert str(find_err.value) == str(iter_err.value)
+    with pytest.raises(FormatError) as read_err:
+        read_back(path)
+    assert find_err.value.offset == read_err.value.offset == offset
+    assert str(find_err.value) == str(read_err.value)
 
 
 _SHARD_RECORDS = make_records(2, seed=4, side=2) + [ExampleRecord(label=7, pixels=np.zeros((2, 2, 3), np.uint8))]
@@ -380,15 +408,18 @@ def test_damaged_shard_is_a_format_error_or_reads_back_exactly(tmp_path_factory,
     damaged = damage(data, path.read_bytes())
     path.write_bytes(damaged)
     try:
-        records = list(iter_shard(path))
+        records = read_back(path)
     except FormatError as err:
         assert err.path == path and 0 <= err.offset <= len(damaged)
+        with pytest.raises(ValueError):
+            shard_oracle(damaged)
         try:
             find_shards(tmp, "train")
         except FormatError as find_err:
             assert find_err.path == path
         return
     assert find_shards(tmp, "train").count == len(records)
+    assert [(r.label, r.pixels.tobytes()) for r in records] == [(n, px.tobytes()) for n, px in shard_oracle(damaged)]
     write_shard(tmp / "again.rec", records)
     assert (tmp / "again.rec").read_bytes() == damaged
 
@@ -423,17 +454,17 @@ def test_rewriting_a_shard_leaves_records_read_from_it_intact(tmp_path):
     path = tmp_path / "train-00000-of-00001.rec"
     old, new = make_records(3, seed=31), make_records(5, seed=32)
     write_shard(path, old)
-    alive = list(iter_shard(path))  # views of the mapped file
+    alive = read_back(path)  # views of the mapped file
     write_shard(path, new)
     for rec, src in zip(alive, old):
         assert np.array_equal(rec.pixels, src.pixels)
-    assert [r.pixels.tobytes() for r in iter_shard(path)] == [r.pixels.tobytes() for r in new]
+    assert [r.pixels.tobytes() for r in read_back(path)] == [r.pixels.tobytes() for r in new]
 
 
 def test_version_1_shard_names_the_rebuild_command(tmp_path):
     path = tmp_path / "train-00000-of-00001.rec"
     path.write_bytes(b"FRRC" + struct.pack("<II", 1, 1) + struct.pack("<IIII", 1, 2, 2, 3) + bytes(12))
-    for read in (lambda: list(iter_shard(path)), lambda: find_shards(tmp_path, "train")):
+    for read in (lambda: read_back(path), lambda: find_shards(tmp_path, "train")):
         with pytest.raises(FormatError, match="build-records") as err:
             read()
         assert err.value.path == path and err.value.offset == 4

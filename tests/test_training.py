@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from fruitnet import _parallel, training
 from fruitnet.augmentation import Scenario
 from fruitnet.errors import ConfigurationError, FormatError, ShapeError, TrainingDivergedError
+from fruitnet.evaluation import evaluate
 from fruitnet.layers import cross_entropy_loss
 from fruitnet.network import NetworkConfig, backward, forward, init_params, param_shapes, preset_configuration
 from fruitnet.records import ExampleRecord, LabelMap, ShardSet, write_shard
@@ -484,7 +485,7 @@ def test_a_network_not_taking_the_shard_images_is_refused_before_anything_is_wri
     [
         # shards built for 3 classes, a run of 2 of them: label 3 has no network output
         (100, 3, ConfigurationError, "shard label 3 is out of range for a 3-class network"),
-        (12, 2, FormatError, "shard holds 12x12x3 images, expected 100x100x3"),
+        (12, 2, ConfigurationError, "shards hold 12x12 images, network expects 100x100"),
     ],
     ids=["label", "dims"],
 )
@@ -495,11 +496,38 @@ def test_a_shard_the_network_cannot_take_is_refused_before_anything_is_written(
     pixels = [np.full((side, side, 3), i, np.uint8) for i in range(6)]
     write_shard(path, [ExampleRecord(label=1 + i % classes, pixels=px) for i, px in enumerate(pixels)])
     shards, labels = ShardSet(path=path, split="train", count=6), LabelMap.from_names(["first", "second"])
-    with pytest.raises(error, match=re.escape(message)) as err:
+    with pytest.raises(error, match=re.escape(message)):
         train(tiny_cfg(iterations=1), shards, tmp_path / "run", labels, log=None)
-    if error is FormatError:
-        assert (err.value.path, err.value.offset) == (path, 12)
     assert not (tmp_path / "run").exists()
+
+
+@given(shard_side=st.integers(1, 16), net_side=st.integers(1, 16), same=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_a_split_fits_a_network_exactly_when_its_images_have_the_network_input_dims(
+    tmp_path_factory, shard_side, net_side, same
+):
+    net_side = shard_side if same else net_side
+    tmp = tmp_path_factory.mktemp("fit")
+    rng = np.random.default_rng(shard_side)
+    path = tmp / "train-00000-of-00001.rec"
+    pixels = rng.integers(0, 256, (5, shard_side, shard_side, 3), np.uint8)
+    write_shard(path, [ExampleRecord(label=1 + i % 2, pixels=px) for i, px in enumerate(pixels)])
+    shards, labels = ShardSet(path=path, split="train", count=5), LabelMap.from_names(["first", "second"])
+    net = replace(TINY_NET, input_height=net_side, input_width=net_side)
+    cfg = tiny_cfg(iterations=1, net=net, display_interval=1)
+    if shard_side != net_side:
+        message = f"shards hold {shard_side}x{shard_side} images, network expects {net_side}x{net_side}"
+        with pytest.raises(ConfigurationError, match=message):
+            train(cfg, shards, tmp / "run", labels, log=None)
+        assert not (tmp / "run").exists()
+        params = init_params(net, make_rng(0))
+        ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, labels)
+        with pytest.raises(ConfigurationError, match=f"checkpoint network expects {net_side}x{net_side}"):
+            evaluate(ckpt, shards, Scenario.RGB, log=None)
+        return
+    ckpt = train(cfg, shards, tmp / "run", labels, log=None)
+    assert ckpt.iteration == 1
+    assert evaluate(ckpt, shards, Scenario.RGB, log=None).total_images == 5
 
 
 def test_train_draws_through_a_buffer_of_35000_plus_the_batch(tmp_path, monkeypatch):
@@ -932,9 +960,24 @@ def test_a_train_into_a_run_directory_another_holds_is_refused_and_changes_nothi
     with _flock_held_on(run), pytest.raises(ConfigurationError, match=re.escape(f"run directory {run} is in use")):
         train(_aug_cfg(4), shards, run, labels, resume_from=resume_from, log=None)
     assert {path.name: path.read_bytes() for path in run.iterdir()} == files
+    if not resume:  # a fresh run starts only where no checkpoint is
+        (run / training.CHECKPOINT_NAME).unlink()
     # the lock goes with its holder, and the refused run leaves none behind
     train(_aug_cfg(4), shards, run, labels, resume_from=resume_from, log=None)
     assert sorted(path.name for path in run.iterdir()) == sorted(_RUN_FILES)
+
+
+def test_a_fresh_train_into_a_directory_that_holds_a_checkpoint_is_refused_and_changes_nothing(tmp_path):
+    shards, labels = tiny_corpus(tmp_path)
+    run = tmp_path / "run"
+    train(_aug_cfg(2), shards, run, labels, log=None)
+    files = {path.name: path.read_bytes() for path in run.iterdir()}
+    with pytest.raises(ConfigurationError, match=re.escape(f"run directory {run} holds a checkpoint")):
+        train(_aug_cfg(4), shards, run, labels, log=None)
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == files
+    # the older run is still whole: a resume from it carries on
+    assert train(_aug_cfg(4), shards, run, labels, resume_from=load_checkpoint(run / training.CHECKPOINT_NAME),
+                 log=None).iteration == 4
 
 
 # a fresh train of the pickled (cfg, shards, labels) in argv[1] into the run directory argv[2]
