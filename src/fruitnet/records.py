@@ -18,10 +18,11 @@ the new file.  Version 1 shards are not read: rebuild them with `fruitnet
 build-records`.
 
 A build writes each split through write_shard to one shard file,
-`<split>-00000-of-00001.rec`, so a failed build keeps the split it was
-replacing.  A 100 x 100 (IMAGE_SIDE) PPM's raster bytes go into the shard as
-the file holds them; an image of any other size is read as floats, resized
-to 100 x 100 and quantized back.
+`<split>-00000-of-00001.rec`, and replaces the two shards only once both
+are written, so a failed build keeps the pair it was replacing.  A 100 x
+100 (IMAGE_SIDE) PPM's raster bytes go into the shard as the file holds
+them; an image of any other size is read as floats, resized to 100 x 100
+and quantized back.
 
 A labels file is UTF-8 text, one class name per line; line order defines ids
 1..N and id 0 is reserved for the "nothing" background class, so a network
@@ -30,7 +31,9 @@ names "nothing", is refused.
 """
 
 import os
+import shutil
 import struct
+import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -240,11 +243,6 @@ def _shard_name(split: str) -> str:
     return f"{split}-00000-of-00001.rec"
 
 
-def _build_split(split: str, examples: list, out_dir: Path, pool) -> ShardSet:
-    path = out_dir / _shard_name(split)
-    return ShardSet(path=path, split=split, count=write_shard(path, _decoded_records(examples, pool)))
-
-
 def build_shards(
     train_dir,
     test_dir,
@@ -257,8 +255,9 @@ def build_shards(
 
     Returns (train ShardSet, test ShardSet).  Images that are not already
     100 x 100 are resized on ingest.  File order is deterministic: classes in
-    label order, files sorted by name.  Both trees are listed before either
-    shard is written, so an unknown class directory changes neither.
+    label order, files sorted by name.  Both trees are listed, and both
+    splits written through write_shard into a new directory under out_dir,
+    before either shard is replaced, so a build that fails changes neither.
     """
     if num_threads < 1:
         raise InvalidInputError("num_threads must be >= 1")
@@ -266,8 +265,17 @@ def build_shards(
     splits = [(split, _collect_examples(Path(d), labels)) for split, d in (("train", train_dir), ("test", test_dir))]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=num_threads) as pool:
-        return tuple(_build_split(split, examples, out_dir, pool) for split, examples in splits)
+    names = [_shard_name(split) for split, _ in splits]
+    stage = Path(tempfile.mkdtemp(prefix="build-", suffix=".tmp", dir=out_dir))
+    try:
+        with ThreadPoolExecutor(max_workers=num_threads) as pool:
+            counts = [write_shard(stage / name, _decoded_records(ex, pool)) for name, (_, ex) in zip(names, splits)]
+        for name in names:
+            os.replace(stage / name, out_dir / name)
+        _fsync(out_dir)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return tuple(ShardSet(out_dir / name, split, count) for name, (split, _), count in zip(names, splits, counts))
 
 
 def find_shards(records_dir, split: str) -> ShardSet:

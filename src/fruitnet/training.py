@@ -8,24 +8,30 @@ A split fits a network when it has records, their images have the network's
 input dims and each label has an output; check_split, which train and
 evaluate call before any work, is where that rule lives.
 
-Checkpoint format v2 (little-endian):
+Checkpoint format v3 (little-endian):
 
-    header: magic "FRCK" | version u32 = 2
-            | iteration u64 | adam step u64 | learning rate f64
-            | num_classes u32 | input_channels u32 | kernel u32 | input_h u32
-            | input_w u32 | conv_maps u32 x 4 | fc_sizes u32 x 2
-    labels: count u32 = num_classes, then per name: byte length u32 + UTF-8 bytes
+    header:  magic "FRCK" | version u32 = 3
+             | iteration u64 | adam step u64 | learning rate f64
+             | num_classes u32 | input_channels u32 | kernel u32 | input_h u32
+             | input_w u32 | conv_maps u32 x 4 | fc_sizes u32 x 2
+    labels:  count u32 = num_classes, then per name: byte length u32 + UTF-8 bytes
+    padding: zero bytes up to the next multiple of 4096
     tensors: float32, params then Adam m then Adam v, each in param_shapes order
 
 The network config fixes every tensor's name, order and shape, so the file
-stores none of them, and the header plus the labels fix the file size.
-Checkpoints written before version 2 are not read.  Training state is
-float32, so a save/load/save cycle is byte-identical.  train advances one
-Checkpoint in place, the loaded one itself on a resume, and a resumed run
-continues the uninterrupted one bit for bit: augmentation and dropout streams
-are derived from (seed, iteration), and the shuffled batch stream starts at
-the checkpoint's iteration by redrawing the skipped batches' buffer slots,
-without building those batches.
+stores none of them, and the header plus the labels fix the file size.  The
+tensor block starts on a 4096-byte boundary: load_checkpoint maps it
+copy-on-write with every tensor aligned, so inference faults in the params'
+pages alone, and a resume's first Adam step turns each moment page private
+once.  save_checkpoint renames a new file over the old one, so a live map
+keeps the bytes it was loaded from.  Checkpoints written before version 3
+are not read.  Training state is float32, so a save/load/save cycle is
+byte-identical.  train advances one Checkpoint in place, the loaded one
+itself on a resume, and a resumed run continues the uninterrupted one bit
+for bit: augmentation and dropout streams are derived from (seed,
+iteration), and the shuffled batch stream starts at the checkpoint's
+iteration by redrawing the skipped batches' buffer slots, without building
+those batches.
 """
 
 import csv
@@ -51,11 +57,12 @@ from .records import shuffle_batches
 from .seeding import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_INIT, make_rng
 
 CHECKPOINT_MAGIC = b"FRCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # magic, version, iteration, adam step, learning rate, then the network block:
 # num_classes, input channels, kernel, input height and width, 4 conv maps, 2 fc sizes
 _HEADER = struct.Struct("<4sIQQd5I4I2I")
 _NETWORK_AT = 32
+_TENSOR_ALIGN = 4096  # the tensor block starts at a multiple of this many bytes
 CHECKPOINT_NAME = "checkpoint.frck"
 METRICS_NAME = "metrics.csv"
 _METRICS_HEADER = b"iteration,loss,batch_accuracy,learning_rate\r\n"  # csv.writer's line end, as the rows
@@ -184,6 +191,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     )
     names = [name.encode("utf-8") for name in ckpt.labels.names]
     head += struct.pack("<I", len(names)) + b"".join(struct.pack("<I", len(raw)) + raw for raw in names)
+    head += bytes(-len(head) % _TENSOR_ALIGN)
     with _replaced_on_success(Path(path)) as tmp, open(tmp, "wb") as f:
         f.write(head)
         for group in groups:
@@ -222,11 +230,13 @@ def _read_labels(fh, num_classes: int, end: int, size: int, path) -> LabelMap:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint back to a bit-identical training state.  The file
-    size is checked before the tensor block is read, in one pass, into one
-    array; the params and both Adam moments are views of it."""
+    size and the zero padding are checked before the tensor block is mapped
+    copy-on-write; the params and both Adam moments are writable, aligned
+    views of that one map, so no tensor is read until it is used, and a write
+    to one never reaches the file."""
     path = Path(path)
     with open(path, "rb") as fh:
-        hint = "checkpoints written before version 2 cannot be loaded"
+        hint = "checkpoints written before version 3 cannot be loaded"
         fields, size = _read_header(fh, path, _HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint", hint)
         _, _, iteration, adam_t, lr, num_classes, channels, kernel, in_h, in_w, *maps = fields
         try:
@@ -240,8 +250,14 @@ def load_checkpoint(path) -> Checkpoint:
         sizes = [math.prod(shape) for shape in shapes.values()]  # exact ints, however large the dims
         tensor_bytes = 3 * 4 * sum(sizes)
         labels = _read_labels(fh, num_classes, size - tensor_bytes, size, path)
-        _check_size(path, size, fh.tell() + tensor_bytes, "checkpoint", "the header and labels describe")
-        block = np.fromfile(fh, dtype="<f4", count=tensor_bytes // 4)
+        labels_end = fh.tell()
+        tensors_at = labels_end + -labels_end % _TENSOR_ALIGN
+        _check_size(path, size, tensors_at + tensor_bytes, "checkpoint", "the header and labels describe")
+        padding = fh.read(tensors_at - labels_end)
+        if any(padding):
+            at = labels_end + len(padding) - len(padding.lstrip(b"\0"))
+            raise FormatError("checkpoint padding byte is not zero", path=path, offset=at)
+        block = np.memmap(fh, dtype="<f4", mode="c", offset=tensors_at, shape=tensor_bytes // 4).view(np.ndarray)
 
     ends = np.cumsum(sizes)[:-1]
     params, m, v = (
@@ -360,10 +376,11 @@ def train(
     """Run the training protocol on one Checkpoint, advanced in place, and
     return it: a fresh run builds it at iteration 0, a resume continues
     `resume_from` itself, whose arrays must be writable (load_checkpoint's
-    are).  A resume of another network or labels, or past cfg.iterations, and
-    a split that check_split refuses, are refused before anything is written
-    or changed.  If train raises, the object's tensors may be past its
-    iteration: resume from the saved file.
+    writable arrays are copy-on-write views of the file it read).  A resume
+    of another network or labels, or past cfg.iterations, and a split that
+    check_split refuses, are refused before anything is written or changed.
+    If train raises, the object's tensors may be past its iteration: resume
+    from the saved file.
 
     Each iteration draws a shuffled batch and runs _step on it, with BLAS at
     one thread until train returns.  Every display_interval iterations the

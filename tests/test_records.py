@@ -214,6 +214,19 @@ class TestBuildShards:
         assert [s.path.read_bytes() for s in shards] == before
         assert sorted(p.name for p in out.iterdir()) == sorted(s.path.name for s in shards)
 
+    def test_a_malformed_test_image_changes_neither_shard(self, tmp_path):
+        train_dir, test_dir, labels_file = self.corpus(tmp_path)
+        out = tmp_path / "out"
+        shards = build_shards(train_dir, test_dir, labels_file, out)
+        before = [hashlib.sha256(s.path.read_bytes()).hexdigest() for s in shards]
+        write_ppm(RasterImage(np.zeros((100, 100, 3))), train_dir / "alpha" / "new.ppm")  # a train shard to rewrite
+        bad = test_dir / "beta" / "2.ppm"
+        bad.write_bytes(bad.read_bytes()[:-1])
+        with pytest.raises(FormatError):
+            build_shards(train_dir, test_dir, labels_file, out)
+        assert [hashlib.sha256(s.path.read_bytes()).hexdigest() for s in shards] == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(s.path.name for s in shards)
+
     def test_a_failed_rebuild_keeps_the_split_it_was_replacing(self, tmp_path):
         train_dir, test_dir, labels_file = self.corpus(tmp_path)
         out = tmp_path / "out"

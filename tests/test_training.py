@@ -660,7 +660,7 @@ def test_a_version_1_checkpoint_is_refused_at_offset_4(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4:8] = struct.pack("<I", 1)
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="checkpoints written before version 2 cannot be loaded") as err:
+    with pytest.raises(FormatError, match="checkpoints written before version 3 cannot be loaded") as err:
         load_checkpoint(path)
     assert err.value.offset == 4
 
@@ -679,7 +679,7 @@ _small_nets = st.builds(
 
 @given(net=_small_nets, data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_v2_round_trip_is_exact_and_holds_only_the_state(tmp_path_factory, net, data):
+def test_v3_round_trip_is_exact_and_holds_only_the_state(tmp_path_factory, net, data):
     names = data.draw(
         st.lists(st.text(max_size=6), min_size=net.num_classes - 1, max_size=net.num_classes - 1, unique=True)
     )
@@ -692,7 +692,7 @@ def test_v2_round_trip_is_exact_and_holds_only_the_state(tmp_path_factory, net, 
         data.draw(st.floats(allow_nan=False), label="lr"),
         LabelMap.from_names(names),
     )
-    tmp = tmp_path_factory.mktemp("v2")
+    tmp = tmp_path_factory.mktemp("v3")
     save_checkpoint(ckpt, tmp / "a.frck")
     back = load_checkpoint(tmp / "a.frck")
     assert (back.config, back.labels, back.iteration, back.learning_rate, back.adam.t) == (
@@ -702,11 +702,12 @@ def test_v2_round_trip_is_exact_and_holds_only_the_state(tmp_path_factory, net, 
         assert list(loaded) == list(shapes)
         for key in shapes:
             assert loaded[key].dtype == np.float32 and np.array_equal(loaded[key], group[key]), key
-    # the fixed header, the labels and the float32 tensors: no names, dims or other fields
+    # the fixed header and the labels, padded to 4096 bytes, then the float32
+    # tensors: no names, dims or other fields
     label_bytes = 4 + sum(4 + len(name.encode("utf-8")) for name in ckpt.labels.names)
     tensor_bytes = 3 * 4 * sum(math.prod(s) for s in shapes.values())
     raw = (tmp / "a.frck").read_bytes()
-    assert len(raw) == 76 + label_bytes + tensor_bytes
+    assert len(raw) == -(-(76 + label_bytes) // 4096) * 4096 + tensor_bytes
     save_checkpoint(back, tmp / "b.frck")
     assert (tmp / "b.frck").read_bytes() == raw
 
@@ -778,6 +779,109 @@ def test_loading_a_preset_1_checkpoint_reads_the_tensors_once(tmp_path):
         tracemalloc.stop()
     assert peak < 1.1 * tensor_bytes, f"load_checkpoint peaked at {peak / 1e6:.1f} MB for {tensor_bytes / 1e6:.1f} MB"
     assert all(np.array_equal(back.params[k], params[k]) for k in params)
+
+
+def _labels_end(ckpt: Checkpoint) -> int:
+    """Where the label block ends: the fixed header, the name count, then each name's length and bytes."""
+    return 76 + 4 + sum(4 + len(name.encode("utf-8")) for name in ckpt.labels.names)
+
+
+def _tensor_bytes(ckpt: Checkpoint) -> bytes:
+    return b"".join(group[key].astype("<f4").tobytes() for group in (ckpt.params, ckpt.adam.m, ckpt.adam.v)
+                    for key in param_shapes(ckpt.config))
+
+
+@given(names=st.lists(st.text(max_size=3000).filter(lambda name: name != "nothing"), max_size=4, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_the_tensor_block_starts_at_a_multiple_of_4096_after_zero_padding(tmp_path_factory, names):
+    net = replace(_FUZZ_NET, num_classes=len(names) + 1)
+    params = init_params(net, make_rng(2, STREAM_INIT))
+    ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 5, 0.001, LabelMap.from_names(names))
+    path = tmp_path_factory.mktemp("aligned") / "c.frck"
+    save_checkpoint(ckpt, path)
+    raw = path.read_bytes()
+    tensors = _tensor_bytes(ckpt)
+    at = len(raw) - len(tensors)
+    labels_end = _labels_end(ckpt)
+    assert at % 4096 == 0 and at - 4096 < labels_end <= at
+    assert not any(raw[labels_end:at]) and raw[at:] == tensors
+
+
+def test_every_loaded_tensor_is_a_plain_writable_aligned_array(tmp_path):
+    save_checkpoint(make_checkpoint(), tmp_path / "c.frck")
+    back = load_checkpoint(tmp_path / "c.frck")
+    for group in (back.params, back.adam.m, back.adam.v):
+        for key, tensor in group.items():
+            assert type(tensor) is np.ndarray, key
+            assert tensor.flags.writeable and tensor.flags.aligned, key
+    assert back.params["conv1_w"].ctypes.data % 4096 == 0  # the block's first tensor starts a page
+
+
+def test_loading_a_preset_1_checkpoint_reads_no_tensor_into_the_heap(tmp_path):
+    cfg = preset_configuration(1, num_classes=5)
+    params = init_params(cfg, make_rng(0, STREAM_INIT))
+    ckpt = Checkpoint(cfg, params, AdamState.zeros_like(params), 1, 0.001, LabelMap.from_names(list("abcd")))
+    save_checkpoint(ckpt, tmp_path / "c.frck")
+    tracemalloc.start()
+    try:
+        back = load_checkpoint(tmp_path / "c.frck")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"load_checkpoint peaked at {peak / 1e6:.1f} MB"
+    assert all(np.array_equal(back.params[k], params[k]) for k in params)
+
+
+def test_a_loaded_checkpoint_keeps_its_values_when_its_file_is_saved_over(tmp_path):
+    path = tmp_path / "c.frck"
+    first = make_checkpoint(0)
+    save_checkpoint(first, path)
+    loaded = load_checkpoint(path)
+    save_checkpoint(make_checkpoint(1), path)  # a new file renamed over the loaded one
+    for group, kept in ((first.params, loaded.params), (first.adam.m, loaded.adam.m), (first.adam.v, loaded.adam.v)):
+        for key in group:
+            assert np.array_equal(kept[key], group[key]), key
+
+
+def test_writing_to_a_loaded_checkpoint_never_writes_its_file(tmp_path):
+    path = tmp_path / "c.frck"
+    save_checkpoint(make_checkpoint(), path)
+    raw = path.read_bytes()
+    loaded = load_checkpoint(path)
+    for group in (loaded.params, loaded.adam.m, loaded.adam.v):
+        for tensor in group.values():
+            tensor += 1.0
+    del loaded
+    assert path.read_bytes() == raw
+
+
+@pytest.mark.parametrize("flipped", [["first"], ["last"], ["last", "first"]], ids=["first", "last", "both"])
+def test_a_padding_byte_that_is_not_zero_is_a_format_error_at_the_first_such_offset(tmp_path, flipped):
+    ckpt = make_checkpoint()
+    path = tmp_path / "c.frck"
+    save_checkpoint(ckpt, path)
+    raw = bytearray(path.read_bytes())
+    offsets = {"first": _labels_end(ckpt), "last": 4095}
+    for name in flipped:
+        raw[offsets[name]] = 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="padding byte is not zero") as err:
+        load_checkpoint(path)
+    assert (err.value.path, err.value.offset) == (path, min(offsets[name] for name in flipped))
+
+
+def test_a_version_2_checkpoint_is_refused_at_offset_4(tmp_path):
+    # a v2 file: the v3 layout without the padding
+    ckpt = make_checkpoint()
+    path = tmp_path / "v2.frck"
+    save_checkpoint(ckpt, path)
+    raw = path.read_bytes()
+    labels_end = _labels_end(ckpt)
+    tensors = _tensor_bytes(ckpt)
+    path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:labels_end] + tensors)
+    with pytest.raises(FormatError, match="unsupported checkpoint version 2; checkpoints written before version 3") as err:
+        load_checkpoint(path)
+    assert (err.value.path, err.value.offset) == (path, 4)
 
 
 def test_a_fresh_run_equals_a_resume_from_its_own_iteration_0_checkpoint(tmp_path):
