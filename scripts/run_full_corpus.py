@@ -6,7 +6,8 @@ folder per class, PPM images (convert JPEGs beforehand; decoding is out of
 scope).  Trains for 75000 iterations with batches of 60 by default, then
 reports the test accuracy.  Published reference accuracies for the five
 scenarios on the full fruit corpus are recorded in
-fruitnet.evaluation.REFERENCE_TEST_ACCURACY.
+fruitnet.evaluation.REFERENCE_TEST_ACCURACY.  --resume continues the saved
+checkpoint, and train refuses one trained on another --scenario.
 
 This is a long CPU run; expect days rather than minutes at full scale.
 """
@@ -22,7 +23,7 @@ from fruitnet.errors import ConfigurationError
 from fruitnet.evaluation import REFERENCE_TEST_ACCURACY, evaluate
 from fruitnet.network import preset_configuration
 from fruitnet.records import LabelMap, _replaced_on_success, build_shards, find_shards
-from fruitnet.training import TrainConfig, load_checkpoint, train
+from fruitnet.training import CHECKPOINT_NAME, TrainConfig, load_checkpoint, train
 
 
 def main() -> int:
@@ -71,16 +72,16 @@ def main() -> int:
         batch_size=args.batch_size, seed=args.seed,
     )
     resume_from = None
-    ckpt_path = work / "model" / "checkpoint.frck"
+    ckpt_path = work / "model" / CHECKPOINT_NAME
     if args.resume and ckpt_path.exists():
         resume_from = load_checkpoint(ckpt_path)
         print(f"resuming from iteration {resume_from.iteration}")
 
     ckpt = train(cfg, train_set, work / "model", labels, resume_from=resume_from)
-    report = evaluate(ckpt, test_set, scenario, batch_size=args.batch_size)
+    report = evaluate(ckpt, test_set, ckpt.scenario, batch_size=args.batch_size)
     print(report.format_text())
-    reference = REFERENCE_TEST_ACCURACY[scenario]
-    print(f"reference test accuracy for {scenario.value}: {reference:.2%}")
+    reference = REFERENCE_TEST_ACCURACY[ckpt.scenario]
+    print(f"reference test accuracy for {ckpt.scenario.value}: {reference:.2%}")
     with _replaced_on_success(work / "report.json") as tmp:
         tmp.write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"json report: {work / 'report.json'}")

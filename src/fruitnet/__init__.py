@@ -6,7 +6,7 @@ accuracy-driven learning-rate rule, evaluation with per-class mislabel
 accounting, and single-image prediction.
 """
 
-from .augmentation import Scenario, preprocess
+from .augmentation import Scenario
 from .errors import (
     ConfigurationError,
     FormatError,
@@ -33,20 +33,15 @@ from .records import (
     build_shards,
     find_shards,
     read_examples,
-    sequential_batches,
-    shuffle_batches,
 )
 from .synthetic import generate_corpus
 from .training import (
     AdamState,
     Checkpoint,
     TrainConfig,
-    adam_step,
-    batch_accuracy,
     load_checkpoint,
     save_checkpoint,
     train,
-    update_learning_rate,
 )
 
 __version__ = "0.1.0"

@@ -34,6 +34,7 @@ FLIP_PROB = 0.5
 class Scenario(Enum):
     """The five input pipelines compared in the experiments."""
 
+    # a checkpoint stores its scenario as the index in this order; never reorder
     GRAY = "gray"
     RGB = "rgb"
     HSV = "hsv"

@@ -15,6 +15,7 @@ completed.  A failed command removes its partial outputs, never older files,
 and an output path that names a file is refused before anything is written.
 train is the exception: whatever stops it, its directory keeps the last
 checkpoint and the metrics rows up to it, so the run can continue with --resume.
+train records its --scenario in the checkpoint; test and predict read it there.
 """
 
 import argparse
@@ -72,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--use-train", action="store_true", help="evaluate the train split instead of the test split")
-    p.add_argument("--scenario", default="hsv_gray_aug")
     p.add_argument("--records-dir", default=None)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--json-out", default=None, help="where to write the JSON report")
@@ -80,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="classify one PPM image")
     p.add_argument("--image_path", required=True)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--scenario", default="hsv_gray_aug")
 
     p = sub.add_parser("gen-synthetic", help="emit a labeled synthetic corpus")
     p.add_argument("--output_directory", required=True)
@@ -233,8 +232,8 @@ def _cmd_test(args, project: ProjectConfig) -> int:
             raise ConfigurationError(f"--json-out {json_path} is the {what} the evaluation reads")
 
     ckpt = load_checkpoint(ckpt_path)
-    scenario = Scenario.from_tag(args.scenario)
-    report = evaluate(ckpt, shards, scenario, batch_size=args.batch_size)
+    print(f"scenario: {ckpt.scenario.value}")
+    report = evaluate(ckpt, shards, ckpt.scenario, batch_size=args.batch_size)
     print(f"final accuracy on the {split} set: {report.accuracy:.4f}")
     print(report.format_text())
 
@@ -249,8 +248,7 @@ def _cmd_predict(args, project: ProjectConfig) -> int:
     ckpt_path = _checkpoint_path(args, project)
     image_path = _existing_file(Path(args.image_path), "--image_path")
     ckpt = load_checkpoint(ckpt_path)
-    scenario = Scenario.from_tag(args.scenario)
-    prediction = predict_image(ckpt, read_ppm(image_path), scenario)
+    prediction = predict_image(ckpt, read_ppm(image_path), ckpt.scenario)
     print(
         f"Label index: {prediction.class_id} ({prediction.class_name}), "
         f"probability: {prediction.probability:.4f}"

@@ -4,8 +4,8 @@ prediction.
 evaluate checks once that a split fits the checkpoint's network, then reads
 its 8-bit records and preprocesses them a batch at a time; predict_image
 takes one RGB RasterImage of any size (the type has already checked it),
-resizes it to the network's input and runs preprocess on it.  Neither
-augments or draws random numbers."""
+resizes it to the network's input and runs preprocess on it.  Both refuse
+a scenario not the checkpoint's; neither augments or draws random numbers."""
 
 import json
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from .imaging import RasterImage, resize_bilinear
 from .layers import softmax
 from .network import forward
 from .records import ShardSet, read_examples, sequential_batches
-from .training import Checkpoint, check_channels, check_split
+from .training import Checkpoint, check_channels, check_scenario, check_split
 
 # published benchmark test accuracies on the full fruit corpus (46371 train /
 # 15563 test images, 75000 iterations); documentation only, never asserted
@@ -81,10 +81,11 @@ def evaluate(
 ) -> EvalReport:
     """Classify every record once (sequential batches, keep_prob 1, test-mode
     preprocessing) and tally accuracy and per-class mislabels, after refusing
-    an empty split, images of other dims than the checkpoint network's input,
-    or a label past its outputs.  Batches run as two slices on the worker
-    threads, with BLAS at one thread until evaluate returns."""
+    a scenario not the checkpoint's, an empty split, images of other dims than
+    the network's input, or a label past its outputs.  Batches run as two
+    slices on the worker threads, with BLAS at one thread until it returns."""
     check_channels(scenario, ckpt.config, "checkpoint network")
+    check_scenario(scenario, ckpt)
     check_split(shards, ckpt.config, "checkpoint network")
     misses = np.zeros(ckpt.config.num_classes, dtype=np.int64)  # per true class
     total = correct = 0
@@ -110,6 +111,7 @@ def predict_image(ckpt: Checkpoint, image: RasterImage, scenario: Scenario) -> P
     """Classify one RGB image of any size; returns the argmax class and its
     softmax probability."""
     check_channels(scenario, ckpt.config, "checkpoint network")
+    check_scenario(scenario, ckpt)
     side = (ckpt.config.input_height, ckpt.config.input_width)
     if (image.height, image.width) != side:
         image = resize_bilinear(image, *side)

@@ -8,12 +8,13 @@ A split fits a network when it has records, their images have the network's
 input dims and each label has an output; check_split, which train and
 evaluate call before any work, is where that rule lives.
 
-Checkpoint format v3 (little-endian):
+Checkpoint format v4 (little-endian):
 
-    header:  magic "FRCK" | version u32 = 3
+    header:  magic "FRCK" | version u32 = 4
              | iteration u64 | adam step u64 | learning rate f64
              | num_classes u32 | input_channels u32 | kernel u32 | input_h u32
              | input_w u32 | conv_maps u32 x 4 | fc_sizes u32 x 2
+             | scenario u32, its index in tuple(Scenario)
     labels:  count u32 = num_classes, then per name: byte length u32 + UTF-8 bytes
     padding: zero bytes up to the next multiple of 4096
     tensors: float32, params then Adam m then Adam v, each in param_shapes order
@@ -24,9 +25,10 @@ tensor block starts on a 4096-byte boundary: load_checkpoint maps it
 copy-on-write with every tensor aligned, so inference faults in the params'
 pages alone, and a resume's first Adam step turns each moment page private
 once.  save_checkpoint renames a new file over the old one, so a live map
-keeps the bytes it was loaded from.  Checkpoints written before version 3
-are not read.  Training state is float32, so a save/load/save cycle is
-byte-identical.  train advances one Checkpoint in place, the loaded one
+keeps the bytes it was loaded from.  Checkpoints written before version 4
+are not read.  A checkpoint's scenario is the one its network learned, and
+check_scenario refuses any other.  Training state is float32, so a
+save/load/save cycle is byte-identical.  train advances one Checkpoint in place, the loaded one
 itself on a resume, and a resumed run continues the uninterrupted one bit
 for bit: augmentation and dropout streams are derived from (seed,
 iteration), and the shuffled batch stream starts at the checkpoint's
@@ -57,11 +59,12 @@ from .records import shuffle_batches
 from .seeding import STREAM_AUGMENT, STREAM_DROPOUT, STREAM_INIT, make_rng
 
 CHECKPOINT_MAGIC = b"FRCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # magic, version, iteration, adam step, learning rate, then the network block:
-# num_classes, input channels, kernel, input height and width, 4 conv maps, 2 fc sizes
-_HEADER = struct.Struct("<4sIQQd5I4I2I")
-_NETWORK_AT = 32
+# num_classes, input channels, kernel, input height and width, 4 conv maps, 2 fc sizes;
+# then the scenario's index in tuple(Scenario), whose order augmentation.py never changes
+_HEADER = struct.Struct("<4sIQQd5I4I2II")
+_NETWORK_AT, _SCENARIO_AT = 32, 76
 _TENSOR_ALIGN = 4096  # the tensor block starts at a multiple of this many bytes
 CHECKPOINT_NAME = "checkpoint.frck"
 METRICS_NAME = "metrics.csv"
@@ -118,6 +121,7 @@ class Checkpoint:
     iteration: int
     learning_rate: float
     labels: LabelMap
+    scenario: Scenario = Scenario.HSV_GRAY_AUG  # the published protocol's
 
 
 def update_learning_rate(acc: float, lr_initial: float = LR_INITIAL, lr_final: float = LR_FINAL) -> float:
@@ -187,7 +191,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     head = _HEADER.pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION, ckpt.iteration, ckpt.adam.t, ckpt.learning_rate,
         cfg.num_classes, cfg.input_channels, cfg.kernel_size, cfg.input_height, cfg.input_width,
-        *cfg.conv_maps, *cfg.fc_sizes,
+        *cfg.conv_maps, *cfg.fc_sizes, tuple(Scenario).index(ckpt.scenario),
     )
     names = [name.encode("utf-8") for name in ckpt.labels.names]
     head += struct.pack("<I", len(names)) + b"".join(struct.pack("<I", len(raw)) + raw for raw in names)
@@ -236,9 +240,9 @@ def load_checkpoint(path) -> Checkpoint:
     to one never reaches the file."""
     path = Path(path)
     with open(path, "rb") as fh:
-        hint = "checkpoints written before version 3 cannot be loaded"
+        hint = "checkpoints written before version 4 cannot be loaded"
         fields, size = _read_header(fh, path, _HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint", hint)
-        _, _, iteration, adam_t, lr, num_classes, channels, kernel, in_h, in_w, *maps = fields
+        _, _, iteration, adam_t, lr, num_classes, channels, kernel, in_h, in_w, *maps, scenario = fields
         try:
             cfg = NetworkConfig(
                 num_classes, input_channels=channels, conv_maps=maps[:4], fc_sizes=maps[4:],
@@ -246,6 +250,8 @@ def load_checkpoint(path) -> Checkpoint:
             )
         except InvalidInputError as exc:
             raise FormatError(f"invalid network config: {exc}", path=path, offset=_NETWORK_AT) from None
+        if scenario >= len(Scenario):
+            raise FormatError(f"no scenario has index {scenario}", path=path, offset=_SCENARIO_AT)
         shapes = param_shapes(cfg)
         sizes = [math.prod(shape) for shape in shapes.values()]  # exact ints, however large the dims
         tensor_bytes = 3 * 4 * sum(sizes)
@@ -265,7 +271,7 @@ def load_checkpoint(path) -> Checkpoint:
         for group in block.reshape(3, -1)
     )
     adam = AdamState(m=m, v=v, t=adam_t)
-    return Checkpoint(config=cfg, params=params, adam=adam, iteration=iteration, learning_rate=lr, labels=labels)
+    return Checkpoint(cfg, params, adam, iteration, lr, labels, tuple(Scenario)[scenario])
 
 
 def check_channels(scenario: Scenario, net: NetworkConfig, owner: str = "network") -> None:
@@ -275,6 +281,12 @@ def check_channels(scenario: Scenario, net: NetworkConfig, owner: str = "network
             f"scenario {scenario.value} feeds {scenario.input_channels} channels, "
             f"{owner} expects {net.input_channels}"
         )
+
+
+def check_scenario(scenario: Scenario, ckpt: Checkpoint) -> None:
+    """Raise ConfigurationError unless the scenario is the one the checkpoint was trained on."""
+    if scenario is not ckpt.scenario:
+        raise ConfigurationError(f"checkpoint was trained on scenario {ckpt.scenario.value}, not {scenario.value}")
 
 
 def check_split(shards: ShardSet, net: NetworkConfig, owner: str = "network") -> None:
@@ -376,8 +388,8 @@ def train(
     """Run the training protocol on one Checkpoint, advanced in place, and
     return it: a fresh run builds it at iteration 0, a resume continues
     `resume_from` itself, whose arrays must be writable (load_checkpoint's
-    writable arrays are copy-on-write views of the file it read).  A resume
-    of another network or labels, or past cfg.iterations, and a split that
+    writable arrays are copy-on-write views of the file it read).  A resume of
+    another scenario, network or labels, or past cfg.iterations, and a split
     check_split refuses, are refused before anything is written or changed.
     If train raises, the object's tensors may be past its iteration: resume
     from the saved file.
@@ -398,7 +410,8 @@ def train(
     state = resume_from
     if state is None:
         params = init_params(cfg.net, make_rng(cfg.seed, STREAM_INIT))
-        state = Checkpoint(cfg.net, params, AdamState.zeros_like(params), 0, LR_INITIAL, labels)
+        state = Checkpoint(cfg.net, params, AdamState.zeros_like(params), 0, LR_INITIAL, labels, cfg.scenario)
+    check_scenario(cfg.scenario, state)
     if state.config != cfg.net:
         raise ConfigurationError("checkpoint network config differs from the training config")
     if state.labels != labels:

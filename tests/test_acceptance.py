@@ -368,7 +368,7 @@ def test_criterion_8_evaluation_reconciliation(tmp_path):
             name: wrng.uniform(-0.5, 0.5, size=shape).astype(np.float32)
             for name, shape in param_shapes(net).items()
         }
-        ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, labels)
+        ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, labels, Scenario.RGB)
 
         report = evaluate(ckpt, shards, Scenario.RGB, batch_size=60, log=None)
 

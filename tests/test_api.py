@@ -10,7 +10,7 @@ import fruitnet
 
 PUBLIC_NAMES = {
     # preprocessing scenarios
-    "Scenario", "preprocess",
+    "Scenario",
     # errors
     "ConfigurationError", "FormatError", "FruitnetError", "InvalidInputError", "ShapeError",
     "TrainingDivergedError",
@@ -22,13 +22,11 @@ PUBLIC_NAMES = {
     # the network
     "NetworkConfig", "init_params", "preset_configuration",
     # shards and batches
-    "ExampleRecord", "LabelMap", "ShardSet", "build_shards", "find_shards",
-    "read_examples", "sequential_batches", "shuffle_batches",
+    "ExampleRecord", "LabelMap", "ShardSet", "build_shards", "find_shards", "read_examples",
     # synthetic corpus
     "generate_corpus",
     # training and checkpoints
-    "AdamState", "Checkpoint", "TrainConfig", "adam_step", "batch_accuracy", "load_checkpoint",
-    "save_checkpoint", "train", "update_learning_rate",
+    "AdamState", "Checkpoint", "TrainConfig", "load_checkpoint", "save_checkpoint", "train",
 }
 
 
@@ -54,5 +52,5 @@ def test_train_config_fields_are_exactly_the_run_settings():
 
 def test_preprocessing_takes_no_mode():
     # one image is only ever preprocessed for testing; augmentation is a training batch's draws
-    assert list(inspect.signature(fruitnet.preprocess).parameters) == ["img", "scenario"]
+    assert list(inspect.signature(fruitnet.augmentation.preprocess).parameters) == ["img", "scenario"]
     assert list(inspect.signature(fruitnet.augmentation.augment_draws).parameters) == ["scenario", "rng", "n"]

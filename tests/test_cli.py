@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from fruitnet import cli, records, training
+from fruitnet.augmentation import Scenario
 from fruitnet.cli import main
 from fruitnet.config import ProjectConfig
+from fruitnet.evaluation import evaluate, predict_image
 from fruitnet.imaging import read_ppm
 from fruitnet.records import find_shards, read_examples
 from fruitnet.synthetic import generate_corpus
@@ -166,7 +168,6 @@ class TestPipeline:
             capsys, "test",
             "--checkpoint", str(tmp_path / "model" / "checkpoint.frck"),
             "--records-dir", str(tmp_path / "records"),
-            "--scenario", "hsv_gray_aug",
             "--batch-size", "4",
         )
         assert code == 0
@@ -182,7 +183,6 @@ class TestPipeline:
             capsys, "predict",
             "--image_path", str(image),
             "--checkpoint", str(tmp_path / "model" / "checkpoint.frck"),
-            "--scenario", "hsv_gray_aug",
         )
         assert code == 0
         line = [ln for ln in out.splitlines() if ln.startswith("Label index:")]
@@ -202,7 +202,7 @@ class TestPipeline:
             encoding="utf-8",
         )
         monkeypatch.setenv("FRUITS_CONFIG", str(config))
-        code, out, _ = run(capsys, "test", "--use-train", "--scenario", "hsv_gray_aug")
+        code, out, _ = run(capsys, "test", "--use-train")
         assert code == 0
         assert "final accuracy on the train set" in out
 
@@ -266,7 +266,7 @@ class TestPipeline:
         assert self.train(capsys, tmp_path, parts)[0] == 0
         code, out, err = run(
             capsys, "test", "--checkpoint", str(tmp_path / "model" / "checkpoint.frck"),
-            "--records-dir", str(tmp_path / "records"), "--scenario", "hsv_gray_aug",
+            "--records-dir", str(tmp_path / "records"),
         )
         assert code == 1
         assert err == "error: shard set 'test' is empty\n"
@@ -650,3 +650,40 @@ def test_a_train_into_a_run_directory_another_holds_exits_1_and_deletes_nothing(
     assert code == 1
     assert err == f"error: run directory {model} is in use by another training run\n"
     assert {path.name: path.read_bytes() for path in model.iterdir()} == files
+
+
+def test_test_and_predict_take_the_scenario_the_checkpoint_was_trained_on(corpus, capsys):
+    # an hsv network also takes rgb input, which has its depth; only the checkpoint knows which it learned
+    tmp_path, parts = corpus
+    TestPipeline().build(capsys, tmp_path, parts)
+    records_dir, ckpt_path = tmp_path / "records", tmp_path / "model" / "checkpoint.frck"
+    code, _, err = run(
+        capsys, "train", "--records-dir", str(records_dir), "--labels-file", str(parts["labels_file"]),
+        "--out", str(tmp_path / "model"), "--scenario", "hsv", "--config-nr", "9",
+        "--iterations", "2", "--batch-size", "4", "--display-interval", "2",
+    )
+    assert code == 0, err
+    ckpt = load_checkpoint(ckpt_path)
+    assert ckpt.scenario is Scenario.HSV
+
+    code, out, err = run(capsys, "test", "--checkpoint", str(ckpt_path), "--records-dir", str(records_dir))
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines.index("scenario: hsv") < lines.index(next(line for line in lines if line.startswith("final accuracy")))
+    report = evaluate(ckpt, find_shards(records_dir, "test"), Scenario.HSV, log=None)
+    assert json.loads((tmp_path / "model" / "report-test.json").read_text())["accuracy"] == report.accuracy
+
+    image = next((parts["test_dir"] / "class_01").glob("*.ppm"))
+    code, out, err = run(capsys, "predict", "--image_path", str(image), "--checkpoint", str(ckpt_path))
+    assert code == 0, err
+    prediction = predict_image(ckpt, read_ppm(image), Scenario.HSV)
+    name, probability = prediction.class_name, prediction.probability
+    assert out == f"Label index: {prediction.class_id} ({name}), probability: {probability:.4f}\n"
+
+    for argv in (
+        ("test", "--checkpoint", str(ckpt_path), "--records-dir", str(records_dir)),
+        ("predict", "--image_path", str(image), "--checkpoint", str(ckpt_path)),
+    ):
+        code, out, err = run(capsys, *argv, "--scenario", "rgb")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --scenario rgb" in err

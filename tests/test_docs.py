@@ -1,9 +1,12 @@
-"""The README's CLI walkthrough runs as written, so a flag the docs still name must exist."""
+"""The README's CLI walkthrough runs as written, so a flag the docs still name must exist,
+and its file formats section names the versions the code writes."""
 
 import shlex
 from pathlib import Path
 
 from fruitnet import cli
+from fruitnet.records import SHARD_VERSION
+from fruitnet.training import CHECKPOINT_VERSION
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +33,9 @@ def test_the_cli_walkthrough_runs_as_written(tmp_path, capsys):
             argv[argv.index("--iterations") + 1] = "2"
         code = cli.main(argv[1:])
         assert code == 0, f"{shlex.join(argv)} exited {code}: {capsys.readouterr().err}"
+
+
+def test_the_file_formats_section_names_the_current_format_versions():
+    section = README.read_text(encoding="utf-8").split("\n## File formats", 1)[1].split("\n## ", 1)[0]
+    assert f"format v{CHECKPOINT_VERSION}" in section
+    assert f"format v{SHARD_VERSION}" in section

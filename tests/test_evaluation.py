@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ def checkpoint_with(params) -> Checkpoint:
         iteration=0,
         learning_rate=1e-3,
         labels=LABELS,
+        scenario=Scenario.RGB,
     )
 
 
@@ -192,7 +194,7 @@ class TestPredictImage:
         net = NetworkConfig(**{**NET.__dict__, "input_height": 12, "input_width": 12})
         rng = make_rng(16)
         params = {k: rng.uniform(-0.5, 0.5, size=s).astype(np.float32) for k, s in param_shapes(net).items()}
-        ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, LABELS)
+        ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, LABELS, Scenario.RGB)
         for img in (RasterImage(rng.random((12, 12, 3))), RasterImage(rng.random((30, 20, 3)))):
             prediction = predict_image(ckpt, img, Scenario.RGB)
             x = preprocess(resize_bilinear(img, 12, 12), Scenario.RGB)[None].astype(np.float32)
@@ -223,6 +225,23 @@ def test_scenario_channel_checks_keep_their_messages(tmp_path):
         predict_image(zero_checkpoint(), img, Scenario.HSV_GRAY)
 
 
+def test_a_scenario_of_the_same_depth_that_the_checkpoint_was_not_trained_on_is_refused(tmp_path, monkeypatch):
+    ckpt = replace(random_checkpoint(), scenario=Scenario.HSV)
+    shards = shard_records(tmp_path, random_records(2))
+    img = RasterImage(np.random.default_rng(17).random((100, 100, 3)))
+    monkeypatch.setattr(evaluation, "forward", lambda *a, **k: pytest.fail("forward pass on a refused scenario"))
+    message = "checkpoint was trained on scenario hsv, not rgb"
+    lines = []
+    with pytest.raises(ConfigurationError, match=message):
+        evaluate(ckpt, shards, Scenario.RGB, log=lines.append)
+    with pytest.raises(ConfigurationError, match=message):
+        predict_image(ckpt, img, Scenario.RGB)
+    assert lines == []
+    monkeypatch.undo()
+    assert evaluate(ckpt, shards, Scenario.HSV, log=None).total_images == 2
+    assert predict_image(ckpt, img, Scenario.HSV).class_id in (0, 1, 2)
+
+
 def test_label_beyond_the_checkpoint_classes_is_a_configuration_error(tmp_path):
     records = random_records(3)
     records[1] = ExampleRecord(label=5, pixels=records[1].pixels)
@@ -234,7 +253,7 @@ def test_label_beyond_the_checkpoint_classes_is_a_configuration_error(tmp_path):
 def test_a_network_not_taking_the_shard_images_is_refused(tmp_path):
     net = NetworkConfig(**{**NET.__dict__, "input_height": 12, "input_width": 12})
     params = {k: np.zeros(s, dtype=np.float32) for k, s in param_shapes(net).items()}
-    ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, LABELS)
+    ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, LABELS, Scenario.RGB)
     lines = []
     with pytest.raises(ConfigurationError, match="shards hold 100x100 images, checkpoint network expects 12x12"):
         evaluate(ckpt, shard_records(tmp_path, random_records(2)), Scenario.RGB, log=lines.append)

@@ -144,7 +144,8 @@ class TestShardFormat:
         assert [(r.label, r.pixels.tobytes()) for r in back] == [(r.label, r.pixels.tobytes()) for r in records]
         net = NetworkConfig(num_classes=4, input_channels=3, conv_maps=(2, 2, 2, 2), fc_sizes=(3, 3))
         params = init_params(net, make_rng(4))
-        ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, LabelMap.from_names(["a", "b", "c"]))
+        labels = LabelMap.from_names(["a", "b", "c"])
+        ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, labels, Scenario.RGB)
         monkeypatch.setattr(evaluation, "forward", lambda *a, **k: pytest.fail("forward pass on a refused split"))
         with pytest.raises(ConfigurationError, match="shards hold 50x50 images, checkpoint network expects 100x100"):
             evaluate(ckpt, shards, Scenario.RGB, log=None)

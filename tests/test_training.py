@@ -521,7 +521,7 @@ def test_a_split_fits_a_network_exactly_when_its_images_have_the_network_input_d
             train(cfg, shards, tmp / "run", labels, log=None)
         assert not (tmp / "run").exists()
         params = init_params(net, make_rng(0))
-        ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, labels)
+        ckpt = Checkpoint(net, params, AdamState.zeros_like(params), 0, 1e-3, labels, cfg.scenario)
         with pytest.raises(ConfigurationError, match=f"checkpoint network expects {net_side}x{net_side}"):
             evaluate(ckpt, shards, Scenario.RGB, log=None)
         return
@@ -579,10 +579,18 @@ def _zero_conv_maps(raw):
     return _NETWORK_AT
 
 
+def _scenario_index(index: int):
+    def edit(raw):
+        raw[76:80] = struct.pack("<I", index)  # no scenario has an index of 5 or more
+        return 76
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
-    [_non_utf8(b"nothing"), _first_label_not_nothing, _zero_conv_maps],
-    ids=["non_utf8_label", "first_label", "zero_conv_maps"],
+    [_non_utf8(b"nothing"), _first_label_not_nothing, _zero_conv_maps, _scenario_index(5), _scenario_index(2**32 - 1)],
+    ids=["non_utf8_label", "first_label", "zero_conv_maps", "scenario_index_5", "scenario_index_2_to_the_32_minus_1"],
 )
 def test_malformed_checkpoint_is_a_format_error_at_its_offset(tmp_path, edit):
     path = tmp_path / "damaged.frck"
@@ -623,7 +631,7 @@ def test_a_class_count_the_tensors_leave_no_room_for_fails_without_walking_them(
     labels = LabelMap.from_names(list("abcd"))
     save_checkpoint(Checkpoint(cfg, params, AdamState.zeros_like(params), 1, 0.001, labels), path)
     raw = bytearray(path.read_bytes())
-    raw[_NETWORK_AT : _NETWORK_AT + 4] = raw[76:80] = struct.pack("<I", 2**32 - 1)
+    raw[_NETWORK_AT : _NETWORK_AT + 4] = raw[80:84] = struct.pack("<I", 2**32 - 1)
     path.write_bytes(bytes(raw))
     began = time.perf_counter()
     with pytest.raises(FormatError) as err:
@@ -660,7 +668,7 @@ def test_a_version_1_checkpoint_is_refused_at_offset_4(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4:8] = struct.pack("<I", 1)
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="checkpoints written before version 3 cannot be loaded") as err:
+    with pytest.raises(FormatError, match="checkpoints written before version 4 cannot be loaded") as err:
         load_checkpoint(path)
     assert err.value.offset == 4
 
@@ -679,7 +687,7 @@ _small_nets = st.builds(
 
 @given(net=_small_nets, data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_v3_round_trip_is_exact_and_holds_only_the_state(tmp_path_factory, net, data):
+def test_v4_round_trip_is_exact_and_holds_only_the_state(tmp_path_factory, net, data):
     names = data.draw(
         st.lists(st.text(max_size=6), min_size=net.num_classes - 1, max_size=net.num_classes - 1, unique=True)
     )
@@ -691,23 +699,24 @@ def test_v3_round_trip_is_exact_and_holds_only_the_state(tmp_path_factory, net, 
         data.draw(st.integers(0, 2**64 - 1), label="iteration"),
         data.draw(st.floats(allow_nan=False), label="lr"),
         LabelMap.from_names(names),
+        data.draw(st.sampled_from(Scenario), label="scenario"),  # any of the five, whatever the net's depth
     )
-    tmp = tmp_path_factory.mktemp("v3")
+    tmp = tmp_path_factory.mktemp("v4")
     save_checkpoint(ckpt, tmp / "a.frck")
     back = load_checkpoint(tmp / "a.frck")
-    assert (back.config, back.labels, back.iteration, back.learning_rate, back.adam.t) == (
-        net, ckpt.labels, ckpt.iteration, ckpt.learning_rate, ckpt.adam.t
+    assert (back.config, back.labels, back.iteration, back.learning_rate, back.adam.t, back.scenario) == (
+        net, ckpt.labels, ckpt.iteration, ckpt.learning_rate, ckpt.adam.t, ckpt.scenario
     )
     for group, loaded in ((params, back.params), (m, back.adam.m), (v, back.adam.v)):
         assert list(loaded) == list(shapes)
         for key in shapes:
             assert loaded[key].dtype == np.float32 and np.array_equal(loaded[key], group[key]), key
-    # the fixed header and the labels, padded to 4096 bytes, then the float32
-    # tensors: no names, dims or other fields
+    # the 80-byte fixed header and the labels, padded to 4096 bytes, then the
+    # float32 tensors: no names, dims or other fields
     label_bytes = 4 + sum(4 + len(name.encode("utf-8")) for name in ckpt.labels.names)
     tensor_bytes = 3 * 4 * sum(math.prod(s) for s in shapes.values())
     raw = (tmp / "a.frck").read_bytes()
-    assert len(raw) == -(-(76 + label_bytes) // 4096) * 4096 + tensor_bytes
+    assert len(raw) == -(-(80 + label_bytes) // 4096) * 4096 + tensor_bytes
     save_checkpoint(back, tmp / "b.frck")
     assert (tmp / "b.frck").read_bytes() == raw
 
@@ -763,27 +772,9 @@ def test_saving_a_preset_1_checkpoint_copies_no_tensor(tmp_path):
     assert load_checkpoint(tmp_path / "c.frck").params["fc1_w"].tobytes() == params["fc1_w"].tobytes()
 
 
-def test_loading_a_preset_1_checkpoint_reads_the_tensors_once(tmp_path):
-    # the tensor block is read in one pass into one array that the params
-    # and both Adam moments view, so the traced peak is that block and little more
-    cfg = preset_configuration(1, num_classes=5)
-    params = init_params(cfg, make_rng(0, STREAM_INIT))
-    ckpt = Checkpoint(cfg, params, AdamState.zeros_like(params), 1, 0.001, LabelMap.from_names(list("abcd")))
-    save_checkpoint(ckpt, tmp_path / "c.frck")
-    tensor_bytes = 3 * sum(p.nbytes for p in params.values())
-    tracemalloc.start()
-    try:
-        back = load_checkpoint(tmp_path / "c.frck")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.1 * tensor_bytes, f"load_checkpoint peaked at {peak / 1e6:.1f} MB for {tensor_bytes / 1e6:.1f} MB"
-    assert all(np.array_equal(back.params[k], params[k]) for k in params)
-
-
 def _labels_end(ckpt: Checkpoint) -> int:
     """Where the label block ends: the fixed header, the name count, then each name's length and bytes."""
-    return 76 + 4 + sum(4 + len(name.encode("utf-8")) for name in ckpt.labels.names)
+    return 80 + 4 + sum(4 + len(name.encode("utf-8")) for name in ckpt.labels.names)
 
 
 def _tensor_bytes(ckpt: Checkpoint) -> bytes:
@@ -879,9 +870,53 @@ def test_a_version_2_checkpoint_is_refused_at_offset_4(tmp_path):
     labels_end = _labels_end(ckpt)
     tensors = _tensor_bytes(ckpt)
     path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:labels_end] + tensors)
-    with pytest.raises(FormatError, match="unsupported checkpoint version 2; checkpoints written before version 3") as err:
+    with pytest.raises(FormatError, match="unsupported checkpoint version 2; checkpoints written before version 4") as err:
         load_checkpoint(path)
     assert (err.value.path, err.value.offset) == (path, 4)
+
+
+def test_a_version_3_checkpoint_is_refused_at_offset_4(tmp_path):
+    # a v3 file: the v4 layout without the scenario field
+    ckpt = make_checkpoint()
+    path = tmp_path / "v3.frck"
+    save_checkpoint(ckpt, path)
+    raw = path.read_bytes()
+    head = raw[:4] + struct.pack("<I", 3) + raw[8:76] + raw[80 : _labels_end(ckpt)]
+    path.write_bytes(head + bytes(-len(head) % 4096) + _tensor_bytes(ckpt))
+    with pytest.raises(FormatError, match="unsupported checkpoint version 3; checkpoints written before version 4") as err:
+        load_checkpoint(path)
+    assert (err.value.path, err.value.offset) == (path, 4)
+
+
+def test_a_checkpoint_stores_its_scenario_at_offset_76_as_its_index_in_this_table(tmp_path):
+    # the table is part of the format: an index names the same scenario in every version of the code
+    table = {Scenario.GRAY: 0, Scenario.RGB: 1, Scenario.HSV: 2, Scenario.HSV_GRAY: 3, Scenario.HSV_GRAY_AUG: 4}
+    assert list(table) == list(Scenario)
+    ckpt, path = make_checkpoint(), tmp_path / "c.frck"
+    for scenario, index in table.items():
+        ckpt.scenario = scenario
+        save_checkpoint(ckpt, path)
+        assert struct.unpack_from("<I", path.read_bytes(), 76) == (index,)
+        assert load_checkpoint(path).scenario is scenario
+
+
+@pytest.mark.parametrize(
+    "trained, resumed",
+    [(Scenario.RGB, Scenario.HSV), (Scenario.HSV, Scenario.RGB), (Scenario.HSV_GRAY_AUG, Scenario.HSV_GRAY)],
+    ids=["rgb_as_hsv", "hsv_as_rgb", "hsv_gray_aug_as_hsv_gray"],
+)
+def test_a_resume_under_another_scenario_of_the_same_depth_is_refused_and_changes_nothing(tmp_path, trained, resumed):
+    shards, labels = tiny_corpus(tmp_path)
+    net = replace(TINY_NET, input_channels=trained.input_channels)
+    run = tmp_path / "run"
+    train(tiny_cfg(iterations=2, net=net, scenario=trained), shards, run, labels, log=None)
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    ckpt = load_checkpoint(run / "checkpoint.frck")
+    assert ckpt.scenario is trained
+    message = f"checkpoint was trained on scenario {trained.value}, not {resumed.value}"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        train(tiny_cfg(iterations=4, net=net, scenario=resumed), shards, run, labels, resume_from=ckpt, log=None)
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
 def test_a_fresh_run_equals_a_resume_from_its_own_iteration_0_checkpoint(tmp_path):
@@ -889,7 +924,7 @@ def test_a_fresh_run_equals_a_resume_from_its_own_iteration_0_checkpoint(tmp_pat
     cfg = tiny_cfg(iterations=4)
     train(cfg, shards, tmp_path / "fresh", labels, log=None)
     params = init_params(cfg.net, make_rng(cfg.seed, STREAM_INIT))
-    zero = Checkpoint(cfg.net, params, AdamState.zeros_like(params), 0, training.LR_INITIAL, labels)
+    zero = Checkpoint(cfg.net, params, AdamState.zeros_like(params), 0, training.LR_INITIAL, labels, cfg.scenario)
     save_checkpoint(zero, tmp_path / "zero.frck")
     resumed = load_checkpoint(tmp_path / "zero.frck")
     train(cfg, shards, tmp_path / "resumed", labels, resume_from=resumed, log=None)
@@ -965,7 +1000,7 @@ def test_a_checkpoint_naming_a_class_twice_or_the_background_fails_at_its_label_
     (tmp_path / "c.frck").write_bytes(raw.replace(last, struct.pack("<I", len(damaged)) + damaged, 1))
     with pytest.raises(FormatError, match="invalid label names") as err:
         load_checkpoint(tmp_path / "c.frck")
-    assert err.value.offset == 76 + 4  # the first name, after the fixed header and the count
+    assert err.value.offset == 80 + 4  # the first name, after the fixed header and the count
 
 
 def test_several_preset_1_steps_peak_no_higher_than_one(tmp_path, monkeypatch):
